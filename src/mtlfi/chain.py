@@ -4,6 +4,21 @@ Two kinds of chains are supported: finite chains carried by the canonical
 grid {i/(n-1)} and standard chains assembled as ordinal sums of Lukasiewicz,
 Godel and product components with rational endpoints.  All operations are
 exact; no floating point is used anywhere.
+
+Finite chains work on element indices through precomputed tables.  Standard
+chains evaluate the closed form of each component family on a component
+[lo, hi] of width w = hi - lo:
+
+    Lukasiewicz  x & y = max(lo, x + y - hi)       x -> y = hi - x + y
+    Godel        x & y = min(x, y)                 x -> y = y
+    product      x & y = lo + (x-lo)(y-lo)/w       x -> y = lo + w(y-lo)/(x-lo)
+
+where the residua are those for x > y (x -> y = 1 when x <= y), and two
+arguments that share no component combine as min(x, y) and y.  Every
+comparison of two rationals a/b and c/d (normalized, b, d > 0) is decided
+by the integer cross-multiplication a*d against c*b, and each result is
+built as a single normalized Fraction from one integer numerator and
+denominator.
 """
 
 from __future__ import annotations
@@ -127,9 +142,13 @@ class NSet:
             return False
         if self.elements is not None:
             return x in self.elements
-        if x >= _ONE:
+        x = rat(x)
+        n, d = x.numerator, x.denominator
+        if n >= d:
             return False
-        return x >= self.lower if self.closed else x > self.lower
+        # sign of x - lower, by cross-multiplication
+        diff = n * self.lower.denominator - self.lower.numerator * d
+        return diff >= 0 if self.closed else diff > 0
 
     def infimum(self) -> Optional[Fraction]:
         if self.empty:
@@ -218,6 +237,8 @@ class FiniteChain:
         self._tnorm_i = tuple(tuple(row) for row in table)
         self._res_i = tuple(tuple(row) for row in _residuum_from_table(table, n))
         self._neg_i = tuple(self._res_i[i][0] for i in range(n))
+        self._nset = NSet.finite(x for i, x in enumerate(self.elements)
+                                 if i < n - 1 and self._neg_i[i] == 0)
 
     # -- constructors ------------------------------------------------------
 
@@ -320,8 +341,7 @@ class FiniteChain:
             return False
 
     def n_set(self) -> NSet:
-        return NSet.finite(x for i, x in enumerate(self.elements)
-                           if i < self.size - 1 and self._neg_i[i] == 0)
+        return self._nset
 
     def is_smtl(self):
         """True when x /\\ ~x = 0 everywhere, else (False, witness)."""
@@ -338,7 +358,15 @@ class FiniteChain:
 # Standard chains
 
 class StandardChain:
-    """An ordinal sum of Lukasiewicz / Godel / product components on [0,1]."""
+    """An ordinal sum of Lukasiewicz / Godel / product components on [0,1].
+
+    The strong conjunction and the residuum use the per-family closed forms
+    listed in the module docstring.  The arguments are located by integer
+    cross-multiplication against the component endpoints: the component
+    used is the first one that contains the larger argument, and it applies
+    only when it also contains the smaller one, so at a shared endpoint the
+    lower component wins.  Godel components need no arithmetic at all.
+    """
 
     is_finite = False
 
@@ -360,10 +388,23 @@ class StandardChain:
         self.components = tuple(comps)
         self.name = name or "+".join(c.family[0].upper() for c in comps)
         self.size = None
+        # (family, lo, p, q, r, s, wn, wd) with lo = p/q, hi = r/s, w = wn/wd
+        self._kernel = tuple(
+            (c.family, c.lo, c.lo.numerator, c.lo.denominator,
+             c.hi.numerator, c.hi.denominator,
+             (c.hi - c.lo).numerator, (c.hi - c.lo).denominator)
+            for c in comps)
+        first = comps[0]
+        if first.family != LUKASIEWICZ:
+            self._nset = NSet.interval(_ZERO, closed=False)
+        elif first.hi == _ONE:
+            self._nset = NSet.none()
+        else:
+            self._nset = NSet.interval(first.hi, closed=True)
 
     def _check(self, x) -> Fraction:
-        v = rat(x)
-        if not (_ZERO <= v <= _ONE):
+        v = x if isinstance(x, Fraction) else rat(x)
+        if not 0 <= v.numerator <= v.denominator:
             raise OutOfCarrier(f"{x} is outside [0,1]")
         return v
 
@@ -374,49 +415,46 @@ class StandardChain:
         except ChainError:
             return False
 
-    def _common_component(self, x: Fraction, y: Fraction) -> Optional[Component]:
-        for c in self.components:
-            if c.lo <= x <= c.hi and c.lo <= y <= c.hi:
-                return c
-        return None
-
     def tnorm(self, x, y) -> Fraction:
         x, y = self._check(x), self._check(y)
-        c = self._common_component(x, y)
-        if c is None:
-            return min(x, y)
-        w = c.hi - c.lo
-        u, v = (x - c.lo) / w, (y - c.lo) / w
-        if c.family == LUKASIEWICZ:
-            r = max(_ZERO, u + v - 1)
-        elif c.family == GODEL:
-            r = min(u, v)
-        else:
-            r = u * v
-        return c.lo + w * r
+        a, b, c, d = x.numerator, x.denominator, y.numerator, y.denominator
+        if a * d > c * b:
+            x, a, b, c, d = y, c, d, a, b
+        # now x = a/b <= y = c/d; find the first component holding y
+        for fam, lo, p, q, r, s, wn, wd in self._kernel:
+            if c * s <= r * d:
+                break
+        if fam == GODEL or a * q < p * b:
+            return x
+        if fam == LUKASIEWICZ:
+            den = b * d * s
+            num = (a * d + c * b) * s - r * b * d
+            return lo if num * q <= p * den else Fraction(num, den)
+        return Fraction(p * b * d * q * wn + (a * q - p * b) * (c * q - p * d) * wd,
+                        b * d * q * q * wn)
 
     def residuum(self, x, y) -> Fraction:
         x, y = self._check(x), self._check(y)
-        if x <= y:
+        a, b, c, d = x.numerator, x.denominator, y.numerator, y.denominator
+        if a * d <= c * b:
             return _ONE
-        c = self._common_component(x, y)
-        if c is None:
+        # y < x; find the first component holding x
+        for fam, lo, p, q, r, s, wn, wd in self._kernel:
+            if a * s <= r * b:
+                break
+        if fam == GODEL or c * q < p * d:
             return y
-        w = c.hi - c.lo
-        u, v = (x - c.lo) / w, (y - c.lo) / w
-        if c.family == LUKASIEWICZ:
-            r = min(_ONE, 1 - u + v)
-        elif c.family == GODEL:
-            r = v
-        else:
-            r = v / u  # u > v >= 0, so u > 0
-        return c.lo + w * r
+        if fam == LUKASIEWICZ:
+            return Fraction(r * b * d - a * d * s + c * b * s, b * d * s)
+        xl = a * q - p * b  # (x - lo) * b * q > 0
+        return Fraction(p * wd * d * xl + q * wn * b * (c * q - p * d), q * wd * d * xl)
 
     def negation(self, x) -> Fraction:
         return self.residuum(x, _ZERO)
 
     def delta(self, x) -> Fraction:
-        return _ONE if self._check(x) == _ONE else _ZERO
+        v = self._check(x)
+        return _ONE if v.numerator == v.denominator else _ZERO
 
     def meet(self, x, y) -> Fraction:
         return min(self._check(x), self._check(y))
@@ -425,12 +463,7 @@ class StandardChain:
         return max(self._check(x), self._check(y))
 
     def n_set(self) -> NSet:
-        first = self.components[0]
-        if first.family == LUKASIEWICZ:
-            if first.hi == _ONE:
-                return NSet.none()
-            return NSet.interval(first.hi, closed=True)
-        return NSet.interval(_ZERO, closed=False)
+        return self._nset
 
     def is_smtl(self):
         first = self.components[0]
@@ -466,37 +499,65 @@ def validate_mtl_laws(chain, triples: Optional[Iterable] = None) -> list:
     """Check associativity, commutativity, unit, monotonicity, adjointness
     and prelinearity.
 
-    Finite chains are checked exhaustively over all triples.  For standard
-    chains the caller supplies rational triples; each check is exact, so a
-    pass certifies the law for those triples.  Returns a list of
-    (law, witness) violations, empty when everything holds.
+    Finite chains are checked exhaustively over all triples, in index space;
+    witnesses are reported as elements.  For standard chains the caller
+    supplies rational triples; each check is exact, so a pass certifies the
+    law for those triples.  Returns a list of (law, witness) violations,
+    empty when everything holds.
     """
-    bad = []
     if chain.is_finite:
-        els = chain.elements
-        triples = itertools.product(els, repeat=3)
-    elif triples is None:
+        return _finite_law_violations(chain)
+    if triples is None:
         raise ValueError("standard chains need explicit triples")
+    bad = []
+    tnorm, residuum = chain.tnorm, chain.residuum
     for x, y, z in triples:
-        xy = chain.tnorm(x, y)
-        if xy != chain.tnorm(y, x):
+        xy = tnorm(x, y)
+        if xy != tnorm(y, x):
             bad.append(("commutativity", (x, y)))
             continue
-        if chain.tnorm(xy, z) != chain.tnorm(x, chain.tnorm(y, z)):
+        if tnorm(xy, z) != tnorm(x, tnorm(y, z)):
             bad.append(("associativity", (x, y, z)))
             continue
-        if chain.tnorm(x, _ONE) != x:
+        if tnorm(x, _ONE) != x:
             bad.append(("unit", (x,)))
             continue
-        if y <= z and chain.tnorm(x, y) > chain.tnorm(x, z):
+        if y <= z and xy > tnorm(x, z):
             bad.append(("monotonicity", (x, y, z)))
             continue
         # adjointness both ways
-        if (chain.tnorm(x, y) <= z) != (x <= chain.residuum(y, z)):
+        if (xy <= z) != (x <= residuum(y, z)):
             bad.append(("adjointness", (x, y, z)))
             continue
-        if max(chain.residuum(x, y), chain.residuum(y, x)) != _ONE:
+        if max(residuum(x, y), residuum(y, x)) != _ONE:
             bad.append(("prelinearity", (x, y)))
+    return bad
+
+
+def _finite_law_violations(chain: FiniteChain) -> list:
+    """validate_mtl_laws over all index triples; indices order like elements."""
+    bad = []
+    els, tn, rs = chain.elements, chain._tnorm_i, chain._res_i
+    top = chain.size - 1
+    for i, j, k in itertools.product(range(chain.size), repeat=3):
+        ij = tn[i][j]
+        if ij != tn[j][i]:
+            bad.append(("commutativity", (els[i], els[j])))
+            continue
+        if tn[ij][k] != tn[i][tn[j][k]]:
+            bad.append(("associativity", (els[i], els[j], els[k])))
+            continue
+        if tn[i][top] != i:
+            bad.append(("unit", (els[i],)))
+            continue
+        if j <= k and ij > tn[i][k]:
+            bad.append(("monotonicity", (els[i], els[j], els[k])))
+            continue
+        if (ij <= k) != (i <= rs[j][k]):
+            bad.append(("adjointness", (els[i], els[j], els[k])))
+            continue
+        if max(rs[i][j], rs[j][i]) != top:
+            bad.append(("prelinearity", (els[i], els[j])))
     return bad
 
 

@@ -330,10 +330,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--profile", default=None, help="logic profile name")
     common.add_argument("--grid-denominator", type=int, default=60)
     common.add_argument("--kmax", type=int, default=8)
-    common.add_argument("--jobs", type=int, default=1,
-                        help="worker cap (searches are deterministic either way)")
-    common.add_argument("--deterministic", action="store_true",
-                        help="force sequential order (already the default)")
     common.add_argument("--format", choices=("text", "records"), default="text")
     common.add_argument("--load", action="append", default=[],
                         help="chain/op/proof file to load (repeatable)")

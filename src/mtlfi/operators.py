@@ -91,39 +91,34 @@ class ConsistencyOp:
         self.breakpoints = tuple(breakpoints)
         self.interpolation = interpolation
         self.name = name or kind
+        if not chain.is_finite:
+            self._nset = chain.n_set()
+            if threshold is not None:
+                t = rat(threshold)
+                self._threshold_nd = (t.numerator, t.denominator)
 
     def value(self, x) -> Fraction:
-        x = rat(x)
         chain = self.chain
         if chain.is_finite:
+            x = rat(x)
             try:
                 return self.values[chain.index[x]]
             except KeyError:
                 raise OutOfCarrier(f"{x} is not an element of {chain.name}")
-        if not chain.contains(x):
-            raise OutOfCarrier(f"{x} is outside [0,1]")
-        if x == _ZERO or x == _ONE:
+        x = chain._check(x)
+        n, d = x.numerator, x.denominator
+        if n == 0 or n == d:
             return _ONE
-        nset = chain.n_set()
-        if self.kind == "min":
+        kind = self.kind
+        if kind == "min" or x not in self._nset:
             return _ZERO
-        if self.kind == "max":
-            return _ONE if x in nset else _ZERO
-        if x not in nset:
-            return _ZERO
-        if self.kind == "crisp":
-            hit = x >= self.threshold if self.closed else x > self.threshold
-            return _ONE if hit else _ZERO
-        # piecewise on the zero-negation region
-        bps = self.breakpoints
-        if not bps or x < bps[0][0]:
-            return _ZERO
-        for (x0, v0), (x1, v1) in zip(bps, bps[1:]):
-            if x0 <= x < x1:
-                if self.interpolation == "step":
-                    return v0
-                return v0 + (v1 - v0) * (x - x0) / (x1 - x0)
-        return bps[-1][1]
+        if kind == "max":
+            return _ONE
+        if kind == "crisp":
+            tn, td = self._threshold_nd
+            diff = n * td - tn * d  # sign of x - threshold
+            return _ONE if (diff >= 0 if self.closed else diff > 0) else _ZERO
+        return _interpolate(self.breakpoints, self.interpolation, x)
 
     def pointwise(self, points) -> list:
         return [self.value(x) for x in points]
@@ -176,6 +171,20 @@ def table_op(chain: FiniteChain, values: Sequence, name: str = "") -> Consistenc
         if v not in chain.index:
             raise OutOfCarrier(f"operator value {v} is not a chain element")
     return ConsistencyOp(chain, "table", values=vals, name=name or "table")
+
+
+def _interpolate(bps, interpolation: str, x: Fraction) -> Fraction:
+    """The breakpoint profile at a point x of the zero-negation region: 0
+    before the first breakpoint, the last value from the last breakpoint
+    on, and step or linear interpolation in between."""
+    if not bps or x < bps[0][0]:
+        return _ZERO
+    for (x0, v0), (x1, v1) in zip(bps, bps[1:]):
+        if x0 <= x < x1:
+            if interpolation == "step":
+                return v0
+            return v0 + (v1 - v0) * (x - x0) / (x1 - x0)
+    return bps[-1][1]
 
 
 def _materialize(chain: FiniteChain, fn, kind: str, name: str = "", **params):
@@ -273,22 +282,12 @@ def piecewise_op(chain, breakpoints: Sequence, interpolation: str = "linear",
         return min_op(chain)
     label = name or "piecewise"
     if chain.is_finite:
-        helper = ConsistencyOp(chain, "piecewise", breakpoints=bps,
-                               interpolation=interpolation)
-
         def fn(x):
             if x == _ZERO or x == _ONE:
                 return _ONE
             if x not in nset:
                 return _ZERO
-            if not bps or x < bps[0][0]:
-                return _ZERO
-            for (x0, v0), (x1, v1) in zip(bps, bps[1:]):
-                if x0 <= x < x1:
-                    if interpolation == "step":
-                        return v0
-                    return v0 + (v1 - v0) * (x - x0) / (x1 - x0)
-            return bps[-1][1]
+            return _interpolate(bps, interpolation, x)
 
         vals = tuple(fn(x) for x in chain.elements)
         for v in vals:

@@ -332,11 +332,14 @@ def _sampled_search(model: ChainModel, premises, conclusion, mode: str,
 
 
 def _consequence(models, premises, conclusion, mode: str, grid_denominator: int):
+    models = _models_list(models)
+    if not models:
+        raise SemanticsError("consequence needs at least one model to check")
     premises = list(premises)
     best_unknown = None
     total = 0
     last = None
-    for model in _models_list(models):
+    for model in models:
         if model.chain.is_finite:
             res = _finite_search(model, premises, conclusion, mode)
         else:

@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mtlfi.chain import (GODEL, LUKASIEWICZ, PRODUCT, FiniteChain,
-                         GapOrOverlap, NegationNotDecreasing, NotAFilter,
-                         OutOfCarrier, SizeMismatch, StandardChain,
+                         GapOrOverlap, NegationNotDecreasing,
+                         NonRationalEndpoint, NotAFilter, OutOfCarrier,
+                         SizeMismatch, StandardChain,
                          TableNotTnorm, builtin_chains, is_filter,
                          parse_chain_file, quotient_by_filter, upward_filter,
                          validate_mtl_laws)
@@ -180,6 +181,72 @@ def test_adjointness_on_standard_chains(name, x, y, z):
     chain = builtin_chains()[name]
     assert (chain.tnorm(x, y) <= z) == (x <= chain.residuum(y, z))
     assert max(chain.residuum(x, y), chain.residuum(y, x)) == 1
+
+
+def _reference(chain, op, x, y):
+    """Textbook ordinal sum: lo + w * r(u, v) on the first component holding
+    both arguments, min(x, y) / y across components."""
+    x, y = F(x), F(y)
+    if op == "residuum" and x <= y:
+        return F(1)
+    for c in chain.components:
+        if c.lo <= x <= c.hi and c.lo <= y <= c.hi:
+            break
+    else:
+        return min(x, y) if op == "tnorm" else y
+    w = c.hi - c.lo
+    u, v = (x - c.lo) / w, (y - c.lo) / w
+    if op == "tnorm":
+        r = {LUKASIEWICZ: max(F(0), u + v - 1), GODEL: min(u, v),
+             PRODUCT: u * v}[c.family]
+    else:
+        r = {LUKASIEWICZ: min(F(1), 1 - u + v), GODEL: v,
+             PRODUCT: v / u}[c.family]
+    return c.lo + w * r
+
+
+@st.composite
+def ordinal_sums(draw):
+    """1-3 components of any family, with random rational cut points."""
+    cuts = draw(st.lists(st.fractions(min_value=0, max_value=1,
+                                      max_denominator=60)
+                         .filter(lambda c: 0 < c < 1),
+                         max_size=2, unique=True))
+    ends = [F(0)] + sorted(cuts) + [F(1)]
+    fams = draw(st.lists(st.sampled_from([LUKASIEWICZ, GODEL, PRODUCT]),
+                         min_size=len(ends) - 1, max_size=len(ends) - 1))
+    return StandardChain(list(zip(fams, ends, ends[1:])))
+
+
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_kernel_matches_textbook_ordinal_sum(data):
+    chain = data.draw(ordinal_sums())
+    ends = [c.lo for c in chain.components] + [F(1)]
+    point = st.one_of(st.sampled_from(ends), rationals,
+                      st.integers(min_value=0, max_value=1))
+    x, y = data.draw(point), data.draw(point)
+    for op in ("tnorm", "residuum"):
+        got = getattr(chain, op)(x, y)
+        assert type(got) is F and got == _reference(chain, op, x, y)
+    assert chain.negation(x) == _reference(chain, "residuum", x, 0)
+
+
+@given(chain=ordinal_sums(),
+       bad=st.one_of(st.sampled_from([F(-1), F(-1, 60), F(61, 60), F(2)]),
+                     st.fractions(max_value=0).filter(lambda v: v < 0),
+                     st.fractions(min_value=1).filter(lambda v: v > 1)))
+@settings(max_examples=50, deadline=None)
+def test_kernel_rejects_points_outside_the_carrier(chain, bad):
+    for call in (lambda: chain.tnorm(bad, F(1, 2)),
+                 lambda: chain.residuum(F(1, 2), bad),
+                 lambda: chain.negation(bad), lambda: chain.delta(bad)):
+        with pytest.raises(OutOfCarrier):
+            call()
+    with pytest.raises(NonRationalEndpoint):
+        chain.tnorm(0.5, F(1, 2))
+    with pytest.raises(NonRationalEndpoint):
+        chain.residuum(F(1, 2), 0.25)
 
 
 @pytest.mark.parametrize("name", ["B2", "L3", "L5", "G3", "G5", "NM6", "L3G3"])

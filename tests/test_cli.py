@@ -190,7 +190,7 @@ class TestSuiteCommand:
 
 class TestDeterminism:
     def test_byte_stable_reports(self, capsys):
-        args = ("conseq", "--deterministic", "--mode", "degree", "--chain",
+        args = ("conseq", "--mode", "degree", "--chain",
                 "L3", "--op", "auto", "--premises", "p, ~p", "--goal", "q",
                 "--format", "records")
         code1, out1, _ = run(capsys, *args)

@@ -3,8 +3,10 @@ from fractions import Fraction as F
 from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from mtlfi.chain import StandardChain, LUKASIEWICZ
+from mtlfi.chain import (GODEL, LUKASIEWICZ, PRODUCT, NonRationalEndpoint,
+                         OutOfCarrier, StandardChain)
 from mtlfi.operators import (BreakpointOutsideN, ConsistencyOp, HostMismatch,
                              NotNondecreasing, StandardChainUnsupported,
                              ThresholdOutsideN, TooLarge, bullet_table_op,
@@ -163,6 +165,91 @@ class TestPiecewise:
             piecewise_op(chains["LL"], [(F(1, 2), F(3, 4)), (1, F(1, 2))])
         with pytest.raises(NotNondecreasing):
             piecewise_op(chains["LL"], [(1, F(1, 2))])
+
+
+# beside LG, LP and LL: zero-negation regions (0, 1) after a product or a
+# Godel first component
+_MORE_STANDARD = [
+    StandardChain([(PRODUCT, 0, F(1, 3)), (LUKASIEWICZ, F(1, 3), F(5, 7)),
+                   (GODEL, F(5, 7), 1)], name="PLG"),
+    StandardChain([(GODEL, 0, F(2, 5)), (LUKASIEWICZ, F(2, 5), 1)], name="GL"),
+]
+
+
+def _reference_value(chain, op, x):
+    """O(x) read off the definitions, deciding the zero-negation region by
+    the negation itself."""
+    x = F(x)
+    if x in (0, 1):
+        return F(1)
+    if op.kind == "min" or chain.negation(x) != 0:
+        return F(0)
+    if op.kind == "max":
+        return F(1)
+    if op.kind == "crisp":
+        return F(int(x >= op.threshold if op.closed else x > op.threshold))
+    before = [bp for bp in op.breakpoints if bp[0] <= x]
+    after = [bp for bp in op.breakpoints if bp[0] > x]
+    if not before:
+        return F(0)
+    x0, v0 = before[-1]
+    if not after or op.interpolation == "step":
+        return v0
+    x1, v1 = after[0]
+    return v0 + (v1 - v0) * (x - x0) / (x1 - x0)
+
+
+_unit = st.fractions(min_value=0, max_value=1, max_denominator=60)
+
+
+@st.composite
+def standard_ops(draw, chains):
+    """A standard chain and a min, max, crisp or piecewise operator on it."""
+    chain = draw(st.sampled_from([chains["LG"], chains["LP"], chains["LL"],
+                                  *_MORE_STANDARD]))
+    kind = draw(st.sampled_from(["min", "max", "crisp", "step", "linear"]))
+    if kind == "min":
+        return chain, min_op(chain)
+    if kind == "max":
+        return chain, max_op(chain)
+    nset = chain.n_set()
+    a = nset.infimum()
+    if kind == "crisp":
+        t = a + (1 - a) * draw(_unit)
+        return chain, crisp_op(chain, t, closed=draw(st.booleans()))
+    xs = draw(st.lists(_unit.filter(lambda s: s < 1 and (s > 0 or nset.closed)),
+                       min_size=1, max_size=3, unique=True))
+    vs = sorted(draw(st.lists(_unit, min_size=len(xs), max_size=len(xs))))
+    bps = [(a + (1 - a) * s, v) for s, v in zip(sorted(xs), vs)]
+    if draw(st.booleans()):
+        bps.append((F(1), F(1)))
+    return chain, piecewise_op(chain, bps, kind)
+
+
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_standard_values_match_reference(chains, data):
+    chain, op = data.draw(standard_ops(chains))
+    marks = [F(0), F(1)] + [c.lo for c in chain.components]
+    marks += [x for x, _ in op.breakpoints]
+    if op.threshold is not None:
+        marks.append(op.threshold)
+    x = data.draw(st.one_of(st.sampled_from(marks), _unit))
+    assert op.value(x) == _reference_value(chain, op, x)
+    assert (x in chain.n_set()) == (x != 1 and chain.negation(x) == 0)
+
+
+@given(data=st.data(),
+       bad=st.one_of(st.sampled_from([F(-1), F(-1, 60), F(61, 60), F(2)]),
+                     st.fractions(max_value=0).filter(lambda v: v < 0),
+                     st.fractions(min_value=1).filter(lambda v: v > 1)))
+@settings(max_examples=50, deadline=None)
+def test_standard_values_reject_points_outside_the_carrier(chains, data, bad):
+    _, op = data.draw(standard_ops(chains))
+    with pytest.raises(OutOfCarrier):
+        op.value(bad)
+    with pytest.raises(NonRationalEndpoint):
+        op.value(0.5)
 
 
 class TestEnumeration:

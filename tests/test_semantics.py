@@ -6,11 +6,12 @@ import pytest
 from mtlfi.formula import Imp, Var, parse
 from mtlfi.operators import crisp_op, enumerate_ops, max_op, min_op, piecewise_op
 from mtlfi.semantics import (ChainModel, DatAxiomFails, Evaluation,
-                             OperatorNotBound, TooManyVariables,
-                             UnboundVariable, bridge_check, check_dat_axiom,
-                             check_lfi, check_propagation, classical_taut,
-                             deduction_power_bound, degree_consequence,
-                             evaluate, pdat_search, truth_consequence)
+                             OperatorNotBound, SemanticsError,
+                             TooManyVariables, UnboundVariable, bridge_check,
+                             check_dat_axiom, check_lfi, check_propagation,
+                             classical_taut, deduction_power_bound,
+                             degree_consequence, evaluate, pdat_search,
+                             truth_consequence)
 from mtlfi.suite import random_formula
 
 
@@ -107,6 +108,11 @@ class TestTruthConsequence:
         # pseudo-complementation separates the two chains
         res = truth_consequence(models, [], parse("~(p /\\ ~p)"))
         assert res.verdict == "fails" and res.chain_name == "L3"
+
+    def test_empty_model_list_is_rejected(self):
+        for check in (truth_consequence, degree_consequence):
+            with pytest.raises(SemanticsError, match="at least one model"):
+                check([], [parse("p")], parse("p"))
 
 
 class TestDegreeConsequence:
