@@ -14,11 +14,19 @@ chains evaluate the closed form of each component family on a component
     product      x & y = lo + (x-lo)(y-lo)/w       x -> y = lo + w(y-lo)/(x-lo)
 
 where the residua are those for x > y (x -> y = 1 when x <= y), and two
-arguments that share no component combine as min(x, y) and y.  Every
-comparison of two rationals a/b and c/d (normalized, b, d > 0) is decided
-by the integer cross-multiplication a*d against c*b, and each result is
-built as a single normalized Fraction from one integer numerator and
-denominator.
+arguments that share no component combine as min(x, y) and y.
+
+The pair kernel.  Standard-chain arithmetic runs on integer pairs (n, d)
+standing for n/d with d > 0; a pair need not be reduced.  Comparing a/b
+with c/d is the integer comparison of a*d with c*b, and each closed form
+above is one integer numerator over one integer denominator.
+StandardChain.tnorm_pair and residuum_pair are that kernel;
+StandardChain.tnorm and residuum check their arguments against the carrier,
+call it, and build one normalized Fraction from the result.  Loops over
+many points (validate_mtl_laws here, the propagation scan of the suite)
+convert each point to a pair once and stay in pair space, so they pay for
+no Fraction until they report a witness, and the witness is the caller's
+own value.
 """
 
 from __future__ import annotations
@@ -124,6 +132,8 @@ class NSet:
         self.lower = lower
         self.closed = closed
         self.empty = empty or (elements is not None and not elements)
+        if lower is not None:
+            self._lower_nd = (lower.numerator, lower.denominator)
 
     @classmethod
     def finite(cls, elements: Iterable[Fraction]) -> "NSet":
@@ -143,11 +153,14 @@ class NSet:
         if self.elements is not None:
             return x in self.elements
         x = rat(x)
-        n, d = x.numerator, x.denominator
-        if n >= d:
+        return self.contains_pair(x.numerator, x.denominator)
+
+    def contains_pair(self, n: int, d: int) -> bool:
+        """Membership of n/d (d > 0) in an empty or interval N-set."""
+        if self.empty or n >= d:
             return False
-        # sign of x - lower, by cross-multiplication
-        diff = n * self.lower.denominator - self.lower.numerator * d
+        ln, ld = self._lower_nd
+        diff = n * ld - ln * d  # sign of n/d - lower
         return diff >= 0 if self.closed else diff > 0
 
     def infimum(self) -> Optional[Fraction]:
@@ -388,9 +401,9 @@ class StandardChain:
         self.components = tuple(comps)
         self.name = name or "+".join(c.family[0].upper() for c in comps)
         self.size = None
-        # (family, lo, p, q, r, s, wn, wd) with lo = p/q, hi = r/s, w = wn/wd
+        # (family, p, q, r, s, wn, wd) with lo = p/q, hi = r/s, w = wn/wd
         self._kernel = tuple(
-            (c.family, c.lo, c.lo.numerator, c.lo.denominator,
+            (c.family, c.lo.numerator, c.lo.denominator,
              c.hi.numerator, c.hi.denominator,
              (c.hi - c.lo).numerator, (c.hi - c.lo).denominator)
             for c in comps)
@@ -403,10 +416,15 @@ class StandardChain:
             self._nset = NSet.interval(first.hi, closed=True)
 
     def _check(self, x) -> Fraction:
-        v = x if isinstance(x, Fraction) else rat(x)
+        v = x if type(x) is Fraction else rat(x)
         if not 0 <= v.numerator <= v.denominator:
             raise OutOfCarrier(f"{x} is outside [0,1]")
         return v
+
+    def pair(self, x) -> tuple:
+        """x as the pair (numerator, denominator), checked against [0,1]."""
+        v = self._check(x)
+        return v.numerator, v.denominator
 
     def contains(self, x) -> bool:
         try:
@@ -415,39 +433,60 @@ class StandardChain:
         except ChainError:
             return False
 
-    def tnorm(self, x, y) -> Fraction:
-        x, y = self._check(x), self._check(y)
-        a, b, c, d = x.numerator, x.denominator, y.numerator, y.denominator
+    def tnorm_pair(self, a: int, b: int, c: int, d: int) -> tuple:
+        """x & y for x = a/b and y = c/d in [0,1] (b, d > 0), as a pair."""
         if a * d > c * b:
-            x, a, b, c, d = y, c, d, a, b
-        # now x = a/b <= y = c/d; find the first component holding y
-        for fam, lo, p, q, r, s, wn, wd in self._kernel:
+            a, b, c, d = c, d, a, b
+        # now x <= y; find the first component holding y
+        for fam, p, q, r, s, wn, wd in self._kernel:
             if c * s <= r * d:
                 break
         if fam == GODEL or a * q < p * b:
-            return x
+            return a, b
         if fam == LUKASIEWICZ:
             den = b * d * s
             num = (a * d + c * b) * s - r * b * d
-            return lo if num * q <= p * den else Fraction(num, den)
-        return Fraction(p * b * d * q * wn + (a * q - p * b) * (c * q - p * d) * wd,
-                        b * d * q * q * wn)
+            return (p, q) if num * q <= p * den else (num, den)
+        return (p * b * d * q * wn + (a * q - p * b) * (c * q - p * d) * wd,
+                b * d * q * q * wn)
 
-    def residuum(self, x, y) -> Fraction:
-        x, y = self._check(x), self._check(y)
-        a, b, c, d = x.numerator, x.denominator, y.numerator, y.denominator
+    def residuum_pair(self, a: int, b: int, c: int, d: int) -> tuple:
+        """x -> y for x = a/b and y = c/d in [0,1] (b, d > 0), as a pair."""
         if a * d <= c * b:
-            return _ONE
+            return 1, 1
         # y < x; find the first component holding x
-        for fam, lo, p, q, r, s, wn, wd in self._kernel:
+        for fam, p, q, r, s, wn, wd in self._kernel:
             if a * s <= r * b:
                 break
         if fam == GODEL or c * q < p * d:
-            return y
+            return c, d
         if fam == LUKASIEWICZ:
-            return Fraction(r * b * d - a * d * s + c * b * s, b * d * s)
+            return r * b * d - a * d * s + c * b * s, b * d * s
         xl = a * q - p * b  # (x - lo) * b * q > 0
-        return Fraction(p * wd * d * xl + q * wn * b * (c * q - p * d), q * wd * d * xl)
+        return p * wd * d * xl + q * wn * b * (c * q - p * d), q * wd * d * xl
+
+    # The wrappers hand back an argument, or the constant 0 or 1, instead
+    # of building an equal Fraction: min, the Godel residuum and x -> y = 1
+    # for x <= y are the common results.
+    def tnorm(self, x, y) -> Fraction:
+        x, y = self._check(x), self._check(y)
+        a, b, c, d = x.numerator, x.denominator, y.numerator, y.denominator
+        n, m = self.tnorm_pair(a, b, c, d)
+        if n == a and m == b:
+            return x
+        if n == c and m == d:
+            return y
+        return _ZERO if n == 0 else Fraction(n, m)
+
+    def residuum(self, x, y) -> Fraction:
+        x, y = self._check(x), self._check(y)
+        c, d = y.numerator, y.denominator
+        n, m = self.residuum_pair(x.numerator, x.denominator, c, d)
+        if n == m:
+            return _ONE
+        if n == c and m == d:
+            return y
+        return Fraction(n, m)
 
     def negation(self, x) -> Fraction:
         return self.residuum(x, _ZERO)
@@ -509,27 +548,52 @@ def validate_mtl_laws(chain, triples: Optional[Iterable] = None) -> list:
         return _finite_law_violations(chain)
     if triples is None:
         raise ValueError("standard chains need explicit triples")
+    return _standard_law_violations(chain, triples)
+
+
+def _standard_law_violations(chain: StandardChain, triples: Iterable) -> list:
+    """validate_mtl_laws on a standard chain, in pair space.
+
+    Each point is checked against the carrier and turned into a pair once;
+    rationals are compared by cross-multiplication, and witnesses are the
+    caller's own values.
+    """
     bad = []
-    tnorm, residuum = chain.tnorm, chain.residuum
+    pair, tnorm, residuum = chain.pair, chain.tnorm_pair, chain.residuum_pair
     for x, y, z in triples:
-        xy = tnorm(x, y)
-        if xy != tnorm(y, x):
+        xn, xd = pair(x)
+        yn, yd = pair(y)
+        zn, zd = pair(z)
+        tn, td = tnorm(xn, xd, yn, yd)  # x & y
+        un, ud = tnorm(yn, yd, xn, xd)
+        if tn * ud != un * td:
             bad.append(("commutativity", (x, y)))
             continue
-        if tnorm(xy, z) != tnorm(x, tnorm(y, z)):
+        un, ud = tnorm(tn, td, zn, zd)
+        vn, vd = tnorm(yn, yd, zn, zd)
+        vn, vd = tnorm(xn, xd, vn, vd)
+        if un * vd != vn * ud:
             bad.append(("associativity", (x, y, z)))
             continue
-        if tnorm(x, _ONE) != x:
+        un, ud = tnorm(xn, xd, 1, 1)
+        if un * xd != xn * ud:
             bad.append(("unit", (x,)))
             continue
-        if y <= z and xy > tnorm(x, z):
-            bad.append(("monotonicity", (x, y, z)))
-            continue
+        if yn * zd <= zn * yd:
+            un, ud = tnorm(xn, xd, zn, zd)
+            if tn * ud > un * td:
+                bad.append(("monotonicity", (x, y, z)))
+                continue
         # adjointness both ways
-        if (xy <= z) != (x <= residuum(y, z)):
+        un, ud = residuum(yn, yd, zn, zd)
+        if (tn * zd <= zn * td) != (xn * ud <= un * xd):
             bad.append(("adjointness", (x, y, z)))
             continue
-        if max(residuum(x, y), residuum(y, x)) != _ONE:
+        un, ud = residuum(xn, xd, yn, yd)
+        vn, vd = residuum(yn, yd, xn, xd)
+        if vn * ud > un * vd:
+            un, ud = vn, vd
+        if un != ud:  # max(x -> y, y -> x) is not 1
             bad.append(("prelinearity", (x, y)))
     return bad
 

@@ -22,7 +22,7 @@ from .semantics import (ChainModel, Evaluation, SemanticsError, check_dat_axiom,
                         check_lfi, check_propagation, classical_taut,
                         degree_consequence, evaluate, pdat_search,
                         truth_consequence)
-from .suite import run_suite
+from .suite import CRITERIA, run_suite
 
 __all__ = ["main", "Workspace"]
 
@@ -310,7 +310,15 @@ def _cmd_suite(ws, args) -> int:
         raise UsageError("the only bundled suite is named 'paper'")
     numbers = None
     if args.criteria:
-        numbers = [int(tok) for tok in args.criteria.split(",")]
+        try:
+            numbers = [int(tok) for tok in args.criteria.split(",")]
+        except ValueError:
+            numbers = None
+        if numbers is None or any(n not in CRITERIA for n in numbers):
+            known = sorted(CRITERIA)
+            raise UsageError(f"--criteria takes a comma list of criterion "
+                             f"numbers {known[0]}-{known[-1]}, not "
+                             f"{args.criteria!r}")
     results = run_suite(numbers)
     for res in results:
         print(res.line())
@@ -413,7 +421,7 @@ def main(argv=None) -> int:
             ws.load(path)
         return args.fn(ws, args)
     except (UsageError, ChainError, OperatorError, SemanticsError,
-            FormulaSyntaxError, UnknownProfile, ValueError, KeyError) as exc:
+            FormulaSyntaxError, UnknownProfile, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

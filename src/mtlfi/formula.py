@@ -411,12 +411,16 @@ def schema(text: str, metavars: Optional[set] = None) -> Schema:
     return Schema(f, frozenset(metavars))
 
 
-def match_schema(s: Schema, f: Formula) -> Optional[dict]:
+def match_schema(s: Schema, f: Formula,
+                 binding: Optional[dict] = None) -> Optional[dict]:
     """Match f against s; returns the unique binding or None.
 
-    A successful binding b satisfies substitute(s, b) == f.
+    A successful binding b satisfies substitute(s, b) == f.  A binding
+    passed in constrains the match and is extended in place, also when the
+    match fails, so that several schemas can share one.
     """
-    binding: dict = {}
+    if binding is None:
+        binding = {}
 
     def walk(pat: Formula, tgt: Formula) -> bool:
         if isinstance(pat, Var) and pat.name in s.metavars:

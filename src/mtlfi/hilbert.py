@@ -120,38 +120,13 @@ def _norm_schema(s: Schema) -> Schema:
     return Schema(normalize(s.formula), s.metavars)
 
 
-def _walk(s: Schema, f: Formula, binding: dict) -> bool:
-    """Match like match_schema but extend a shared binding in place."""
-    from .formula import Var, Const, Not, Circ, Bullet, Delta
-
-    def go(pat, tgt):
-        if isinstance(pat, Var) and pat.name in s.metavars:
-            if pat.name in binding:
-                return binding[pat.name] == tgt
-            binding[pat.name] = tgt
-            return True
-        if type(pat) is not type(tgt):
-            return False
-        if isinstance(pat, Var):
-            return pat.name == tgt.name
-        if isinstance(pat, Const):
-            return pat.value == tgt.value
-        if isinstance(pat, (Not, Circ, Bullet, Delta)):
-            return go(pat.arg, tgt.arg)
-        return go(pat.left, tgt.left) and go(pat.right, tgt.right)
-
-    return go(s.formula, f)
-
-
 def _match_rule(rule: Rule, ref_norms: Sequence[Formula],
                 concl: Formula) -> Optional[dict]:
     binding: dict = {}
     for (s, _), ref in zip(rule.premises, ref_norms):
-        if not _walk(_norm_schema(s), ref, binding):
+        if match_schema(_norm_schema(s), ref, binding) is None:
             return None
-    if not _walk(_norm_schema(rule.conclusion), concl, binding):
-        return None
-    return binding
+    return match_schema(_norm_schema(rule.conclusion), concl, binding)
 
 
 # ---------------------------------------------------------------------------

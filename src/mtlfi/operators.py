@@ -106,19 +106,24 @@ class ConsistencyOp:
             except KeyError:
                 raise OutOfCarrier(f"{x} is not an element of {chain.name}")
         x = chain._check(x)
-        n, d = x.numerator, x.denominator
+        n, d = self.value_pair(x.numerator, x.denominator)
+        return _ONE if n == d else _ZERO if n == 0 else Fraction(n, d)
+
+    def value_pair(self, n: int, d: int) -> tuple:
+        """The value at n/d in [0,1] (d > 0) on a standard chain, as a pair."""
         if n == 0 or n == d:
-            return _ONE
+            return 1, 1
         kind = self.kind
-        if kind == "min" or x not in self._nset:
-            return _ZERO
+        if kind == "min" or not self._nset.contains_pair(n, d):
+            return 0, 1
         if kind == "max":
-            return _ONE
+            return 1, 1
         if kind == "crisp":
             tn, td = self._threshold_nd
             diff = n * td - tn * d  # sign of x - threshold
-            return _ONE if (diff >= 0 if self.closed else diff > 0) else _ZERO
-        return _interpolate(self.breakpoints, self.interpolation, x)
+            return (1, 1) if (diff >= 0 if self.closed else diff > 0) else (0, 1)
+        v = _interpolate(self.breakpoints, self.interpolation, Fraction(n, d))
+        return v.numerator, v.denominator
 
     def pointwise(self, points) -> list:
         return [self.value(x) for x in points]

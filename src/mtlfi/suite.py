@@ -50,9 +50,17 @@ class CriterionResult:
 _DENOMS = [7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 53, 60, 97, 120]
 
 
+_grids: dict = {}
+
+
 def _random_rational(rng: random.Random) -> Fraction:
+    """i/den for a random den of _DENOMS and a random 0 <= i <= den, read
+    from the grids {i/den}, which are built on first use."""
+    if not _grids:
+        _grids.update((den, tuple(Fraction(i, den) for i in range(den + 1)))
+                      for den in _DENOMS)
     den = rng.choice(_DENOMS)
-    return Fraction(rng.randint(0, den), den)
+    return _grids[den][rng.randint(0, den)]
 
 
 def random_formula(rng: random.Random, names, depth: int,
@@ -109,6 +117,32 @@ def _example_standard_ops(chains) -> list:
     out.append(("LL", ll, piecewise_op(ll, [(_HALF, _HALF), (1, 1)], "linear")))
     out.append(("LG", lg, crisp_op(lg, _HALF)))
     return out
+
+
+def _propagation_failure(chain, op, pairs, fuse: bool):
+    """The first (x, y) of pairs at which O(x) /\\ O(y) exceeds O(x /\\ y)
+    or O(x -> y), or, when fuse is set, O(x & y).
+
+    Returns (connective, x, y), connective being "/\\ or ->" or "&", or None.
+    Runs in pair space on a standard chain; the points must lie in [0,1].
+    """
+    value, tnorm, residuum = op.value_pair, chain.tnorm_pair, chain.residuum_pair
+    for x, y in pairs:
+        xn, xd = x.numerator, x.denominator
+        yn, yd = y.numerator, y.denominator
+        ox, oy = value(xn, xd), value(yn, yd)
+        ln, ld = ox if ox[0] * oy[1] <= oy[0] * ox[1] else oy  # the lhs
+        vn, vd = ox if xn * yd <= yn * xd else oy  # O(x /\\ y)
+        if ln * vd > vn * ld:
+            return "/\\ or ->", x, y
+        vn, vd = value(*residuum(xn, xd, yn, yd))
+        if ln * vd > vn * ld:
+            return "/\\ or ->", x, y
+        if fuse:
+            vn, vd = value(*tnorm(xn, xd, yn, yd))
+            if ln * vd > vn * ld:
+                return "&", x, y
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -185,15 +219,15 @@ def criterion_5() -> CriterionResult:
     for name, chain, op in _example_standard_ops(chains):
         pairs = [(_random_rational(rng), _random_rational(rng))
                  for _ in range(10000)]
-        extremal = op.kind in ("min", "max")
-        for x, y in pairs:
-            lhs = min(op.value(x), op.value(y))
-            if lhs > op.value(min(x, y)) or lhs > op.value(chain.residuum(x, y)):
-                return CriterionResult(5, title, False,
-                                       f"/\\ or -> fails on {name} at ({x},{y})")
-            if extremal and lhs > op.value(chain.tnorm(x, y)):
+        failure = _propagation_failure(chain, op, pairs,
+                                       op.kind in ("min", "max"))
+        if failure is not None:
+            connective, x, y = failure
+            if connective == "&":
                 return CriterionResult(5, title, False,
                                        f"& fails for {op.name} on {name} at ({x},{y})")
+            return CriterionResult(5, title, False,
+                                   f"/\\ or -> fails on {name} at ({x},{y})")
     lp = chains["LP"]
     model = ChainModel("LP", lp, crisp_op(lp, Fraction(3, 4)))
     res = check_propagation(model, "&")

@@ -1,9 +1,10 @@
+import re
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mtlfi.chain import (GODEL, LUKASIEWICZ, PRODUCT, FiniteChain,
+from mtlfi.chain import (GODEL, LUKASIEWICZ, PRODUCT, ChainError, FiniteChain,
                          GapOrOverlap, NegationNotDecreasing,
                          NonRationalEndpoint, NotAFilter, OutOfCarrier,
                          SizeMismatch, StandardChain,
@@ -230,6 +231,12 @@ def test_kernel_matches_textbook_ordinal_sum(data):
         got = getattr(chain, op)(x, y)
         assert type(got) is F and got == _reference(chain, op, x, y)
     assert chain.negation(x) == _reference(chain, "residuum", x, 0)
+    # the pair kernel takes unreduced pairs, as its own results are
+    k, m = data.draw(st.integers(1, 7)), data.draw(st.integers(1, 7))
+    x, y = F(x), F(y)
+    args = (x.numerator * k, x.denominator * k, y.numerator * m, y.denominator * m)
+    assert F(*chain.tnorm_pair(*args)) == _reference(chain, "tnorm", x, y)
+    assert F(*chain.residuum_pair(*args)) == _reference(chain, "residuum", x, y)
 
 
 @given(chain=ordinal_sums(),
@@ -247,6 +254,89 @@ def test_kernel_rejects_points_outside_the_carrier(chain, bad):
         chain.tnorm(0.5, F(1, 2))
     with pytest.raises(NonRationalEndpoint):
         chain.residuum(F(1, 2), 0.25)
+
+
+def _reference_law_violations(chain, triples):
+    """The standard-chain law loop on Fractions through the public tnorm and
+    residuum, as validate_mtl_laws ran it before the pair kernel."""
+    bad = []
+    tnorm, residuum = chain.tnorm, chain.residuum
+    for x, y, z in triples:
+        xy = tnorm(x, y)
+        if xy != tnorm(y, x):
+            bad.append(("commutativity", (x, y)))
+            continue
+        if tnorm(xy, z) != tnorm(x, tnorm(y, z)):
+            bad.append(("associativity", (x, y, z)))
+            continue
+        if tnorm(x, F(1)) != x:
+            bad.append(("unit", (x,)))
+            continue
+        if y <= z and xy > tnorm(x, z):
+            bad.append(("monotonicity", (x, y, z)))
+            continue
+        if (xy <= z) != (x <= residuum(y, z)):
+            bad.append(("adjointness", (x, y, z)))
+            continue
+        if max(residuum(x, y), residuum(y, x)) != 1:
+            bad.append(("prelinearity", (x, y)))
+    return bad
+
+
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_pair_law_check_matches_fraction_loop(data):
+    chain = data.draw(ordinal_sums())
+    ends = [c.lo for c in chain.components] + [F(1)]
+    point = st.one_of(st.sampled_from(ends), rationals,
+                      st.integers(min_value=0, max_value=1))
+    triples = data.draw(st.lists(st.tuples(point, point, point),
+                                 min_size=1, max_size=30))
+    got = validate_mtl_laws(chain, triples)
+    assert got == _reference_law_violations(chain, triples) == []
+
+
+def _perturbed(chain, index, **changes):
+    """chain with some integers of one kernel entry replaced; the names are
+    those of StandardChain._kernel: lo = p/q, hi = r/s, w = wn/wd."""
+    fields = ("family", "p", "q", "r", "s", "wn", "wd")
+    entry = dict(zip(fields, chain._kernel[index]))
+    entry.update(changes)
+    kernel = list(chain._kernel)
+    kernel[index] = tuple(entry[f] for f in fields)
+    chain._kernel = tuple(kernel)
+    return chain
+
+
+_GRID12 = [F(i, 12) for i in range(13)]
+
+
+@pytest.mark.parametrize("chain", [
+    # product component twice as wide as it is: adjointness breaks
+    _perturbed(StandardChain([(PRODUCT, 0, F(1, 2)), (LUKASIEWICZ, F(1, 2), 1)]),
+               0, wn=2),
+    # second Lukasiewicz component floored at 1/4 instead of 1/2
+    _perturbed(StandardChain([(LUKASIEWICZ, 0, F(1, 2)), (LUKASIEWICZ, F(1, 2), 1)]),
+               1, p=1, q=4),
+    # top product component whose width reads 4/3 instead of 2/3: 1 is no unit
+    _perturbed(StandardChain([(GODEL, 0, F(1, 3)), (PRODUCT, F(1, 3), 1)]),
+               1, wn=4),
+], ids=["P+L wide product", "L+L low floor", "G+P wide product"])
+def test_perturbed_kernel_fails_the_same_laws_both_ways(chain):
+    triples = [(x, y, z) for x in _GRID12 for y in _GRID12 for z in _GRID12]
+    got = validate_mtl_laws(chain, triples)
+    assert got and got == _reference_law_violations(chain, triples)
+
+
+@pytest.mark.parametrize("triple", [(F(3, 2), F(1, 2), 0), (F(1, 2), -1, 1),
+                                    (1, 0, F(5, 4)), (0.5, 0, 1),
+                                    (F(1, 2), F(1, 3), 0.25)])
+def test_law_check_rejects_points_outside_the_carrier(chains, triple):
+    chain = chains["LP"]
+    with pytest.raises(ChainError) as ref:
+        _reference_law_violations(chain, [(0, 1, F(1, 2)), triple])
+    with pytest.raises(type(ref.value), match=re.escape(str(ref.value))):
+        validate_mtl_laws(chain, [(0, 1, F(1, 2)), triple])
 
 
 @pytest.mark.parametrize("name", ["B2", "L3", "L5", "G3", "G5", "NM6", "L3G3"])

@@ -1,3 +1,5 @@
+import pytest
+
 from mtlfi.cli import main
 
 
@@ -186,6 +188,22 @@ class TestSuiteCommand:
     def test_unknown_suite_name(self, capsys):
         code, _, err = run(capsys, "suite", "everything")
         assert code == 3
+
+    @pytest.mark.parametrize("criteria", ["13", "x", "0", "3,13", "1,,2"])
+    def test_bad_criteria_are_usage_errors(self, capsys, criteria):
+        code, out, err = run(capsys, "suite", "paper", "--criteria", criteria)
+        assert code == 3 and out == ""
+        assert "criterion numbers 1-12" in err and repr(criteria) in err
+
+    def test_internal_key_error_is_not_a_usage_error(self, monkeypatch):
+        import mtlfi.cli
+
+        def broken(numbers):
+            raise KeyError("internal")
+
+        monkeypatch.setattr(mtlfi.cli, "run_suite", broken)
+        with pytest.raises(KeyError):
+            main(["suite", "paper", "--criteria", "3"])
 
 
 class TestDeterminism:

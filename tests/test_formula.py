@@ -151,6 +151,13 @@ class TestSchema:
         assert match_schema(s, parse("q -> p")) == {"x": q}
         assert match_schema(s, parse("q -> r")) is None
 
+    def test_shared_binding_is_extended_in_place(self):
+        s = schema("x -> y", {"x", "y"})
+        binding = {"x": p}
+        assert match_schema(s, parse("p -> q"), binding) is binding
+        assert binding == {"x": p, "y": q}
+        assert match_schema(s, parse("q -> q"), {"x": p}) is None
+
     def test_default_metavars_are_all_variables(self):
         s = schema("f -> g")
         assert s.metavars == frozenset({"f", "g"})

@@ -190,6 +190,19 @@ proof forward in MTL
         bad_thm = "proof x in MTL\n1. p -> p | thm nothere\n"
         assert "UnknownTheorem" in verify_proof(parse_proof(bad_thm)).reason
 
+    @pytest.mark.parametrize("conclusion, ok", [
+        ("(O p <-> O q) \\/ r", True),
+        ("(O p <-> O s) \\/ r", False),   # g is bound to q by the premise
+        ("(O p <-> O q) \\/ s", False),   # d is bound to r by the premise
+    ])
+    def test_rule_binding_is_shared_by_premise_and_conclusion(self, conclusion, ok):
+        text = ("proof shared in MTL-o\n1. (p <-> q) \\/ r | premise 1\n"
+                f"2. {conclusion} | rule Cong 1\n")
+        result = verify_proof(parse_proof(text))
+        assert result.ok is ok
+        if not ok:
+            assert result.line == 2 and "SchemaMismatch" in result.reason
+
     def test_premise_conflict(self):
         text = """
 proof conflict in MTL

@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction as F
 from math import comb
 
@@ -14,6 +15,8 @@ from mtlfi.operators import (BreakpointOutsideN, ConsistencyOp, HostMismatch,
                              max_op, min_op, op_from_delta, parse_op_file,
                              piecewise_op, table_op, validate_algebraic,
                              validate_bullet, validate_c)
+from mtlfi.suite import (_example_standard_ops, _propagation_failure,
+                         _random_rational)
 
 
 class TestValidateC:
@@ -237,6 +240,47 @@ def test_standard_values_match_reference(chains, data):
     x = data.draw(st.one_of(st.sampled_from(marks), _unit))
     assert op.value(x) == _reference_value(chain, op, x)
     assert (x in chain.n_set()) == (x != 1 and chain.negation(x) == 0)
+    k = data.draw(st.integers(min_value=1, max_value=7))
+    n, d = F(x).numerator * k, F(x).denominator * k
+    assert F(*op.value_pair(n, d)) == op.value(x)
+    assert chain.n_set().contains_pair(n, d) == (x in chain.n_set())
+
+
+def _reference_propagation_failure(chain, op, pairs, fuse):
+    """The criterion-5 loop on Fractions through the public value, tnorm
+    and residuum, as the suite ran it before the pair kernel."""
+    for x, y in pairs:
+        lhs = min(op.value(x), op.value(y))
+        if lhs > op.value(min(x, y)) or lhs > op.value(chain.residuum(x, y)):
+            return "/\\ or ->", x, y
+        if fuse and lhs > op.value(chain.tnorm(x, y)):
+            return "&", x, y
+    return None
+
+
+def _seeded_pairs(seed, count):
+    rng = random.Random(seed)
+    return [(_random_rational(rng), _random_rational(rng)) for _ in range(count)]
+
+
+@pytest.mark.parametrize("seed", [202, 7])
+@pytest.mark.parametrize("fuse", [True, False])
+def test_propagation_scan_matches_fraction_loop(chains, seed, fuse):
+    pairs = _seeded_pairs(seed, 1500)
+    ll = chains["LL"]
+    # not a valid operator: it drops from 1 to 0 at 3/4, so -> fails
+    decreasing = ConsistencyOp(ll, "piecewise", interpolation="step",
+                               breakpoints=((F(1, 2), F(1)), (F(3, 4), F(0))),
+                               name="decreasing")
+    for name, chain, op in _example_standard_ops(chains) + [("LL", ll, decreasing)]:
+        got = _propagation_failure(chain, op, pairs, fuse)
+        assert got == _reference_propagation_failure(chain, op, pairs, fuse), name
+        if (name, op.name, fuse) == ("LP", "crisp:3/4", True):
+            assert got is not None and got[0] == "&"
+        if (name, op.name) == ("LG", "min"):
+            assert got is None
+        if op is decreasing:
+            assert got is not None and got[0] == "/\\ or ->"
 
 
 @given(data=st.data(),
