@@ -342,10 +342,10 @@ class FiniteChain:
         return _ONE if self._idx(x) == self.size - 1 else _ZERO
 
     def meet(self, x, y) -> Fraction:
-        return min(rat(x), rat(y))
+        return self.elements[min(self._idx(x), self._idx(y))]
 
     def join(self, x, y) -> Fraction:
-        return max(rat(x), rat(y))
+        return self.elements[max(self._idx(x), self._idx(y))]
 
     def contains(self, x) -> bool:
         try:

@@ -9,8 +9,8 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .chain import (ChainError, NotAFilter, builtin_chains, parse_chain_file,
-                    quotient_by_filter, rat, upward_filter)
+from .chain import (ChainError, NotAFilter, OutOfCarrier, builtin_chains,
+                    parse_chain_file, quotient_by_filter, rat, upward_filter)
 from .formula import FormulaSyntaxError, parse, render
 from .hilbert import parse_proof, verify_proof
 from .operators import (OperatorError, crisp_op, dual, enumerate_ops, max_op,
@@ -139,6 +139,17 @@ def _cmd_parse(ws, args) -> int:
     return 0
 
 
+def _element(chain, text: str):
+    """The value text names, checked against the chain's carrier."""
+    value = rat(text)
+    if chain.is_finite:
+        if value not in chain.index:
+            raise OutOfCarrier(f"{value} is not an element of {chain.name}")
+    else:
+        chain.pair(value)
+    return value
+
+
 def _cmd_eval(ws, args) -> int:
     model = _model(ws, args)
     assignment = {}
@@ -148,7 +159,7 @@ def _cmd_eval(ws, args) -> int:
             if not part:
                 continue
             name, _, value = part.partition("=")
-            assignment[name.strip()] = rat(value.strip())
+            assignment[name.strip()] = _element(model.chain, value.strip())
     f = _parse_formula(args.formula)
     ev = Evaluation(model.chain, assignment, model.consistency,
                     model.inconsistency)

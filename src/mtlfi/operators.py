@@ -128,6 +128,14 @@ class ConsistencyOp:
     def pointwise(self, points) -> list:
         return [self.value(x) for x in points]
 
+    def critical_points(self) -> list:
+        """The breakpoint abscissae and the threshold, where the value
+        function can change shape; grid scans add them to their points."""
+        points = [x for x, _ in self.breakpoints]
+        if self.threshold is not None:
+            points.append(self.threshold)
+        return points
+
     def __repr__(self) -> str:
         return f"ConsistencyOp({self.name} on {self.chain.name})"
 
@@ -154,6 +162,10 @@ class InconsistencyOp:
             except KeyError:
                 raise OutOfCarrier(f"{x} is not an element of {chain.name}")
         return chain.negation(self.base.value(x))
+
+    def critical_points(self) -> list:
+        """Those of the base operator; none for an explicit vector."""
+        return self.base.critical_points() if self.base is not None else []
 
     def __repr__(self) -> str:
         return f"InconsistencyOp({self.name} on {self.chain.name})"
@@ -344,10 +356,7 @@ def validate_c(chain, op: ConsistencyOp, grid: int = 1000) -> ValidationReport:
         return ValidationReport(True)
 
     nset = chain.n_set()
-    extra = [x for x, _ in op.breakpoints]
-    if op.threshold is not None:
-        extra.append(op.threshold)
-    pts = chain.sample_points(grid, extra=extra)
+    pts = chain.sample_points(grid, extra=op.critical_points())
     if op.value(_ZERO) != _ONE:
         return ValidationReport(False, "c2", (_ZERO,))
     if op.value(_ONE) != _ONE:
@@ -466,12 +475,7 @@ def validate_bullet(chain, bop: InconsistencyOp, grid: int = 1000) -> Validation
         return ValidationReport(True)
 
     nset = chain.n_set()
-    extra = []
-    if bop.base is not None:
-        extra = [x for x, _ in bop.base.breakpoints]
-        if bop.base.threshold is not None:
-            extra.append(bop.base.threshold)
-    pts = chain.sample_points(grid, extra=extra)
+    pts = chain.sample_points(grid, extra=bop.critical_points())
     if bop.value(_ZERO) != _ZERO:
         return ValidationReport(False, "b2", (_ZERO,))
     if bop.value(_ONE) != _ZERO:

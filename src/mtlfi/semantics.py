@@ -267,12 +267,8 @@ def _standard_search(model: ChainModel, premises, conclusion, mode: str,
                                *[variables(p) for p in premises]))
     extra = []
     for op in (model.consistency, model.inconsistency):
-        if op is None:
-            continue
-        base = getattr(op, "base", None) or op
-        extra.extend(x for x, _ in getattr(base, "breakpoints", ()))
-        if getattr(base, "threshold", None) is not None:
-            extra.append(base.threshold)
+        if op is not None:
+            extra.extend(op.critical_points())
     points = chain.sample_points(grid_denominator, extra=extra)
     if len(vars_) > STANDARD_VAR_CAP:
         return _sampled_search(model, premises, conclusion, mode, [points],
@@ -432,12 +428,10 @@ def check_lfi(model: ChainModel, grid_denominator: int = 60) -> LfiReport:
                 break
         report.clauses["iv"] = LfiClause(ok, witness=witness)
     else:
-        extra = list(x for x, _ in op.breakpoints)
-        if op.threshold is not None:
-            extra.append(op.threshold)
         ok = True
         witness = None
-        for x in chain.sample_points(grid_denominator, extra=extra):
+        for x in chain.sample_points(grid_denominator,
+                                     extra=op.critical_points()):
             if min(op.value(x), x, chain.negation(x)) != _ZERO:
                 ok, witness = False, x
                 break
@@ -495,10 +489,8 @@ def check_propagation(model: ChainModel, connective: str,
     if chain.is_finite:
         points = chain.elements
     else:
-        extra = [x for x, _ in op.breakpoints]
-        if op.threshold is not None:
-            extra.append(op.threshold)
-        points = chain.sample_points(grid_denominator, extra=extra)
+        points = chain.sample_points(grid_denominator,
+                                     extra=op.critical_points())
     checked = 0
     if connective == "~":
         for x in points:
@@ -568,9 +560,8 @@ def check_dat_axiom(model: ChainModel, grid_denominator: int = 60) -> DatResult:
     else:
         # Breakpoints and midpoints pin down piecewise-linear segments; the
         # comparison against the identity is linear on each one.
-        extra = [x for x, _ in op.breakpoints]
+        extra = op.critical_points()
         if op.threshold is not None:
-            extra.append(op.threshold)
             extra.append((op.threshold + 1) / 2)
         bps = [x for x, _ in op.breakpoints]
         extra.extend((a + b) / 2 for a, b in zip(bps, bps[1:]))
@@ -645,20 +636,14 @@ def pdat_search(model: ChainModel, phi: Formula, k_max: int = 8,
     return PdatResult(None, None, tuple(refuted), reason="refuted", checked=total)
 
 
-_B2 = None
-
-
 def classical_taut(phi: Formula) -> bool:
     """Exhaustive two-valued check; up to 20 variables."""
-    global _B2
     if not _classical_language(phi):
         raise ValueError("the formula must use only classical connectives")
     names = sorted(variables(phi))
     if len(names) > 20:
         raise TooManyVariables(f"{len(names)} variables exceed the cap of 20")
-    if _B2 is None:
-        _B2 = FiniteChain.from_family(GODEL, 2, name="B2")
-    model = ChainModel("B2", _B2)
+    model = ChainModel("B2", FiniteChain.from_family(GODEL, 2, name="B2"))
     fn = compile_finite(model, phi, names)
     for env in itertools.product(range(2), repeat=len(names)):
         if fn(env) != 1:

@@ -49,18 +49,49 @@ class CriterionResult:
 
 _DENOMS = [7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 53, 60, 97, 120]
 
+# The sampled criteria draw points i/den, den in _DENOMS and 0 <= i <= den.
+# _GRID holds those 616 points unreduced, as pairs (i, den), grid by grid,
+# and _GRID_VALUES holds the same points as Fractions; a sample is an index
+# into both.  _GRID_ROWS holds (den + 1, (den + 1).bit_length(), offset of
+# 0/den in _GRID) for each den, in the order of _DENOMS.
+_GRID = tuple((i, den) for den in _DENOMS for i in range(den + 1))
+_GRID_VALUES = tuple(Fraction(i, den) for i, den in _GRID)
+_GRID_ROWS = tuple((den + 1, (den + 1).bit_length(), _GRID.index((0, den)))
+                   for den in _DENOMS)
 
-_grids: dict = {}
+
+def _grid_indices(rng: random.Random, count: int) -> list:
+    """count samples, as indices into _GRID: each is the point i/den of
+    den = rng.choice(_DENOMS) followed by i = rng.randint(0, den).
+
+    CPython draws a uniform integer below n for both calls with one
+    rejection rule: k = n.bit_length() bits from rng.getrandbits, drawn
+    again while the result is n or more.  This loop consumes getrandbits in
+    exactly that way, so it returns the same samples and leaves rng in the
+    same state as the two calls, at a fraction of their per-call cost.  The
+    random module does not promise that rule across versions;
+    tests/test_suite.py checks the two streams draw for draw.
+    """
+    bits, rows = rng.getrandbits, _GRID_ROWS
+    n = len(rows)
+    k = n.bit_length()
+    out = []
+    append = out.append
+    for _ in range(count):
+        j = bits(k)
+        while j >= n:
+            j = bits(k)
+        size, width, offset = rows[j]
+        i = bits(width)
+        while i >= size:
+            i = bits(width)
+        append(offset + i)
+    return out
 
 
 def _random_rational(rng: random.Random) -> Fraction:
-    """i/den for a random den of _DENOMS and a random 0 <= i <= den, read
-    from the grids {i/den}, which are built on first use."""
-    if not _grids:
-        _grids.update((den, tuple(Fraction(i, den) for i in range(den + 1)))
-                      for den in _DENOMS)
-    den = rng.choice(_DENOMS)
-    return _grids[den][rng.randint(0, den)]
+    """i/den for a random den of _DENOMS and a random 0 <= i <= den."""
+    return _GRID_VALUES[_grid_indices(rng, 1)[0]]
 
 
 def random_formula(rng: random.Random, names, depth: int,
@@ -120,28 +151,38 @@ def _example_standard_ops(chains) -> list:
 
 
 def _propagation_failure(chain, op, pairs, fuse: bool):
-    """The first (x, y) of pairs at which O(x) /\\ O(y) exceeds O(x /\\ y)
-    or O(x -> y), or, when fuse is set, O(x & y).
+    """The first pair (i, j) of grid indices at which, for x = _GRID[i] and
+    y = _GRID[j], min(O(x), O(y)) exceeds O(x /\\ y) or O(x -> y), or,
+    when fuse is set, O(x & y).
 
-    Returns (connective, x, y), connective being "/\\ or ->" or "&", or None.
-    Runs in pair space on a standard chain; the points must lie in [0,1].
+    Returns (connective, x, y), connective being "/\\ or ->" or "&" and
+    x, y Fractions, or None.  Runs in pair space on a standard chain.  O is
+    tabulated once over _GRID.  A pair with min(O(x), O(y)) = 0 cannot fail,
+    since no value is below 0, so it is skipped before any arithmetic.  The
+    /\\ comparison holds for every map: O(x /\\ y) = O(min(x, y)) is O(x)
+    or O(y), never below their minimum.  The -> and & comparisons are the
+    ones that can fail.
     """
+    table = [op.value_pair(n, d) for n, d in _GRID]
     value, tnorm, residuum = op.value_pair, chain.tnorm_pair, chain.residuum_pair
-    for x, y in pairs:
-        xn, xd = x.numerator, x.denominator
-        yn, yd = y.numerator, y.denominator
-        ox, oy = value(xn, xd), value(yn, yd)
-        ln, ld = ox if ox[0] * oy[1] <= oy[0] * ox[1] else oy  # the lhs
-        vn, vd = ox if xn * yd <= yn * xd else oy  # O(x /\\ y)
+    for i, j in pairs:
+        on, od = table[i]
+        pn, pd = table[j]
+        ln, ld = (on, od) if on * pd <= pn * od else (pn, pd)  # the lhs
+        if ln == 0:
+            continue
+        xn, xd = _GRID[i]
+        yn, yd = _GRID[j]
+        vn, vd = table[i] if xn * yd <= yn * xd else table[j]  # O(x /\\ y)
         if ln * vd > vn * ld:
-            return "/\\ or ->", x, y
+            return "/\\ or ->", _GRID_VALUES[i], _GRID_VALUES[j]
         vn, vd = value(*residuum(xn, xd, yn, yd))
         if ln * vd > vn * ld:
-            return "/\\ or ->", x, y
+            return "/\\ or ->", _GRID_VALUES[i], _GRID_VALUES[j]
         if fuse:
             vn, vd = value(*tnorm(xn, xd, yn, yd))
             if ln * vd > vn * ld:
-                return "&", x, y
+                return "&", _GRID_VALUES[i], _GRID_VALUES[j]
     return None
 
 
@@ -157,10 +198,9 @@ def criterion_1() -> CriterionResult:
             return CriterionResult(1, title, False, f"{name}: {bad[0]}")
     rng = random.Random(101)
     for name in ("LG", "LP", "LL"):
-        chain = chains[name]
-        triples = [tuple(_random_rational(rng) for _ in range(3))
-                   for _ in range(10000)]
-        bad = validate_mtl_laws(chain, triples)
+        points = [_GRID_VALUES[i] for i in _grid_indices(rng, 30000)]
+        triples = zip(points[0::3], points[1::3], points[2::3])
+        bad = validate_mtl_laws(chains[name], triples)
         if bad:
             return CriterionResult(1, title, False, f"{name}: {bad[0]}")
     return CriterionResult(1, title, True, "7 finite chains + 3x10^4 triples")
@@ -217,8 +257,8 @@ def criterion_5() -> CriterionResult:
     chains = builtin_chains()
     rng = random.Random(202)
     for name, chain, op in _example_standard_ops(chains):
-        pairs = [(_random_rational(rng), _random_rational(rng))
-                 for _ in range(10000)]
+        drawn = _grid_indices(rng, 20000)
+        pairs = zip(drawn[0::2], drawn[1::2])
         failure = _propagation_failure(chain, op, pairs,
                                        op.kind in ("min", "max"))
         if failure is not None:

@@ -49,6 +49,15 @@ class TestFiniteFamilies:
         with pytest.raises(OutOfCarrier):
             chains["L3"].tnorm(F(1, 3), 1)
 
+    def test_lattice_operations_check_the_carrier(self, chains):
+        l3 = chains["L3"]
+        assert l3.meet(F(1, 2), 1) == F(1, 2) and l3.join("1/2", 0) == F(1, 2)
+        for op in (l3.meet, l3.join):
+            with pytest.raises(OutOfCarrier):
+                op(F(1, 3), 1)
+            with pytest.raises(OutOfCarrier):
+                op(0, 2)
+
 
 class TestTableValidation:
     def test_non_commutative_table_rejected(self):

@@ -34,6 +34,21 @@ class TestParseEval:
                            "p=3/5", "p & p")
         assert code == 0 and out.strip() == "1/2"
 
+    def test_eval_rejects_value_outside_standard_carrier(self, capsys):
+        for value in ("2", "-1/2"):
+            code, out, err = run(capsys, "eval", "--chain", "LP", "--assign",
+                                 f"p={value}", "p")
+            assert code == 3 and out == "" and "outside [0,1]" in err
+
+    def test_eval_rejects_non_element_of_finite_chain(self, capsys):
+        code, out, err = run(capsys, "eval", "--chain", "L3", "--assign",
+                             "p=1/3,q=1", "p /\\ q")
+        assert code == 3 and out == ""
+        assert "1/3 is not an element of L3" in err
+        code, out, _ = run(capsys, "eval", "--chain", "L3", "--assign",
+                           "p=1/2,q=1", "p /\\ q")
+        assert code == 0 and out.strip() == "1/2"
+
 
 class TestConsequence:
     def test_degree_countermodel_records(self, capsys):

@@ -15,8 +15,8 @@ from mtlfi.operators import (BreakpointOutsideN, ConsistencyOp, HostMismatch,
                              max_op, min_op, op_from_delta, parse_op_file,
                              piecewise_op, table_op, validate_algebraic,
                              validate_bullet, validate_c)
-from mtlfi.suite import (_example_standard_ops, _propagation_failure,
-                         _random_rational)
+from mtlfi.suite import (_GRID_VALUES, _example_standard_ops, _grid_indices,
+                         _propagation_failure)
 
 
 class TestValidateC:
@@ -246,6 +246,22 @@ def test_standard_values_match_reference(chains, data):
     assert chain.n_set().contains_pair(n, d) == (x in chain.n_set())
 
 
+@pytest.mark.parametrize("grid", [60, 1000])
+def test_critical_points_keep_the_sample_points(chains, grid):
+    # the breakpoints/threshold snippet each grid scan used to inline
+    for name, chain, op in _example_standard_ops(chains):
+        extra = [x for x, _ in op.breakpoints]
+        if op.threshold is not None:
+            extra.append(op.threshold)
+        expected = chain.sample_points(grid, extra=extra)
+        assert chain.sample_points(grid, extra=op.critical_points()) == expected
+        bullet = dual(op)
+        assert bullet.critical_points() == op.critical_points()
+        assert chain.sample_points(grid, extra=bullet.critical_points()) == expected
+    b3 = bullet_table_op(chains["L3"], [0, 1, 0])
+    assert b3.critical_points() == []
+
+
 def _reference_propagation_failure(chain, op, pairs, fuse):
     """The criterion-5 loop on Fractions through the public value, tnorm
     and residuum, as the suite ran it before the pair kernel."""
@@ -259,14 +275,15 @@ def _reference_propagation_failure(chain, op, pairs, fuse):
 
 
 def _seeded_pairs(seed, count):
-    rng = random.Random(seed)
-    return [(_random_rational(rng), _random_rational(rng)) for _ in range(count)]
+    drawn = _grid_indices(random.Random(seed), 2 * count)
+    return list(zip(drawn[0::2], drawn[1::2]))
 
 
 @pytest.mark.parametrize("seed", [202, 7])
 @pytest.mark.parametrize("fuse", [True, False])
 def test_propagation_scan_matches_fraction_loop(chains, seed, fuse):
     pairs = _seeded_pairs(seed, 1500)
+    points = [(_GRID_VALUES[i], _GRID_VALUES[j]) for i, j in pairs]
     ll = chains["LL"]
     # not a valid operator: it drops from 1 to 0 at 3/4, so -> fails
     decreasing = ConsistencyOp(ll, "piecewise", interpolation="step",
@@ -274,7 +291,7 @@ def test_propagation_scan_matches_fraction_loop(chains, seed, fuse):
                                name="decreasing")
     for name, chain, op in _example_standard_ops(chains) + [("LL", ll, decreasing)]:
         got = _propagation_failure(chain, op, pairs, fuse)
-        assert got == _reference_propagation_failure(chain, op, pairs, fuse), name
+        assert got == _reference_propagation_failure(chain, op, points, fuse), name
         if (name, op.name, fuse) == ("LP", "crisp:3/4", True):
             assert got is not None and got[0] == "&"
         if (name, op.name) == ("LG", "min"):
