@@ -330,11 +330,19 @@ def _cmd_suite(ws, args) -> int:
             raise UsageError(f"--criteria takes a comma list of criterion "
                              f"numbers {known[0]}-{known[-1]}, not "
                              f"{args.criteria!r}")
+        repeated = sorted({n for n in numbers if numbers.count(n) > 1})
+        if repeated:
+            listed = ", ".join(str(n) for n in repeated)
+            raise UsageError(f"--criteria names {listed} more than once: "
+                             f"{args.criteria!r}")
     results = run_suite(numbers)
     for res in results:
         print(res.line())
     failed = [r for r in results if not r.passed]
     print(f"{len(results) - len(failed)}/{len(results)} criteria passed")
+    if args.timings:
+        for res in results:
+            print(f"criterion {res.number:2d}  {res.seconds:.3f} s")
     return 0 if not failed else 1
 
 
@@ -415,6 +423,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("which")
     p.add_argument("--criteria", default="",
                    help="comma list of criterion numbers (default: all)")
+    p.add_argument("--timings", action="store_true",
+                   help="after the summary, print the seconds each criterion "
+                        "took in the process that ran it")
     p.set_defaults(fn=_cmd_suite)
 
     return parser

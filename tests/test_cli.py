@@ -210,6 +210,27 @@ class TestSuiteCommand:
         assert code == 3 and out == ""
         assert "criterion numbers 1-12" in err and repr(criteria) in err
 
+    @pytest.mark.parametrize("criteria, named", [("3,3,7", "3"),
+                                                 ("7,3,7,3", "3, 7")])
+    def test_repeated_criteria_are_usage_errors(self, capsys, criteria, named):
+        code, out, err = run(capsys, "suite", "paper", "--criteria", criteria)
+        assert code == 3 and out == ""
+        assert f"names {named} more than once" in err and repr(criteria) in err
+
+    def test_timings_follow_an_unchanged_report(self, capsys):
+        code, plain, _ = run(capsys, "suite", "paper", "--criteria", "7,3")
+        timed_code, timed, _ = run(capsys, "suite", "paper", "--criteria",
+                                   "7,3", "--timings")
+        assert code == timed_code == 0
+        assert timed.startswith(plain)
+        lines = timed[len(plain):].splitlines()
+        assert [line[:12] for line in lines] == ["criterion  3",
+                                                 "criterion  7"]
+        for line in lines:
+            seconds, unit = line[12:].split()
+            assert unit == "s" and float(seconds) >= 0
+            assert len(seconds.split(".")[1]) == 3
+
     def test_internal_key_error_is_not_a_usage_error(self, monkeypatch):
         import mtlfi.cli
 

@@ -1,17 +1,27 @@
-"""The suite's grid sampler against the stdlib calls it replays, and the
-sampled criteria 1 and 5 against the loops they replaced."""
+"""The suite's grid sampler against the stdlib calls it replays, the
+sampled criteria 1 and 5 against the loops they replaced, and run_suite's
+worker pool against its in-process loop."""
 
+import multiprocessing
+import os
 import random
+import signal
+import threading
+from contextlib import contextmanager
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mtlfi.chain import StandardChain, builtin_chains, validate_mtl_laws
+import mtlfi.suite as suite
+from mtlfi.chain import (StandardChain, TableNotTnorm, builtin_chains,
+                         validate_mtl_laws)
 from mtlfi.operators import ConsistencyOp
-from mtlfi.suite import (_DENOMS, _GRID, _GRID_VALUES, _example_standard_ops,
-                         _grid_indices, _random_rational, criterion_1,
-                         criterion_5)
+from mtlfi.semantics import SemanticsError
+from mtlfi.suite import (_DENOMS, _GRID, _GRID_VALUES, CriterionResult,
+                         _example_standard_ops, _grid_indices,
+                         _random_rational, criterion_1, criterion_5,
+                         run_suite)
 
 
 def _stdlib_point(rng):
@@ -150,3 +160,124 @@ def test_broken_tnorm_gives_the_reference_criterion_details(monkeypatch):
         assert expected is not None
         result = run()
         assert not result.passed and result.detail == expected
+
+
+# ---------------------------------------------------------------------------
+# run_suite: the worker pool against the in-process loop
+
+needs_fork = pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods()
+    or not hasattr(signal, "alarm"),
+    reason="the pool forks; the guard against a hang uses SIGALRM")
+
+
+@contextmanager
+def _path(monkeypatch, cpus):
+    """Run what follows as on `cpus` usable CPUs: 1 forces the in-process
+    loop, 2 the pool, whatever the machine has.  A pool that stops
+    answering fails the test after 60 s instead of hanging it."""
+    def expire(signum, frame):
+        raise TimeoutError("run_suite did not return within 60 s")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(suite, "_usable_cpus", lambda: cpus)
+        previous = signal.signal(signal.SIGALRM, expire)
+        signal.alarm(60)
+        try:
+            yield
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+
+
+def _identity(results):
+    return [(r.number, r.title, r.passed, r.detail) for r in results]
+
+
+def _report_pid(number):
+    def criterion():
+        return CriterionResult(number, "pid", True, str(os.getpid()))
+    return criterion
+
+
+def test_dispatch_order_covers_every_criterion():
+    assert sorted(suite._LONGEST_FIRST) == sorted(suite.CRITERIA)
+
+
+@needs_fork
+@pytest.mark.parametrize("numbers", [None, [12, 3, 7, 1, 5]])
+def test_pool_returns_the_in_process_results(monkeypatch, numbers):
+    with _path(monkeypatch, 1):
+        alone = run_suite(numbers)
+    with _path(monkeypatch, 2):
+        pooled = run_suite(numbers)
+    assert _identity(pooled) == _identity(alone)
+    assert [r.number for r in alone] == sorted(numbers or suite.CRITERIA)
+    assert all(r.seconds > 0 for r in alone + pooled)
+    assert multiprocessing.active_children() == []
+
+
+@needs_fork
+def test_pool_runs_criteria_in_other_processes(monkeypatch):
+    for number in suite.CRITERIA:
+        monkeypatch.setitem(suite.CRITERIA, number, _report_pid(number))
+    with _path(monkeypatch, 2):
+        pooled = run_suite()
+    with _path(monkeypatch, 1):
+        alone = run_suite()
+    here = str(os.getpid())
+    assert all(r.detail != here for r in pooled)
+    assert all(r.detail == here for r in alone)
+    assert multiprocessing.active_children() == []
+
+
+@needs_fork
+def test_pool_is_not_forked_beside_another_thread(monkeypatch):
+    for number in (3, 7):
+        monkeypatch.setitem(suite.CRITERIA, number, _report_pid(number))
+    release = threading.Event()
+    other = threading.Thread(target=release.wait, args=(60,))
+    other.start()
+    try:
+        with _path(monkeypatch, 2):
+            results = run_suite([3, 7])
+    finally:
+        release.set()
+        other.join(60)
+    assert not other.is_alive()
+    assert [r.detail for r in results] == [str(os.getpid())] * 2
+
+
+def _raising(exc):
+    def criterion():
+        raise exc
+    return criterion
+
+
+@needs_fork
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("exc", [
+    SemanticsError("criterion 5 broke"),
+    RuntimeError("criterion 5 broke"),
+    # its constructor takes (law, witness), so it does not unpickle
+    TableNotTnorm("associativity", (1, 2, 3)),
+], ids=lambda e: type(e).__name__)
+def test_a_raising_criterion_raises_on_both_paths(monkeypatch, cpus, exc):
+    monkeypatch.setitem(suite.CRITERIA, 5, _raising(exc))
+    with _path(monkeypatch, cpus):
+        with pytest.raises(type(exc)) as info:
+            run_suite([1, 5, 11])
+    assert type(info.value) is type(exc) and str(info.value) == str(exc)
+    assert multiprocessing.active_children() == []
+
+
+@needs_fork
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_the_lowest_raising_criterion_wins(monkeypatch, cpus):
+    # 9 is dispatched to the pool before 3
+    monkeypatch.setitem(suite.CRITERIA, 3, _raising(RuntimeError("three")))
+    monkeypatch.setitem(suite.CRITERIA, 9, _raising(SemanticsError("nine")))
+    with _path(monkeypatch, cpus):
+        with pytest.raises(RuntimeError, match="three"):
+            run_suite([9, 3, 7])
+    assert multiprocessing.active_children() == []
