@@ -77,6 +77,11 @@ class TableNotTnorm(ChainError):
         self.witness = witness
         super().__init__(f"{law} fails at {witness}")
 
+    def __reduce__(self):
+        # Exception pickles as type(*self.args), and args holds only the
+        # formatted message
+        return type(self), (self.law, self.witness)
+
 
 class NegationNotDecreasing(ChainError):
     pass

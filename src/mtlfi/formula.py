@@ -110,12 +110,18 @@ class FormulaSyntaxError(ValueError):
     """Raised on malformed input; carries the byte offset and expected tokens."""
 
     def __init__(self, message: str, offset: int, expected: tuple = ()):
+        self.message = message
         self.offset = offset
         self.expected = tuple(expected)
         detail = f"{message} at offset {offset}"
         if expected:
             detail += " (expected one of: " + ", ".join(expected) + ")"
         super().__init__(detail)
+
+    def __reduce__(self):
+        # Exception pickles as type(*self.args), and args holds only the
+        # formatted detail
+        return type(self), (self.message, self.offset, self.expected)
 
 
 _TWO_CHAR = {"/\\": "AND", "\\/": "OR", "->": "IMP", "<->": "IFF"}

@@ -15,8 +15,8 @@ from typing import Optional, Sequence
 
 from .formula import Formula, Imp, Schema, match_schema, normalize, parse
 from .profiles import (LogicProfile, REGISTERED_THEOREMS, Rule, load_profile)
-from .semantics import (ChainModel, OperatorNotBound, compile_finite,
-                        degree_consequence, truth_consequence)
+from .semantics import (ChainModel, OperatorNotBound, degree_consequence,
+                        finite_scan, truth_consequence)
 
 import itertools
 
@@ -233,29 +233,24 @@ def verify_proof(script: ProofScript, profile: Optional[LogicProfile] = None,
 def axiom_holds_on(s: Schema, model: ChainModel) -> Optional[tuple]:
     """Exhaustively evaluate a schema with its metavariables ranging over a
     finite chain; returns a falsifying assignment or None."""
-    chain = model.chain
-    names = sorted(s.metavars)
-    fn = compile_finite(model, s.formula, names)
-    top = chain.size - 1
-    for env in itertools.product(range(chain.size), repeat=len(names)):
-        if fn(env) != top:
-            return tuple(chain.elements[i] for i in env)
-    return None
+    return _exhaustive_witness(model, [], s.formula, sorted(s.metavars))
 
 
 def rule_sound_on(rule: Rule, model: ChainModel) -> Optional[tuple]:
     """Element-wise truth soundness: premise schemas at 1 force the
     conclusion to 1.  Returns a falsifying assignment or None."""
-    chain = model.chain
     names = sorted(frozenset().union(rule.conclusion.metavars,
                                      *[s.metavars for s, _ in rule.premises]))
-    prem_fns = [compile_finite(model, s.formula, names) for s, _ in rule.premises]
-    concl_fn = compile_finite(model, rule.conclusion.formula, names)
-    top = chain.size - 1
-    for env in itertools.product(range(chain.size), repeat=len(names)):
-        if all(fn(env) == top for fn in prem_fns) and concl_fn(env) != top:
-            return tuple(chain.elements[i] for i in env)
-    return None
+    return _exhaustive_witness(model, [s.formula for s, _ in rule.premises],
+                               rule.conclusion.formula, names)
+
+
+def _exhaustive_witness(model: ChainModel, premises, conclusion,
+                        names) -> Optional[tuple]:
+    chain = model.chain
+    envs = itertools.product(range(chain.size), repeat=len(names))
+    env = finite_scan(model, premises, conclusion, "truth", names, envs)[0]
+    return None if env is None else tuple(chain.elements[i] for i in env)
 
 
 def validate_pairing(profile: LogicProfile, model: ChainModel) -> None:

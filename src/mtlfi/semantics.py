@@ -7,10 +7,12 @@ conclusion).  On a chain the degree condition collapses to comparing the
 conclusion against the minimum of the premise values, which is what the
 search uses.
 
-Finite chains are searched exhaustively, so holds/fails verdicts are exact.
-Standard chains are searched on a rational grid: a countermodel found there
-is a certified failure (all arithmetic is exact), while a clean scan is
-reported as unknown unless the query has no variables.
+Finite chains are searched exhaustively up to FINITE_VAR_CAP variables, so
+holds/fails verdicts there are exact; above the cap SAMPLING_BUDGET seeded
+samples are checked, a countermodel found is exact and a clean run is
+reported as unknown.  Standard chains are searched on a rational grid: a
+countermodel found there is a certified failure (all arithmetic is exact),
+while a clean scan is reported as unknown unless the query has no variables.
 """
 
 from __future__ import annotations
@@ -23,14 +25,15 @@ from typing import Iterable, Optional, Sequence
 
 from .chain import GODEL, FiniteChain, rat
 from .formula import (And, Bullet, Circ, Const, Delta, Formula, Fuse, Iff,
-                      Imp, Not, Or, Var, ONE, power, variables)
+                      Imp, Not, Or, Var, ONE, power, subformulas, variables)
 from .operators import (ConsistencyOp, HostMismatch, InconsistencyOp,
                         validate_c)
 
 __all__ = [
     "SemanticsError", "UnboundVariable", "OperatorNotBound",
     "TooManyVariables", "DatAxiomFails", "ChainModel", "Evaluation",
-    "evaluate", "ConsequenceResult", "truth_consequence", "degree_consequence",
+    "evaluate", "finite_scan", "ConsequenceResult", "truth_consequence",
+    "degree_consequence",
     "LfiReport", "check_lfi", "PropagationResult", "check_propagation",
     "DatResult", "check_dat_axiom", "PdatResult", "pdat_search",
     "classical_taut", "bridge_check", "deduction_power_bound",
@@ -228,36 +231,76 @@ def _models_list(models) -> list:
     return list(models)
 
 
+def finite_scan(model: ChainModel, premises, conclusion, mode: str,
+                vars_: Sequence[str], envs):
+    """Walk the index tuples envs (positions as in vars_) in order and stop
+    at the first countermodel.
+
+    Returns (env, checked, witness): the first failing index tuple or None,
+    the number of tuples looked at, and in degree mode the index of the
+    least premise value at env (None in truth mode or when nothing fails).
+    Every formula is compiled before the first tuple is looked at, so an
+    unbound O or # raises OperatorNotBound whatever envs holds.
+    """
+    top = model.chain.size - 1
+    prem_fns = [compile_finite(model, p, vars_) for p in premises]
+    concl_fn = compile_finite(model, conclusion, vars_)
+    checked = 0
+    if not prem_fns:
+        # both modes fail exactly where the conclusion is below the top,
+        # and the empty minimum is the top
+        witness = top if mode == "degree" else None
+        for checked, env in enumerate(envs, 1):
+            if concl_fn(env) != top:
+                return env, checked, witness
+    elif mode == "truth":
+        for checked, env in enumerate(envs, 1):
+            if all(fn(env) == top for fn in prem_fns) and concl_fn(env) != top:
+                return env, checked, None
+    else:
+        for checked, env in enumerate(envs, 1):
+            a = min(fn(env) for fn in prem_fns)
+            if a > concl_fn(env):
+                return env, checked, a
+    return None, checked, None
+
+
 def _finite_search(model: ChainModel, premises, conclusion, mode: str):
+    """Exhaustive up to FINITE_VAR_CAP variables; above it, SAMPLING_BUDGET
+    assignments drawn from Random(0), each variable (in sorted order) by
+    randrange(size), which draws as choice(chain.elements) does."""
     chain = model.chain
     vars_ = sorted(set().union(variables(conclusion),
                                *[variables(p) for p in premises]))
-    n = chain.size
-    if len(vars_) > FINITE_VAR_CAP:
-        return _sampled_search(model, premises, conclusion, mode,
-                               [chain.elements], None)
-    prem_fns = [compile_finite(model, p, vars_) for p in premises]
-    concl_fn = compile_finite(model, conclusion, vars_)
-    top = n - 1
-    checked = 0
-    for env in itertools.product(range(n), repeat=len(vars_)):
-        checked += 1
-        if mode == "truth":
-            if all(fn(env) == top for fn in prem_fns) and concl_fn(env) != top:
-                assignment = {v: chain.elements[i] for v, i in zip(vars_, env)}
-                return ConsequenceResult("fails", mode, model.name, assignment,
-                                         checked=checked)
-        else:
-            if prem_fns:
-                a = min(fn(env) for fn in prem_fns)
-            else:
-                a = top
-            if a > concl_fn(env):
-                assignment = {v: chain.elements[i] for v, i in zip(vars_, env)}
-                return ConsequenceResult("fails", mode, model.name, assignment,
-                                         witness=chain.elements[a],
-                                         checked=checked)
-    return ConsequenceResult("holds", mode, model.name, checked=checked)
+    n, k = chain.size, len(vars_)
+    exhaustive = k <= FINITE_VAR_CAP
+    if exhaustive:
+        envs = itertools.product(range(n), repeat=k)
+    else:
+        draw = random.Random(0).randrange
+        envs = (tuple(map(draw, itertools.repeat(n, k)))
+                for _ in range(SAMPLING_BUDGET))
+    env, checked, witness = finite_scan(model, premises, conclusion, mode,
+                                        vars_, envs)
+    if env is None:
+        return ConsequenceResult("holds" if exhaustive else "unknown", mode,
+                                 model.name, checked=checked)
+    assignment = {v: chain.elements[i] for v, i in zip(vars_, env)}
+    if witness is not None:
+        witness = chain.elements[witness]
+    return ConsequenceResult("fails", mode, model.name, assignment,
+                             witness=witness, checked=checked)
+
+
+def _require_operators(model: ChainModel, formulas) -> None:
+    """Raise OperatorNotBound, with the messages of evaluate, when a formula
+    uses O or # and the model binds no such operator."""
+    for f in formulas:
+        for node in subformulas(f):
+            if isinstance(node, Circ) and model.consistency is None:
+                raise OperatorNotBound("the formula uses O but no operator is bound")
+            if isinstance(node, Bullet) and model.inconsistency is None:
+                raise OperatorNotBound("the formula uses # but no operator is bound")
 
 
 def _standard_search(model: ChainModel, premises, conclusion, mode: str,
@@ -265,13 +308,16 @@ def _standard_search(model: ChainModel, premises, conclusion, mode: str,
     chain = model.chain
     vars_ = sorted(set().union(variables(conclusion),
                                *[variables(p) for p in premises]))
+    # checked up front, as compile_finite does on finite chains: the scan
+    # below evaluates lazily and may never reach an unbound operator
+    _require_operators(model, [*premises, conclusion])
     extra = []
     for op in (model.consistency, model.inconsistency):
         if op is not None:
             extra.extend(op.critical_points())
     points = chain.sample_points(grid_denominator, extra=extra)
     if len(vars_) > STANDARD_VAR_CAP:
-        return _sampled_search(model, premises, conclusion, mode, [points],
+        return _sampled_search(model, premises, conclusion, mode, points,
                                grid_denominator)
     checked = 0
     for combo in itertools.product(points, repeat=len(vars_)):
@@ -298,17 +344,17 @@ def _standard_search(model: ChainModel, premises, conclusion, mode: str,
 
 
 def _sampled_search(model: ChainModel, premises, conclusion, mode: str,
-                    pools, grid_denominator):
-    """Randomized fallback above the variable caps; deterministic seed."""
+                    points, grid_denominator: int):
+    """Randomized fallback above STANDARD_VAR_CAP on a standard chain's grid
+    points; deterministic seed."""
     chain = model.chain
     vars_ = sorted(set().union(variables(conclusion),
                                *[variables(p) for p in premises]))
     rng = random.Random(0)
-    pool = pools[0]
     checked = 0
     for _ in range(SAMPLING_BUDGET):
         checked += 1
-        assignment = {v: rng.choice(pool) for v in vars_}
+        assignment = {v: rng.choice(points) for v in vars_}
         ev = Evaluation(chain, assignment, model.consistency, model.inconsistency)
         if mode == "truth":
             bad = all(evaluate(ev, p) == _ONE for p in premises) \
@@ -644,11 +690,8 @@ def classical_taut(phi: Formula) -> bool:
     if len(names) > 20:
         raise TooManyVariables(f"{len(names)} variables exceed the cap of 20")
     model = ChainModel("B2", FiniteChain.from_family(GODEL, 2, name="B2"))
-    fn = compile_finite(model, phi, names)
-    for env in itertools.product(range(2), repeat=len(names)):
-        if fn(env) != 1:
-            return False
-    return True
+    envs = itertools.product(range(2), repeat=len(names))
+    return finite_scan(model, [], phi, "truth", names, envs)[0] is None
 
 
 # ---------------------------------------------------------------------------

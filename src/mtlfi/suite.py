@@ -484,20 +484,6 @@ def _timed(number: int) -> CriterionResult:
     return result
 
 
-def _timed_or_none(number: int):
-    """Worker side of the pool: the criterion's result, or None if it raised.
-
-    The exception is not sent back: one whose constructor takes other
-    arguments than its message cannot be unpickled, and the pool then waits
-    for a result that never comes.  The parent runs the criterion again to
-    raise it; every criterion is deterministic, so it raises the same.
-    """
-    try:
-        return _timed(number)
-    except Exception:
-        return None
-
-
 def run_suite(numbers=None) -> list:
     """Run the selected criteria (all by default) and return their results,
     ordered by number.
@@ -530,12 +516,11 @@ def _run_pooled(context, selected: list, workers: int) -> list:
     dispatch = sorted(range(len(selected)),
                       key=lambda k: rank.get(selected[k], len(rank)))
     with context.Pool(workers) as pool:
-        pending = {k: pool.apply_async(_timed_or_none, (selected[k],))
+        pending = {k: pool.apply_async(_timed, (selected[k],))
                    for k in dispatch}
-        results = []
-        for k, number in enumerate(selected):
-            result = pending[k].get()
-            results.append(_timed(number) if result is None else result)
+        # get() raises a worker's exception; reading in criterion order makes
+        # the lowest raising number win, as in the in-process loop
+        results = [pending[k].get() for k in range(len(selected))]
         pool.close()
         pool.join()
     return results

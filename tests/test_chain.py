@@ -1,3 +1,4 @@
+import pickle
 import re
 from fractions import Fraction as F
 
@@ -87,6 +88,14 @@ class TestTableValidation:
             FiniteChain(rows)
         assert exc.value.law == "associativity"
         assert len(exc.value.witness) == 3
+
+    def test_error_survives_a_pickle_round_trip(self):
+        with pytest.raises(TableNotTnorm) as exc:
+            FiniteChain([[0, 0, 0], [0, 1, 1], [0, 0, 2]])
+        back = pickle.loads(pickle.dumps(exc.value))
+        assert type(back) is TableNotTnorm
+        assert (back.law, back.witness, str(back)) == \
+            (exc.value.law, exc.value.witness, str(exc.value))
 
     def test_size_mismatch(self):
         with pytest.raises(SizeMismatch):

@@ -1,3 +1,5 @@
+import pickle
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -53,6 +55,16 @@ class TestParse:
             parse("p ? q")
         assert exc.value.offset == 2
         assert exc.value.expected
+
+    @pytest.mark.parametrize("text", ["p -> ", "p ? q", "p q", "(p"])
+    def test_error_survives_a_pickle_round_trip(self, text):
+        with pytest.raises(FormulaSyntaxError) as exc:
+            parse(text)
+        back = pickle.loads(pickle.dumps(exc.value))
+        assert type(back) is FormulaSyntaxError
+        assert (back.message, back.offset, back.expected, str(back)) == \
+            (exc.value.message, exc.value.offset, exc.value.expected,
+             str(exc.value))
 
     def test_trailing_garbage(self):
         with pytest.raises(FormulaSyntaxError):

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from mtlfi.formula import to_bullet_language, to_circ_language
@@ -8,7 +10,7 @@ from mtlfi.operators import dual, enumerate_ops, max_op, min_op
 from mtlfi.profiles import (BASES, REGISTERED_THEOREMS, UnknownProfile,
                             load_profile, profile_names)
 from mtlfi.proofs import FIXTURES, MUTANTS, fixture_chains, fixture_models
-from mtlfi.semantics import ChainModel
+from mtlfi.semantics import ChainModel, OperatorNotBound, compile_finite
 
 
 class TestRegistry:
@@ -112,6 +114,79 @@ def test_registered_theorems_hold_on_all_finite_chains(chains):
         for model in models:
             witness = axiom_holds_on(s, model)
             assert witness is None, f"{tid} fails on {model.name} at {witness}"
+
+
+# ---------------------------------------------------------------------------
+# axiom_holds_on and rule_sound_on against their loops before the shared
+# finite scan
+
+def _reference_axiom_holds_on(s, model):
+    chain = model.chain
+    names = sorted(s.metavars)
+    fn = compile_finite(model, s.formula, names)
+    top = chain.size - 1
+    for env in itertools.product(range(chain.size), repeat=len(names)):
+        if fn(env) != top:
+            return tuple(chain.elements[i] for i in env)
+    return None
+
+
+def _reference_rule_sound_on(rule, model):
+    chain = model.chain
+    names = sorted(frozenset().union(rule.conclusion.metavars,
+                                     *[s.metavars for s, _ in rule.premises]))
+    prem_fns = [compile_finite(model, s.formula, names)
+                for s, _ in rule.premises]
+    concl_fn = compile_finite(model, rule.conclusion.formula, names)
+    top = chain.size - 1
+    for env in itertools.product(range(chain.size), repeat=len(names)):
+        if all(fn(env) == top for fn in prem_fns) and concl_fn(env) != top:
+            return tuple(chain.elements[i] for i in env)
+    return None
+
+
+def _outcome(check, item, model):
+    try:
+        return check(item, model)
+    except OperatorNotBound as exc:
+        return "OperatorNotBound", str(exc)
+
+
+def _fixture_models():
+    """Every finite fixture chain bare, with min/max consistency operators,
+    and with the dual inconsistency operators."""
+    out = []
+    for name, chain in fixture_chains().items():
+        if not chain.is_finite:
+            continue
+        out.append(ChainModel(name, chain))
+        out.append(ChainModel(name, chain, max_op(chain), dual(min_op(chain))))
+        out.append(ChainModel(name, chain, min_op(chain), dual(max_op(chain))))
+    return out
+
+
+def _distinct(items):
+    return list({repr(item): item for item in items}.values())
+
+
+def test_axiom_and_rule_checks_match_their_loops():
+    profiles = [load_profile(name) for name in profile_names()]
+    axioms = _distinct(s for p in profiles for s in p.axioms.values())
+    rules = _distinct(r for p in profiles for r in p.rules.values())
+    assert len(axioms) > 30 and len(rules) > 15
+    failures = 0
+    for model in _fixture_models():
+        for s in axioms:
+            ours = _outcome(axiom_holds_on, s, model)
+            assert ours == _outcome(_reference_axiom_holds_on, s, model), \
+                (s, model.name)
+            failures += isinstance(ours, tuple) and ours[0] != "OperatorNotBound"
+        for rule in rules:
+            ours = _outcome(rule_sound_on, rule, model)
+            assert ours == _outcome(_reference_rule_sound_on, rule, model), \
+                (rule.rid, model.name)
+            failures += isinstance(ours, tuple) and ours[0] != "OperatorNotBound"
+    assert failures > 0
 
 
 class TestVerify:

@@ -1,17 +1,21 @@
+import itertools
 import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from mtlfi.formula import Imp, Var, parse
+from mtlfi import semantics
+from mtlfi.chain import FiniteChain, GODEL
+from mtlfi.formula import And, Circ, Fuse, Imp, Or, Var, parse, variables
 from mtlfi.operators import crisp_op, enumerate_ops, max_op, min_op, piecewise_op
 from mtlfi.semantics import (ChainModel, DatAxiomFails, Evaluation,
                              OperatorNotBound, SemanticsError,
                              TooManyVariables, UnboundVariable, bridge_check,
                              check_dat_axiom, check_lfi, check_propagation,
                              classical_taut, deduction_power_bound,
-                             degree_consequence, evaluate, pdat_search,
-                             truth_consequence)
+                             compile_finite, degree_consequence, evaluate,
+                             finite_scan, pdat_search, truth_consequence)
 from mtlfi.suite import random_formula
 
 
@@ -383,6 +387,156 @@ class TestSamplingFallback:
         f = parse("p1 -> (p2 -> (p3 -> (p4 -> (p5 -> (p6 -> (p7 -> p1))))))")
         res = truth_consequence([model], [], f)
         assert res.verdict == "unknown"
+
+    @pytest.mark.parametrize("check", [truth_consequence, degree_consequence])
+    def test_six_variables_are_exhaustive_and_seven_sampled(self, chains,
+                                                            check):
+        model = ChainModel("L3", chains["L3"])
+        six = parse("p1 -> (p2 -> (p3 -> (p4 -> (p5 -> (p6 -> p1)))))")
+        res = check([model], [], six)
+        assert (res.verdict, res.checked) == ("holds", 3 ** 6)
+        seven = Imp(Var("p7"), six)
+        res = check([model], [], seven)
+        assert (res.verdict, res.checked) == ("unknown", 20_000)
+
+
+# ---------------------------------------------------------------------------
+# The finite scan against the loops it replaced
+
+def _reference_sampled_search(model, premises, conclusion, mode):
+    """The sampler above FINITE_VAR_CAP before the index-space scan: the
+    Fraction tree walk over rng.choice(chain.elements), formulas evaluated
+    lazily."""
+    chain = model.chain
+    vars_ = sorted(set().union(variables(conclusion),
+                               *[variables(p) for p in premises]))
+    rng = random.Random(0)
+    checked = 0
+    for _ in range(semantics.SAMPLING_BUDGET):
+        checked += 1
+        assignment = {v: rng.choice(chain.elements) for v in vars_}
+        ev = Evaluation(chain, assignment, model.consistency,
+                        model.inconsistency)
+        if mode == "truth":
+            bad = all(evaluate(ev, p) == 1 for p in premises) \
+                and evaluate(ev, conclusion) != 1
+            a = None
+        else:
+            vals = [evaluate(ev, p) for p in premises]
+            a = min(vals) if vals else F(1)
+            bad = a > evaluate(ev, conclusion)
+        if bad:
+            return "fails", assignment, a, checked
+    return "unknown", None, None, checked
+
+
+def _reference_classical_taut(phi):
+    """classical_taut's loop before the index-space scan."""
+    names = sorted(variables(phi))
+    model = ChainModel("B2", FiniteChain.from_family(GODEL, 2, name="B2"))
+    fn = compile_finite(model, phi, names)
+    return all(fn(env) == 1
+               for env in itertools.product(range(2), repeat=len(names)))
+
+
+def _covering_formula(rng, names, op):
+    """A random formula using every name, with O when an operator is bound."""
+    f = random_formula(rng, names, 2)
+    for name in names:
+        if name in variables(f) and rng.random() < 0.5:
+            continue
+        leaf = Circ(Var(name)) if op is not None and rng.random() < 0.3 \
+            else Var(name)
+        ctor = rng.choice([And, Or, Imp, Fuse])
+        f = ctor(f, leaf) if rng.random() < 0.5 else ctor(leaf, f)
+    return f
+
+
+class TestFiniteScan:
+    @given(seed=st.integers(min_value=0, max_value=2**32),
+           chain_name=st.sampled_from(["L3", "G3", "L5", "NM6"]),
+           with_op=st.booleans(),
+           mode=st.sampled_from(["truth", "degree"]),
+           count=st.integers(min_value=7, max_value=8),
+           premise_count=st.integers(min_value=0, max_value=2))
+    @settings(max_examples=40, deadline=None)
+    def test_sampling_matches_the_fraction_walk(self, chains, seed, chain_name,
+                                                with_op, mode, count,
+                                                premise_count):
+        rng = random.Random(seed)
+        chain = chains[chain_name]
+        op = max_op(chain) if with_op else None
+        model = ChainModel(chain_name, chain, op)
+        names = [f"p{i}" for i in range(1, count + 1)]
+        premises = [random_formula(rng, names, 1)
+                    for _ in range(premise_count)]
+        goal = _covering_formula(rng, names, op)
+        check = truth_consequence if mode == "truth" else degree_consequence
+        res = check([model], premises, goal)
+        verdict, assignment, witness, checked = _reference_sampled_search(
+            model, premises, goal, mode)
+        assert (res.verdict, res.assignment, res.witness, res.checked) == \
+            (verdict, assignment, witness, checked)
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 2024])
+    @pytest.mark.parametrize("n", [2, 3, 5, 6, 16, 17])
+    def test_randrange_draws_as_choice(self, seed, n):
+        elements = [F(i, n) for i in range(n)]
+        ours, theirs = random.Random(seed), random.Random(seed)
+        for _ in range(20_000):
+            assert elements[ours.randrange(n)] == theirs.choice(elements)
+        assert ours.getstate() == theirs.getstate()
+
+    def test_no_premises_fail_where_the_conclusion_is_below_top(self, chains):
+        model = ChainModel("L3", chains["L3"])
+        envs = [(2, 2), (1, 2), (0, 0)]
+        goal = parse("q -> p")
+        assert finite_scan(model, [], goal, "truth", ["p", "q"], envs) == \
+            ((1, 2), 2, None)
+        assert finite_scan(model, [], goal, "degree", ["p", "q"], envs) == \
+            ((1, 2), 2, 2)
+        assert finite_scan(model, [], goal, "truth", ["p", "q"], envs[:1]) == \
+            (None, 1, None)
+
+    def test_every_formula_is_compiled_before_the_scan(self, chains):
+        model = ChainModel("L3", chains["L3"])
+        with pytest.raises(OperatorNotBound):
+            finite_scan(model, [parse("0"), parse("O p")], parse("p"),
+                        "truth", ["p"], [])
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_classical_taut_matches_its_loop(self, seed):
+        rng = random.Random(seed)
+        for _ in range(100):
+            phi = random_formula(rng, ["p", "q", "r", "s"], 3)
+            assert classical_taut(phi) is _reference_classical_taut(phi)
+
+
+class TestUnboundOperator:
+    """An unbound O or # raises whether or not the scan would reach it."""
+
+    @pytest.mark.parametrize("check", [truth_consequence, degree_consequence])
+    def test_standard_chain(self, chains, check):
+        model = ChainModel("LG", chains["LG"])
+        for text in ("O p", "# p"):
+            with pytest.raises(OperatorNotBound, match="no operator is bound"):
+                check([model], [parse("0"), parse(text)], parse("p -> p"))
+
+    def test_standard_sampled_path(self, chains):
+        model = ChainModel("LG", chains["LG"])
+        goal = parse("p1 -> (p2 -> (p3 -> (p4 -> (p5 -> p1))))")
+        with pytest.raises(OperatorNotBound):
+            truth_consequence([model], [parse("0"), parse("O p1")], goal)
+
+    @pytest.mark.parametrize("count", [6, 7])
+    @pytest.mark.parametrize("check", [truth_consequence, degree_consequence])
+    def test_finite_chain_below_and_above_the_cap(self, chains, count, check):
+        model = ChainModel("L3", chains["L3"])
+        goal = Var("p1")
+        for i in range(2, count + 1):
+            goal = Imp(Var(f"p{i}"), goal)
+        with pytest.raises(OperatorNotBound):
+            check([model], [parse("0"), parse("O p1")], goal)
 
 
 class TestDeterminism:

@@ -16,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 import mtlfi.suite as suite
 from mtlfi.chain import (StandardChain, TableNotTnorm, builtin_chains,
                          validate_mtl_laws)
+from mtlfi.formula import FormulaSyntaxError
 from mtlfi.operators import ConsistencyOp
 from mtlfi.semantics import SemanticsError
 from mtlfi.suite import (_DENOMS, _GRID, _GRID_VALUES, CriterionResult,
@@ -280,4 +281,24 @@ def test_the_lowest_raising_criterion_wins(monkeypatch, cpus):
     with _path(monkeypatch, cpus):
         with pytest.raises(RuntimeError, match="three"):
             run_suite([9, 3, 7])
+    assert multiprocessing.active_children() == []
+
+
+@needs_fork
+def test_a_worker_exception_reaches_the_caller(monkeypatch):
+    # raises only outside this process, so only the worker's own exception
+    # can make run_suite raise
+    here = os.getpid()
+
+    def criterion():
+        if os.getpid() == here:
+            return CriterionResult(5, "here", True)
+        raise FormulaSyntaxError("unexpected token", 3, ("VAR",))
+
+    monkeypatch.setitem(suite.CRITERIA, 5, criterion)
+    monkeypatch.setitem(suite.CRITERIA, 7, _report_pid(7))
+    with _path(monkeypatch, 2):
+        with pytest.raises(FormulaSyntaxError) as info:
+            run_suite([5, 7])
+    assert (info.value.offset, info.value.expected) == (3, ("VAR",))
     assert multiprocessing.active_children() == []
