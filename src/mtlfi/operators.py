@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 from typing import Optional, Sequence
 
 from .chain import FiniteChain, OutOfCarrier, rat
@@ -27,6 +28,7 @@ __all__ = [
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+ENUMERATION_BUDGET = 100_000  # the most operators enumerate_ops builds
 
 
 class OperatorError(Exception):
@@ -324,6 +326,14 @@ def _require_host(chain, op):
         raise HostMismatch("the operator is hosted on a different chain")
 
 
+def _ladder(chain: FiniteChain) -> list:
+    """The indices of the zero-negation region N, then the top: where an
+    operator must rise (c3) and its dual fall (b3); elsewhere both are forced."""
+    top = chain.size - 1
+    neg = chain._neg_i
+    return [i for i in range(1, top) if neg[i] == 0] + [top]
+
+
 def validate_c(chain, op: ConsistencyOp, grid: int = 1000) -> ValidationReport:
     """Check the three pointwise postulates.
 
@@ -338,7 +348,6 @@ def validate_c(chain, op: ConsistencyOp, grid: int = 1000) -> ValidationReport:
         n = chain.size
         top = n - 1
         neg = chain._neg_i
-        idx = chain.index
         # c1: contradictory elements must be sent to 0
         for i in range(n):
             if i != 0 and neg[i] != 0 and vals[i] != _ZERO:
@@ -347,8 +356,7 @@ def validate_c(chain, op: ConsistencyOp, grid: int = 1000) -> ValidationReport:
             w = chain.elements[0] if vals[0] != _ONE else chain.elements[top]
             return ValidationReport(False, "c2", (w,))
         # c3: non-decreasing on the zero-negation region up to the top
-        ladder = [i for i in range(n)
-                  if (i < top and neg[i] == 0 and i > 0) or i == top]
+        ladder = _ladder(chain)
         for a, b in zip(ladder, ladder[1:]):
             if vals[a] > vals[b]:
                 return ValidationReport(False, "c3",
@@ -399,30 +407,37 @@ def validate_algebraic(chain, op: ConsistencyOp) -> ValidationReport:
     if vi[top] != top or vi[0] != top:
         w = els[top] if vi[top] != top else els[0]
         return ValidationReport(False, "o2", (w,))
+    # z = 1 satisfies both sides and z < 1 leaves them to the cores, so o3
+    # fails exactly at core 1 => core < 1, first witnessed by z = 0
     for i in range(n):
         nn_i = neg[neg[i]]
         for j in range(n):
-            hyp_core = min(nn_i, res[i][j])
-            concl_core = res[vi[i]][vi[j]]
-            for k in range(n):
-                if max(hyp_core, k) == top and max(concl_core, k) != top:
-                    return ValidationReport(False, "o3", (els[i], els[j], els[k]))
+            if min(nn_i, res[i][j]) == top and res[vi[i]][vi[j]] != top:
+                return ValidationReport(False, "o3", (els[i], els[j], els[0]))
     return ValidationReport(True)
 
 
-def enumerate_ops(chain: FiniteChain, max_size: int = 7) -> list:
-    """Every unary map on a finite chain that passes validate_c.
+def enumerate_ops(chain: FiniteChain) -> list:
+    """Every unary map on a finite chain that passes validate_c, in
+    lexicographic order.
 
-    Brute force over all n**n candidate value vectors, in lexicographic
-    order, so the result is deterministic and usable as an oracle.
+    The postulates force the values of min_op except on the zero-negation
+    region N, where any non-decreasing tuple will do; so the candidates are
+    those C(n + |N| - 1, |N|) tuples, and validate_c certifies each one.
     """
     if not chain.is_finite:
         raise StandardChainUnsupported("enumeration needs a finite chain")
-    if chain.size > max_size:
-        raise TooLarge(f"{chain.size}**{chain.size} candidates exceed the budget")
+    free = _ladder(chain)[:-1]
+    count = comb(chain.size + len(free) - 1, len(free))
+    if count > ENUMERATION_BUDGET:
+        raise TooLarge(f"{count} operators exceed the budget of {ENUMERATION_BUDGET}")
+    forced = min_op(chain).values
     out = []
-    for combo in itertools.product(chain.elements, repeat=chain.size):
-        op = ConsistencyOp(chain, "table", values=combo, name="enumerated")
+    for tup in itertools.combinations_with_replacement(chain.elements, len(free)):
+        vals = list(forced)
+        for i, v in zip(free, tup):
+            vals[i] = v
+        op = ConsistencyOp(chain, "table", values=tuple(vals), name="enumerated")
         if validate_c(chain, op).valid:
             out.append(op)
     return out
@@ -457,21 +472,18 @@ def validate_bullet(chain, bop: InconsistencyOp, grid: int = 1000) -> Validation
     bounds, and antitonicity on the zero-negation region."""
     _require_host(chain, bop)
     if chain.is_finite:
-        n = chain.size
-        top = n - 1
         els = chain.elements
-        for i, x in enumerate(els):
-            lhs = max(chain.negation(min(x, chain.negation(x))), bop.value(x))
-            if lhs != _ONE:
+        vals = [bop.value(x) for x in els]
+        for x, v in zip(els, vals):
+            if max(chain.negation(min(x, chain.negation(x))), v) != _ONE:
                 return ValidationReport(False, "b1", (x,))
-        if bop.value(els[0]) != _ZERO or bop.value(els[top]) != _ZERO:
-            w = els[0] if bop.value(els[0]) != _ZERO else els[top]
-            return ValidationReport(False, "b2", (w,))
-        ladder = [x for i, x in enumerate(els)
-                  if (i < top and chain._neg_i[i] == 0 and i > 0) or i == top]
+        for i in (0, -1):
+            if vals[i] != _ZERO:
+                return ValidationReport(False, "b2", (els[i],))
+        ladder = _ladder(chain)
         for a, b in zip(ladder, ladder[1:]):
-            if bop.value(a) < bop.value(b):
-                return ValidationReport(False, "b3", (a, b))
+            if vals[a] < vals[b]:
+                return ValidationReport(False, "b3", (els[a], els[b]))
         return ValidationReport(True)
 
     nset = chain.n_set()

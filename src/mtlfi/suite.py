@@ -114,32 +114,18 @@ def random_formula(rng: random.Random, names, depth: int,
                 random_formula(rng, names, depth - 1, allow_const))
 
 
-_small_cache: dict = {}
-
-
 def _small_chains() -> dict:
     """Finite chains of size at most five, for the exhaustive criteria."""
-    if not _small_cache:
-        _small_cache.update({
-            "B2": FiniteChain.from_family(GODEL, 2, name="B2"),
-            "L3": FiniteChain.from_family(LUKASIEWICZ, 3, name="L3"),
-            "G3": FiniteChain.from_family(GODEL, 3, name="G3"),
-            "L4": FiniteChain.from_family(LUKASIEWICZ, 4, name="L4"),
-            "L5": FiniteChain.from_family(LUKASIEWICZ, 5, name="L5"),
-            "G5": FiniteChain.from_family(GODEL, 5, name="G5"),
-            "L3G3": FiniteChain.ordinal_sum(
-                [(LUKASIEWICZ, 3), (GODEL, 3)], name="L3G3"),
-        })
-    return _small_cache
-
-
-_enumerated_cache: dict = {}
-
-
-def _enumerated(chain) -> list:
-    if chain.name not in _enumerated_cache:
-        _enumerated_cache[chain.name] = enumerate_ops(chain)
-    return _enumerated_cache[chain.name]
+    return {
+        "B2": FiniteChain.from_family(GODEL, 2, name="B2"),
+        "L3": FiniteChain.from_family(LUKASIEWICZ, 3, name="L3"),
+        "G3": FiniteChain.from_family(GODEL, 3, name="G3"),
+        "L4": FiniteChain.from_family(LUKASIEWICZ, 4, name="L4"),
+        "L5": FiniteChain.from_family(LUKASIEWICZ, 5, name="L5"),
+        "G5": FiniteChain.from_family(GODEL, 5, name="G5"),
+        "L3G3": FiniteChain.ordinal_sum(
+            [(LUKASIEWICZ, 3), (GODEL, 3)], name="L3G3"),
+    }
 
 
 def _example_standard_ops(chains) -> list:
@@ -228,7 +214,7 @@ def criterion_2() -> CriterionResult:
 def criterion_3() -> CriterionResult:
     title = "involutive chains admit exactly one operator"
     chains = _small_chains()
-    counts = {name: len(_enumerated(chains[name])) for name in ("L3", "L5", "B2")}
+    counts = {name: len(enumerate_ops(chains[name])) for name in ("L3", "L5", "B2")}
     ok = all(c == 1 for c in counts.values())
     return CriterionResult(3, title, ok, f"counts {counts}")
 
@@ -237,7 +223,7 @@ def criterion_4() -> CriterionResult:
     title = "every valid operator sits between the minimal and maximal ones"
     for chain in _small_chains().values():
         lo, hi = min_op(chain), max_op(chain)
-        for op in _enumerated(chain):
+        for op in enumerate_ops(chain):
             for x in chain.elements:
                 if not (lo.value(x) <= op.value(x) <= hi.value(x)):
                     return CriterionResult(4, title, False,
@@ -248,7 +234,7 @@ def criterion_4() -> CriterionResult:
 def criterion_5() -> CriterionResult:
     title = "propagation: /\\ and -> always; & for min/max; & fails on LP crisp 3/4"
     for chain in _small_chains().values():
-        for op in _enumerated(chain):
+        for op in enumerate_ops(chain):
             model = ChainModel(chain.name, chain, op)
             for token in ("/\\", "->"):
                 if check_propagation(model, token).holds is not True:
@@ -390,7 +376,7 @@ def criterion_10() -> CriterionResult:
     title = "the dual of every valid operator passes the inconsistency postulates"
     total = 0
     for chain in _small_chains().values():
-        for op in _enumerated(chain):
+        for op in enumerate_ops(chain):
             total += 1
             if not validate_bullet(chain, dual(op)).valid:
                 return CriterionResult(10, title, False,

@@ -98,6 +98,15 @@ class TestOperatorCommands:
         assert code == 0
         assert out.splitlines()[0] == "count: 3"
 
+    def test_enum_ops_past_the_old_size_cap(self, capsys):
+        code, out, _ = run(capsys, "enum-ops", "--chain", "W15")
+        assert code == 0
+        assert out.splitlines() == ["count: 1", "1" + " 0" * 14 + " 1"]
+
+    def test_validate_op_auto_on_w15(self, capsys):
+        code, out, _ = run(capsys, "validate-op", "--chain", "W15", "--op", "auto")
+        assert code == 0 and "equational verdict: valid" in out
+
     def test_quotient(self, capsys):
         code, out, _ = run(capsys, "quotient", "--chain", "W15",
                            "--filter", "12/15")

@@ -6,8 +6,9 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mtlfi.chain import (GODEL, LUKASIEWICZ, PRODUCT, NonRationalEndpoint,
-                         OutOfCarrier, StandardChain)
+from mtlfi import operators
+from mtlfi.chain import (GODEL, LUKASIEWICZ, PRODUCT, FiniteChain,
+                         NonRationalEndpoint, OutOfCarrier, StandardChain)
 from mtlfi.operators import (BreakpointOutsideN, ConsistencyOp, HostMismatch,
                              NotNondecreasing, StandardChainUnsupported,
                              ThresholdOutsideN, TooLarge, bullet_table_op,
@@ -313,6 +314,26 @@ def test_standard_values_reject_points_outside_the_carrier(chains, data, bad):
         op.value(0.5)
 
 
+def _brute_force_ops(chain) -> list:
+    """The value vectors of every map on a finite chain that passes
+    validate_c, found by trying all n**n maps in lexicographic order."""
+    return [combo for combo in itertools.product(chain.elements, repeat=chain.size)
+            if validate_c(chain, ConsistencyOp(chain, "table", values=combo)).valid]
+
+
+@st.composite
+def small_ordinal_sums(draw):
+    """Ordinal sums of Lukasiewicz and Goedel components, at most 6 elements."""
+    components, size = [], 1
+    while size < 6:
+        s = draw(st.integers(2, 7 - size))
+        components.append((draw(st.sampled_from([LUKASIEWICZ, GODEL])), s))
+        size += s - 1
+        if not draw(st.booleans()):
+            break
+    return FiniteChain.ordinal_sum(components)
+
+
 class TestEnumeration:
     def test_involutive_chains_have_one_operator(self, chains):
         assert len(enumerate_ops(chains["L3"])) == 1
@@ -322,11 +343,13 @@ class TestEnumeration:
     def test_counts_match_the_combinatorial_formula(self, chains):
         # free choices: one non-decreasing tuple over the zero-negation
         # region, values anywhere in the chain
-        for name in ("B2", "L3", "G3", "L4", "G5", "L3G3"):
-            chain = chains[name]
+        g8 = FiniteChain.from_family(GODEL, 8)
+        names = ("B2", "L3", "G3", "L4", "G5", "L3G3")
+        for chain in [chains[name] for name in names] + [g8]:
             free = len(chain.n_set().elements)
             expected = comb(chain.size + free - 1, free)
             assert len(enumerate_ops(chain)) == expected
+        assert len(enumerate_ops(g8)) == comb(13, 6) == 1716
 
     def test_all_enumerated_are_valid_and_deterministic(self, chains):
         g3 = chains["G3"]
@@ -335,13 +358,71 @@ class TestEnumeration:
         for op in ops:
             assert validate_c(g3, op).valid
 
+    def test_construction_equals_brute_force_on_fixture_chains(self, chains):
+        small = [c for c in chains.values() if c.is_finite and c.size <= 6]
+        assert {c.name for c in small} >= {"B2", "L3", "G3", "L4", "L5", "G5",
+                                           "NM6", "L3G3"}
+        for chain in small:
+            assert [op.values for op in enumerate_ops(chain)] == _brute_force_ops(chain)
+
+    @given(chain=small_ordinal_sums())
+    @settings(max_examples=25, deadline=None)
+    def test_construction_equals_brute_force_on_ordinal_sums(self, chain):
+        assert [op.values for op in enumerate_ops(chain)] == _brute_force_ops(chain)
+
     def test_budget_cap(self):
         big = StandardChain([(LUKASIEWICZ, 0, 1)])
         with pytest.raises(StandardChainUnsupported):
             enumerate_ops(big)
-        from mtlfi.chain import FiniteChain, GODEL
+        # G12 has C(21, 10) = 352 716 operators, over the budget
         with pytest.raises(TooLarge):
-            enumerate_ops(FiniteChain.from_family(GODEL, 8))
+            enumerate_ops(FiniteChain.from_family(GODEL, 12))
+
+    def test_budget_is_checked_before_building(self, monkeypatch):
+        g8 = FiniteChain.from_family(GODEL, 8)
+        monkeypatch.setattr(operators, "ENUMERATION_BUDGET", 1716)
+        assert len(enumerate_ops(g8)) == 1716
+        monkeypatch.setattr(operators, "ENUMERATION_BUDGET", 1715)
+        built = []
+        monkeypatch.setattr(operators, "validate_c", lambda *args: built.append(args))
+        with pytest.raises(TooLarge):
+            enumerate_ops(g8)
+        assert built == []
+
+
+def _cubic_validate_algebraic(chain, op):
+    """validate_algebraic before its innermost loop was collapsed: o3 is
+    tried at every triple (x, y, z)."""
+    els, n = chain.elements, chain.size
+    top, neg, res = n - 1, chain._neg_i, chain._res_i
+    vi = tuple(chain.index[v] for v in op.values)
+    for i in range(n):
+        if min(i, neg[i], vi[i]) != 0:
+            return operators.ValidationReport(False, "o1", (els[i],))
+    if vi[top] != top or vi[0] != top:
+        w = els[top] if vi[top] != top else els[0]
+        return operators.ValidationReport(False, "o2", (w,))
+    for i in range(n):
+        nn_i = neg[neg[i]]
+        for j in range(n):
+            hyp_core = min(nn_i, res[i][j])
+            concl_core = res[vi[i]][vi[j]]
+            for k in range(n):
+                if max(hyp_core, k) == top and max(concl_core, k) != top:
+                    return operators.ValidationReport(False, "o3",
+                                                      (els[i], els[j], els[k]))
+    return operators.ValidationReport(True)
+
+
+def test_validate_algebraic_equals_the_cubic_reference(chains):
+    tables = 0
+    for name in ("B2", "L3", "G3", "L4", "L5", "G5", "L3G3"):
+        chain = chains[name]
+        for combo in itertools.product(chain.elements, repeat=chain.size):
+            op = ConsistencyOp(chain, "table", values=combo)
+            assert validate_algebraic(chain, op) == _cubic_validate_algebraic(chain, op)
+            tables += 1
+    assert tables == 9689
 
 
 class TestDuality:
@@ -367,8 +448,22 @@ class TestDuality:
 
     def test_invalid_bullet_table(self, chains):
         b2 = chains["B2"]
-        report = validate_bullet(b2, bullet_table_op(b2, [1, 0]))
-        assert not report.valid and report.clause == "b2"
+        for values, witness in (([1, 0], 0), ([0, 1], 1)):
+            report = validate_bullet(b2, bullet_table_op(b2, values))
+            assert not report.valid and report.clause == "b2"
+            assert report.witness == (witness,)
+
+    def test_bullet_is_not_validate_c_on_the_negation(self, chains):
+        # on G5 the negation is not involutive: this table fails b3 while
+        # validate_c passes its pointwise negation
+        g5 = chains["G5"]
+        table = [0, F(1, 4), F(1, 4), F(1, 2), 0]
+        report = validate_bullet(g5, bullet_table_op(g5, table))
+        assert not report.valid and report.clause == "b3"
+        assert report.witness == (F(1, 2), F(3, 4))
+        negated = [g5.negation(v) for v in table]
+        assert negated == [1, 0, 0, 0, 1]
+        assert validate_c(g5, table_op(g5, negated)).valid
 
     def test_bullet_antitonicity_violation(self, chains):
         l3g3 = chains["L3G3"]

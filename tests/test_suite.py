@@ -260,7 +260,8 @@ def _raising(exc):
 @pytest.mark.parametrize("exc", [
     SemanticsError("criterion 5 broke"),
     RuntimeError("criterion 5 broke"),
-    # its constructor takes (law, witness), so it does not unpickle
+    # its constructor takes (law, witness) rather than its message, so this
+    # case checks an exception with extra constructor arguments
     TableNotTnorm("associativity", (1, 2, 3)),
 ], ids=lambda e: type(e).__name__)
 def test_a_raising_criterion_raises_on_both_paths(monkeypatch, cpus, exc):
