@@ -255,6 +255,12 @@ class FiniteChain:
         self._tnorm_i = tuple(tuple(row) for row in table)
         self._res_i = tuple(tuple(row) for row in _residuum_from_table(table, n))
         self._neg_i = tuple(self._res_i[i][0] for i in range(n))
+        # index tables of the other connectives, for compiled evaluation
+        self._meet_i = tuple(tuple(min(i, j) for j in range(n)) for i in range(n))
+        self._join_i = tuple(tuple(max(i, j) for j in range(n)) for i in range(n))
+        self._iff_i = tuple(tuple(min(self._res_i[i][j], self._res_i[j][i])
+                                  for j in range(n)) for i in range(n))
+        self._delta_i = (0,) * (n - 1) + (n - 1,)
         self._nset = NSet.finite(x for i, x in enumerate(self.elements)
                                  if i < n - 1 and self._neg_i[i] == 0)
 

@@ -1,7 +1,7 @@
 """Batch front-end.
 
 Exit codes: 0 holds/valid, 1 refuted (countermodel printed), 2 unknown
-(search budget exhausted), 3 usage or I/O error.
+(search or enumeration budget exhausted), 3 usage or I/O error.
 """
 
 from __future__ import annotations
@@ -13,9 +13,9 @@ from .chain import (ChainError, NotAFilter, OutOfCarrier, builtin_chains,
                     parse_chain_file, quotient_by_filter, rat, upward_filter)
 from .formula import FormulaSyntaxError, parse, render
 from .hilbert import parse_proof, verify_proof
-from .operators import (OperatorError, crisp_op, dual, enumerate_ops, max_op,
-                        min_op, op_from_delta, parse_op_file, validate_algebraic,
-                        validate_bullet, validate_c)
+from .operators import (OperatorError, TooLarge, crisp_op, dual, enumerate_ops,
+                        max_op, min_op, op_from_delta, parse_op_file,
+                        validate_algebraic, validate_bullet, validate_c)
 from .profiles import UnknownProfile, load_profile
 from .proofs import FIXTURES
 from .semantics import (ChainModel, Evaluation, SemanticsError, check_dat_axiom,
@@ -442,6 +442,10 @@ def main(argv=None) -> int:
         for path in args.load:
             ws.load(path)
         return args.fn(ws, args)
+    except TooLarge as exc:
+        # an enumeration refused over its budget
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except (UsageError, ChainError, OperatorError, SemanticsError,
             FormulaSyntaxError, UnknownProfile, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

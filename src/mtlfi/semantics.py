@@ -134,67 +134,71 @@ def evaluate(ev: Evaluation, f: Formula) -> Fraction:
 # Compiled evaluation on finite chains (index space, for search loops)
 
 def compile_finite(model: ChainModel, f: Formula, var_order: Sequence[str]):
-    """Compile a formula into a closure mapping an index tuple to an index."""
+    """Compile a formula into a closure mapping an index tuple to an index.
+
+    Every connective is one lookup in an index table of the chain (or of
+    the bound O and # operators).  A parent reads a Var child inline as
+    env[k] instead of calling a closure for it, and a constant subformula
+    is folded: a binary node with one constant side becomes a lookup in
+    that table's row or column.  An unbound O or # raises OperatorNotBound
+    here, also inside a constant subformula.
+    """
     chain: FiniteChain = model.chain
-    tn = chain._tnorm_i
-    rs = chain._res_i
-    ng = chain._neg_i
     top = chain.size - 1
     pos = {name: i for i, name in enumerate(var_order)}
-    cvec = None
+    binary = {And: chain._meet_i, Or: chain._join_i, Fuse: chain._tnorm_i,
+              Imp: chain._res_i, Iff: chain._iff_i}
+    unary = {Not: chain._neg_i, Delta: chain._delta_i, Circ: None, Bullet: None}
     if model.consistency is not None:
-        cvec = tuple(chain.index[v] for v in model.consistency.values)
-    bvec = None
+        unary[Circ] = tuple(chain.index[v] for v in model.consistency.values)
     if model.inconsistency is not None:
-        bvec = tuple(chain.index[model.inconsistency.value(x)]
-                     for x in chain.elements)
+        unary[Bullet] = tuple(chain.index[model.inconsistency.value(x)]
+                              for x in chain.elements)
+
+    def lookup(vec, child, g):
+        # vec[child's index], as a constant or a closure
+        if type(g) is int:
+            return vec[g]
+        if type(child) is Var:
+            k = pos[child.name]
+            return lambda env: vec[env[k]]
+        return lambda env: vec[g(env)]
 
     def build(node):
-        if isinstance(node, Var):
+        # the constant index of node, or a closure from env to its index
+        t = type(node)
+        if t is Var:
             k = pos[node.name]
             return lambda env: env[k]
-        if isinstance(node, Const):
-            c = top if node.value else 0
-            return lambda env: c
-        if isinstance(node, Not):
-            a = build(node.arg)
-            return lambda env: ng[a(env)]
-        if isinstance(node, Circ):
-            if cvec is None:
-                raise OperatorNotBound("the formula uses O but no operator is bound")
-            a = build(node.arg)
-            return lambda env: cvec[a(env)]
-        if isinstance(node, Bullet):
-            if bvec is None:
-                raise OperatorNotBound("the formula uses # but no operator is bound")
-            a = build(node.arg)
-            return lambda env: bvec[a(env)]
-        if isinstance(node, Delta):
-            a = build(node.arg)
-            return lambda env: top if a(env) == top else 0
-        if isinstance(node, And):
+        if t is Const:
+            return top if node.value else 0
+        if t in binary:
+            tab = binary[t]
             l, r = build(node.left), build(node.right)
-            return lambda env: min(l(env), r(env))
-        if isinstance(node, Or):
-            l, r = build(node.left), build(node.right)
-            return lambda env: max(l(env), r(env))
-        if isinstance(node, Fuse):
-            l, r = build(node.left), build(node.right)
-            return lambda env: tn[l(env)][r(env)]
-        if isinstance(node, Imp):
-            l, r = build(node.left), build(node.right)
-            return lambda env: rs[l(env)][r(env)]
-        if isinstance(node, Iff):
-            l, r = build(node.left), build(node.right)
+            if type(r) is int:
+                return lookup(tuple(row[r] for row in tab), node.left, l)
+            if type(l) is int:
+                return lookup(tab[l], node.right, r)
+            a = pos[node.left.name] if type(node.left) is Var else None
+            b = pos[node.right.name] if type(node.right) is Var else None
+            if a is not None and b is not None:
+                return lambda env: tab[env[a]][env[b]]
+            if a is not None:
+                return lambda env: tab[env[a]][r(env)]
+            if b is not None:
+                return lambda env: tab[l(env)][env[b]]
+            return lambda env: tab[l(env)][r(env)]
+        if t not in unary:
+            raise TypeError(f"not a formula node: {node!r}")
+        if unary[t] is None:
+            sym = "O" if t is Circ else "#"
+            raise OperatorNotBound(f"the formula uses {sym} but no operator is bound")
+        return lookup(unary[t], node.arg, build(node.arg))
 
-            def iff(env):
-                a, b = l(env), r(env)
-                return min(rs[a][b], rs[b][a])
-
-            return iff
-        raise TypeError(f"not a formula node: {node!r}")
-
-    return build(f)
+    out = build(f)
+    if type(out) is int:
+        return lambda env: out
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -240,13 +244,16 @@ def finite_scan(model: ChainModel, premises, conclusion, mode: str,
     the number of tuples looked at, and in degree mode the index of the
     least premise value at env (None in truth mode or when nothing fails).
     Every formula is compiled before the first tuple is looked at, so an
-    unbound O or # raises OperatorNotBound whatever envs holds.
+    unbound O or # raises OperatorNotBound whatever envs holds.  The
+    premises are compiled as one lattice conjunction, whose value is their
+    least value: truth mode tests it against the top, degree mode against
+    the conclusion.
     """
     top = model.chain.size - 1
-    prem_fns = [compile_finite(model, p, vars_) for p in premises]
+    prem = compile_finite(model, _conjoin(premises), vars_) if premises else None
     concl_fn = compile_finite(model, conclusion, vars_)
     checked = 0
-    if not prem_fns:
+    if prem is None:
         # both modes fail exactly where the conclusion is below the top,
         # and the empty minimum is the top
         witness = top if mode == "degree" else None
@@ -255,11 +262,11 @@ def finite_scan(model: ChainModel, premises, conclusion, mode: str,
                 return env, checked, witness
     elif mode == "truth":
         for checked, env in enumerate(envs, 1):
-            if all(fn(env) == top for fn in prem_fns) and concl_fn(env) != top:
+            if prem(env) == top and concl_fn(env) != top:
                 return env, checked, None
     else:
         for checked, env in enumerate(envs, 1):
-            a = min(fn(env) for fn in prem_fns)
+            a = prem(env)
             if a > concl_fn(env):
                 return env, checked, a
     return None, checked, None

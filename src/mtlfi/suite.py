@@ -449,10 +449,10 @@ CRITERIA = {
 
 
 # The order in which the worker pool is handed the criteria: longest first
-# (in one interpreter criterion 11 takes about 0.43 s, 1 about 0.33 s, 2, 5
-# and 12 about 0.15 s each, the rest under 0.08 s), so the short ones fill
-# in behind the long ones and the workers finish close together.
-_LONGEST_FIRST = (11, 1, 2, 5, 12, 9, 4, 6, 3, 10, 7, 8)
+# (in one interpreter criterion 1 takes about 0.27 s, 11 about 0.22 s, 2 and
+# 5 about 0.14 s each, 12 about 0.09 s, the rest under 0.08 s), so the short
+# ones fill in behind the long ones and the workers finish close together.
+_LONGEST_FIRST = (1, 11, 2, 5, 12, 9, 4, 6, 3, 10, 7, 8)
 
 
 def _usable_cpus() -> int:

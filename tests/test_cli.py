@@ -103,6 +103,19 @@ class TestOperatorCommands:
         assert code == 0
         assert out.splitlines() == ["count: 1", "1" + " 0" * 14 + " 1"]
 
+    @pytest.mark.parametrize("command", [
+        ["enum-ops"], ["validate-op", "--op", "auto"]])
+    def test_enumeration_over_budget_is_budget_exhausted(self, capsys,
+                                                         tmp_path, command):
+        # G12 has C(22, 10) = 352 716 operators, over ENUMERATION_BUDGET
+        path = tmp_path / "g12.chain"
+        path.write_text("chain G12\nkind: finite\nfamily: godel\nsize: 12\n")
+        code, out, err = run(capsys, *command, "--load", str(path),
+                             "--chain", "G12")
+        assert code == 2 and out == ""
+        assert err == ("error: 352716 operators exceed the budget "
+                       "of 100000\n")
+
     def test_validate_op_auto_on_w15(self, capsys):
         code, out, _ = run(capsys, "validate-op", "--chain", "W15", "--op", "auto")
         assert code == 0 and "equational verdict: valid" in out

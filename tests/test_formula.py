@@ -1,4 +1,5 @@
 import pickle
+from dataclasses import FrozenInstanceError, fields
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -209,3 +210,39 @@ def test_variables_and_subformulas():
     f = parse("p & q -> O p")
     assert variables(f) == {"p", "q"}
     assert parse("p & q") in list(subformulas(f))
+
+
+# --- slotted nodes -----------------------------------------------------------
+
+@given(formulas)
+@settings(max_examples=200, deadline=None)
+def test_slotted_nodes_stay_plain_values(f):
+    for node in subformulas(parse(render(f))):
+        assert not hasattr(node, "__dict__")
+        # a frozen dataclass hashes the tuple of its fields
+        assert hash(node) == hash(tuple(getattr(node, fld.name)
+                                        for fld in fields(node)))
+        name = fields(node)[0].name
+        with pytest.raises(FrozenInstanceError):
+            setattr(node, name, getattr(node, name))
+        # refused as well, though as a TypeError on Python 3.10-3.13: the
+        # frozen __setattr__ of a slotted dataclass names the class that
+        # dataclass() replaced
+        with pytest.raises((FrozenInstanceError, TypeError)):
+            node.extra = 1
+    back = pickle.loads(pickle.dumps(f))
+    assert type(back) is type(f)
+    for g in (back, parse(render(f))):
+        assert g == f and hash(g) == hash(f) and {g: 1}[f] == 1
+        assert normalize(g) == normalize(f)
+    s = schema("x -> y", {"x", "y"})
+    assert match_schema(s, Imp(back, f)) == {"x": f, "y": f}
+    assert match_schema(schema("x -> x", {"x"}), Imp(back, Not(f))) is None
+
+
+def test_equality_tells_node_types_apart():
+    assert And(p, q) != Or(p, q) and And(p, q) != Fuse(p, q)
+    assert Not(p) != Circ(p) and Bullet(p) != Delta(p)
+    assert Var("p") != Const(0) and Const(0) == ZERO != ONE
+    assert len({And(p, q), Or(p, q), Imp(p, q), Iff(p, q), And(p, q)}) == 4
+    assert pickle.loads(pickle.dumps(ZERO)) == ZERO

@@ -7,8 +7,10 @@ from hypothesis import given, settings, strategies as st
 
 from mtlfi import semantics
 from mtlfi.chain import FiniteChain, GODEL
-from mtlfi.formula import And, Circ, Fuse, Imp, Or, Var, parse, variables
-from mtlfi.operators import crisp_op, enumerate_ops, max_op, min_op, piecewise_op
+from mtlfi.formula import (ONE, ZERO, And, Bullet, Circ, Delta, Fuse, Iff,
+                           Imp, Not, Or, Var, parse, variables)
+from mtlfi.operators import (crisp_op, dual, enumerate_ops, max_op, min_op,
+                             piecewise_op)
 from mtlfi.semantics import (ChainModel, DatAxiomFails, Evaluation,
                              OperatorNotBound, SemanticsError,
                              TooManyVariables, UnboundVariable, bridge_check,
@@ -510,6 +512,114 @@ class TestFiniteScan:
         for _ in range(100):
             phi = random_formula(rng, ["p", "q", "r", "s"], 3)
             assert classical_taut(phi) is _reference_classical_taut(phi)
+
+
+# ---------------------------------------------------------------------------
+# The compiled closures against the Fraction tree walk, and the folded
+# premise scan against the loops it replaced
+
+_leaves = st.one_of(st.sampled_from(["p", "q", "r"]).map(Var),
+                    st.sampled_from([ZERO, ONE]))
+
+
+def _branch(kids):
+    pairs = st.tuples(kids, kids)
+    return st.one_of(*[kids.map(node) for node in (Not, Circ, Bullet, Delta)],
+                     *[pairs.map(lambda t, node=node: node(*t))
+                       for node in (And, Or, Fuse, Imp, Iff)])
+
+
+# every node type, with constants on either side of a binary node
+_formulas = st.recursive(_leaves, _branch, max_leaves=10)
+
+
+def _bound_model(chains, chain_name, op_pick):
+    """The chain with one of its enumerated operators and that operator's
+    dual bound."""
+    chain = chains[chain_name]
+    ops = enumerate_ops(chain)
+    op = ops[op_pick % len(ops)]
+    return ChainModel(chain_name, chain, op, dual(op))
+
+
+def _reference_finite_scan(model, premises, conclusion, mode, vars_, envs):
+    """finite_scan before its premises were folded into one closure: one
+    closure per premise, combined on each tuple by all(...) or min(...)."""
+    top = model.chain.size - 1
+    prem_fns = [compile_finite(model, p, vars_) for p in premises]
+    concl_fn = compile_finite(model, conclusion, vars_)
+    checked = 0
+    if not prem_fns:
+        witness = top if mode == "degree" else None
+        for checked, env in enumerate(envs, 1):
+            if concl_fn(env) != top:
+                return env, checked, witness
+    elif mode == "truth":
+        for checked, env in enumerate(envs, 1):
+            if all(fn(env) == top for fn in prem_fns) and concl_fn(env) != top:
+                return env, checked, None
+    else:
+        for checked, env in enumerate(envs, 1):
+            a = min(fn(env) for fn in prem_fns)
+            if a > concl_fn(env):
+                return env, checked, a
+    return None, checked, None
+
+
+class TestCompiledEvaluation:
+    @given(f=_formulas,
+           chain_name=st.sampled_from(["B2", "L3", "G5", "NM6", "W15", "L3G3"]),
+           op_pick=st.integers(min_value=0, max_value=50),
+           data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_closure_matches_the_fraction_walk(self, chains, f, chain_name,
+                                               op_pick, data):
+        model = _bound_model(chains, chain_name, op_pick)
+        chain = model.chain
+        names = data.draw(st.permutations(sorted(variables(f))))
+        fn = compile_finite(model, f, names)
+        for env in itertools.product(range(chain.size), repeat=len(names)):
+            ev = Evaluation(chain, {v: chain.elements[i]
+                                    for v, i in zip(names, env)},
+                            model.consistency, model.inconsistency)
+            assert fn(env) == chain.index[evaluate(ev, f)]
+
+    @pytest.mark.parametrize("chain_name",
+                             ["B2", "L3", "G5", "NM6", "W15", "L3G3"])
+    def test_every_child_shape(self, chains, chain_name):
+        # each connective over each pair of a variable, a constant and a
+        # compound child, with q at a position other than 0
+        model = _bound_model(chains, chain_name, 1)
+        chain = model.chain
+        kids = [Var("p"), Var("q"), ZERO, ONE, parse("~q"), parse("# p"),
+                parse("D (p & q)"), parse("O (q -> p)")]
+        shapes = [node(a) for node in (Not, Circ, Bullet, Delta) for a in kids]
+        shapes += [node(a, b) for node in (And, Or, Fuse, Imp, Iff)
+                   for a in kids for b in kids]
+        envs = list(itertools.product(range(chain.size), repeat=2))
+        for f in shapes:
+            fn = compile_finite(model, f, ["p", "q"])
+            for env in envs:
+                ev = Evaluation(chain, {"p": chain.elements[env[0]],
+                                        "q": chain.elements[env[1]]},
+                                model.consistency, model.inconsistency)
+                assert fn(env) == chain.index[evaluate(ev, f)], (f, env)
+
+    @given(premises=st.lists(_formulas, max_size=3), conclusion=_formulas,
+           chain_name=st.sampled_from(["B2", "L3", "G5", "NM6", "L3G3"]),
+           op_pick=st.integers(min_value=0, max_value=50),
+           mode=st.sampled_from(["truth", "degree"]))
+    @settings(max_examples=150, deadline=None)
+    def test_folded_premises_match_the_per_premise_loops(
+            self, chains, premises, conclusion, chain_name, op_pick, mode):
+        model = _bound_model(chains, chain_name, op_pick)
+        names = sorted(set().union(variables(conclusion),
+                                   *[variables(p) for p in premises]))
+        envs = list(itertools.product(range(model.chain.size),
+                                      repeat=len(names)))
+        assert finite_scan(model, premises, conclusion, mode, names, envs) \
+            == _reference_finite_scan(model, premises, conclusion, mode,
+                                      names, envs)
 
 
 class TestUnboundOperator:
