@@ -39,7 +39,8 @@ from typing import Iterable, Optional, Sequence
 __all__ = [
     "Rat", "rat", "ChainError", "OutOfCarrier", "TableNotTnorm",
     "NegationNotDecreasing", "SizeMismatch", "GapOrOverlap",
-    "NonRationalEndpoint", "NotAFilter", "LUKASIEWICZ", "GODEL", "PRODUCT",
+    "NonRationalEndpoint", "NotAFilter", "ChainSpecError", "LUKASIEWICZ",
+    "GODEL", "PRODUCT",
     "Component", "NSet", "FiniteChain", "StandardChain", "Chain",
     "validate_mtl_laws", "is_filter", "upward_filter", "quotient_by_filter",
     "parse_chain_file", "builtin_chains",
@@ -54,10 +55,11 @@ def rat(x) -> Fraction:
     """Coerce ints and 'p/q' strings to an exact rational."""
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
-        return Fraction(x)
+    if isinstance(x, (int, str)):
+        try:
+            return Fraction(x)
+        except (ValueError, ZeroDivisionError):  # a malformed or n/0 string
+            pass
     raise NonRationalEndpoint(f"not an exact rational: {x!r}")
 
 
@@ -103,6 +105,10 @@ class NotAFilter(ChainError):
     pass
 
 
+class ChainSpecError(ChainError, ValueError):
+    """A malformed chain file, or an unknown family."""
+
+
 LUKASIEWICZ = "lukasiewicz"
 GODEL = "godel"
 PRODUCT = "product"
@@ -116,7 +122,7 @@ class Component:
 
     def __post_init__(self):
         if self.family not in (LUKASIEWICZ, GODEL, PRODUCT):
-            raise ValueError(f"unknown component family {self.family!r}")
+            raise ChainSpecError(f"unknown component family {self.family!r}")
         if not (isinstance(self.lo, Fraction) and isinstance(self.hi, Fraction)):
             raise NonRationalEndpoint(f"endpoints must be rational: {self.lo}, {self.hi}")
         if not self.lo < self.hi:
@@ -230,7 +236,7 @@ def _family_table(family: str, n: int) -> list:
         return [[max(0, i + j - top) for j in range(n)] for i in range(n)]
     if family == GODEL:
         return [[min(i, j) for j in range(n)] for i in range(n)]
-    raise ValueError(f"no finite table family {family!r}")
+    raise ChainSpecError(f"no finite table family {family!r}")
 
 
 class FiniteChain:
@@ -737,7 +743,7 @@ def parse_chain_file(text: str):
             name = ln[len("chain "):].strip()
             continue
         if ":" not in ln:
-            raise ValueError(f"malformed chain file line: {ln!r}")
+            raise ChainSpecError(f"malformed chain file line: {ln!r}")
         key, _, value = ln.partition(":")
         key, value = key.strip(), value.strip()
         if key == "kind":
@@ -745,6 +751,8 @@ def parse_chain_file(text: str):
         elif key == "family":
             family = value
         elif key == "size":
+            if not value.isdecimal():
+                raise ChainSpecError(f"size must be a natural number, not {value!r}")
             size = int(value)
         elif key == "negation":
             negation = _parse_rationals(value)
@@ -754,7 +762,11 @@ def parse_chain_file(text: str):
                 part = part.strip()
                 if not part:
                     continue
-                fam, lo, hi = part.split()
+                fields = part.split()
+                if len(fields) != 3:
+                    raise ChainSpecError(f"a component is '<family> <lo> <hi>', "
+                                         f"not {part!r}")
+                fam, lo, hi = fields
                 components.append((fam, rat(lo), rat(hi)))
         elif key == "table":
             table_rows = []
@@ -764,22 +776,22 @@ def parse_chain_file(text: str):
                 table_rows.append(_parse_rationals(lines[i]))
                 i += 1
         else:
-            raise ValueError(f"unknown chain file key {key!r}")
+            raise ChainSpecError(f"unknown chain file key {key!r}")
     if not name:
-        raise ValueError("chain file must start with 'chain <name>'")
+        raise ChainSpecError("chain file must start with 'chain <name>'")
     if kind == "standard":
         if not components:
-            raise ValueError("standard chains need a components line")
+            raise ChainSpecError("standard chains need a components line")
         return name, StandardChain(components, name=name)
     if kind != "finite":
-        raise ValueError("kind must be finite or standard")
+        raise ChainSpecError("kind must be finite or standard")
     if negation is not None:
         return name, FiniteChain.from_negation(negation, name=name)
     if table_rows is not None:
         return name, FiniteChain.from_values_table(table_rows, name=name)
     if family and size:
         return name, FiniteChain.from_family(family, size, name=name)
-    raise ValueError("finite chains need family+size, a table or a negation")
+    raise ChainSpecError("finite chains need family+size, a table or a negation")
 
 
 # ---------------------------------------------------------------------------

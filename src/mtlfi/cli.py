@@ -12,7 +12,7 @@ import sys
 from .chain import (ChainError, NotAFilter, OutOfCarrier, builtin_chains,
                     parse_chain_file, quotient_by_filter, rat, upward_filter)
 from .formula import FormulaSyntaxError, parse, render
-from .hilbert import parse_proof, verify_proof
+from .hilbert import HilbertError, parse_proof, verify_proof
 from .operators import (OperatorError, TooLarge, crisp_op, dual, enumerate_ops,
                         max_op, min_op, op_from_delta, parse_op_file,
                         validate_algebraic, validate_bullet, validate_c)
@@ -447,7 +447,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (UsageError, ChainError, OperatorError, SemanticsError,
-            FormulaSyntaxError, UnknownProfile, ValueError) as exc:
+            HilbertError, FormulaSyntaxError, UnknownProfile) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

@@ -22,12 +22,21 @@ import itertools
 
 __all__ = [
     "ProofLine", "ProofScript", "VerificationResult", "parse_proof",
-    "verify_proof", "ChainProfileMismatch", "validate_pairing",
+    "verify_proof", "HilbertError", "ProofSyntaxError", "ChainProfileMismatch",
+    "validate_pairing",
     "SoundnessReport", "soundness_bridge", "axiom_holds_on", "rule_sound_on",
 ]
 
 
-class ChainProfileMismatch(Exception):
+class HilbertError(Exception):
+    pass
+
+
+class ProofSyntaxError(HilbertError, ValueError):
+    """A malformed proof script."""
+
+
+class ChainProfileMismatch(HilbertError):
     pass
 
 
@@ -84,32 +93,35 @@ def parse_proof(text: str) -> ProofScript:
             name, profile_name = name.strip(), profile_name.strip()
             continue
         head, dot, rest = raw.partition(".")
-        if not dot or not head.strip().isdigit():
-            raise ValueError(f"malformed proof line: {raw!r}")
+        if not dot or not head.strip().isdecimal():
+            raise ProofSyntaxError(f"malformed proof line: {raw!r}")
         number = int(head)
         body, bar, just_text = rest.partition("|")
         if not bar:
-            raise ValueError(f"line {number} lacks a justification")
+            raise ProofSyntaxError(f"line {number} lacks a justification")
         formula = parse(body.strip())
         tokens = just_text.split()
         if not tokens:
-            raise ValueError(f"line {number} has an empty justification")
+            raise ProofSyntaxError(f"line {number} has an empty justification")
         kind = tokens[0]
+        # the line numbers a premise, mp or rule justification refers to
+        numeric = all(t.isdecimal() for t in tokens[2 if kind == "rule" else 1:])
         if kind == "axiom" and len(tokens) == 2:
             just = ("axiom", tokens[1])
-        elif kind == "premise" and len(tokens) == 2:
+        elif kind == "premise" and len(tokens) == 2 and numeric:
             just = ("premise", int(tokens[1]))
-        elif kind == "mp" and len(tokens) == 3:
+        elif kind == "mp" and len(tokens) == 3 and numeric:
             just = ("mp", int(tokens[1]), int(tokens[2]))
-        elif kind == "rule" and len(tokens) >= 3:
+        elif kind == "rule" and len(tokens) >= 3 and numeric:
             just = ("rule", tokens[1], tuple(int(t) for t in tokens[2:]))
         elif kind == "thm" and len(tokens) == 2:
             just = ("thm", tokens[1])
         else:
-            raise ValueError(f"line {number}: bad justification {just_text.strip()!r}")
+            raise ProofSyntaxError(f"line {number}: bad justification "
+                                   f"{just_text.strip()!r}")
         lines.append(ProofLine(number, formula, just))
     if not profile_name:
-        raise ValueError("proof file must start with 'proof <name> in <profile>'")
+        raise ProofSyntaxError("proof file must start with 'proof <name> in <profile>'")
     return ProofScript(name, profile_name, lines)
 
 

@@ -19,6 +19,7 @@ from .chain import FiniteChain, OutOfCarrier, rat
 __all__ = [
     "OperatorError", "HostMismatch", "ThresholdOutsideN", "BreakpointOutsideN",
     "NotNondecreasing", "TooLarge", "StandardChainUnsupported",
+    "OperatorSpecError",
     "ValidationReport", "ConsistencyOp", "InconsistencyOp",
     "table_op", "min_op", "max_op", "crisp_op", "piecewise_op",
     "enumerate_ops", "validate_c", "validate_algebraic", "dual",
@@ -57,6 +58,10 @@ class TooLarge(OperatorError):
 
 class StandardChainUnsupported(OperatorError):
     pass
+
+
+class OperatorSpecError(OperatorError, ValueError):
+    """A malformed operator file or interpolation name."""
 
 
 @dataclass(frozen=True)
@@ -282,7 +287,7 @@ def piecewise_op(chain, breakpoints: Sequence, interpolation: str = "linear",
     """Non-decreasing profile over the zero-negation region given by
     breakpoints (x, value); 0 on the contradictory region, 1 at the bounds."""
     if interpolation not in ("linear", "step"):
-        raise ValueError("interpolation must be linear or step")
+        raise OperatorSpecError("interpolation must be linear or step")
     bps = sorted((rat(x), rat(v)) for x, v in breakpoints)
     nset = chain.n_set()
     for x, v in bps:
@@ -544,7 +549,7 @@ def parse_op_file(text: str, chains: dict):
             name, _, chain_name = rest.partition(" on ")
             name, chain_name = name.strip(), chain_name.strip()
             if chain_name not in chains:
-                raise ValueError(f"unknown chain {chain_name!r}")
+                raise OperatorSpecError(f"unknown chain {chain_name!r}")
             host = chains[chain_name]
             continue
         key, _, value = ln.partition(":")
@@ -569,9 +574,13 @@ def parse_op_file(text: str, chains: dict):
         elif key == "values":
             params["values"] = [rat(tok) for tok in value.split()]
         else:
-            raise ValueError(f"unknown operator file key {key!r}")
+            raise OperatorSpecError(f"unknown operator file key {key!r}")
     if host is None:
-        raise ValueError("operator file must start with 'op <name> on <chain>'")
+        raise OperatorSpecError("operator file must start with 'op <name> on <chain>'")
+    needs = {"crisp": "threshold", "piecewise": "breakpoints",
+             "table": "values"}.get(kind)
+    if needs is not None and needs not in params:
+        raise OperatorSpecError(f"{kind} operators need a {needs} line")
     if kind == "min":
         op = min_op(host)
     elif kind == "max":
@@ -584,6 +593,6 @@ def parse_op_file(text: str, chains: dict):
     elif kind == "table":
         op = table_op(host, params["values"])
     else:
-        raise ValueError(f"unknown operator kind {kind!r}")
+        raise OperatorSpecError(f"unknown operator kind {kind!r}")
     op.name = name or op.name
     return name, op

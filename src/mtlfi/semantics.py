@@ -7,12 +7,15 @@ conclusion).  On a chain the degree condition collapses to comparing the
 conclusion against the minimum of the premise values, which is what the
 search uses.
 
-Finite chains are searched exhaustively up to FINITE_VAR_CAP variables, so
-holds/fails verdicts there are exact; above the cap SAMPLING_BUDGET seeded
-samples are checked, a countermodel found is exact and a clean run is
-reported as unknown.  Standard chains are searched on a rational grid: a
-countermodel found there is a certified failure (all arithmetic is exact),
-while a clean scan is reported as unknown unless the query has no variables.
+Every search runs one loop, finite_scan, over index tuples: into a finite
+chain's elements, or into a standard chain's sorted rational grid points.
+The formulas are compiled once (compile_finite, compile_standard), and an
+unbound O or # raises before any tuple is checked.  The tuples are every
+combination up to FINITE_VAR_CAP (finite) or STANDARD_VAR_CAP (standard)
+variables, and above the cap SAMPLING_BUDGET draws from one seeded sampler.
+Finite exhaustive verdicts are exact.  A countermodel is always a certified
+failure (all arithmetic is exact); any other clean scan is unknown, except
+a standard-chain query without variables, which holds.
 """
 
 from __future__ import annotations
@@ -25,15 +28,15 @@ from typing import Iterable, Optional, Sequence
 
 from .chain import GODEL, FiniteChain, rat
 from .formula import (And, Bullet, Circ, Const, Delta, Formula, Fuse, Iff,
-                      Imp, Not, Or, Var, ONE, power, subformulas, variables)
+                      Imp, Not, Or, Var, ONE, power, variables)
 from .operators import (ConsistencyOp, HostMismatch, InconsistencyOp,
                         validate_c)
 
 __all__ = [
     "SemanticsError", "UnboundVariable", "OperatorNotBound",
-    "TooManyVariables", "DatAxiomFails", "ChainModel", "Evaluation",
-    "evaluate", "finite_scan", "ConsequenceResult", "truth_consequence",
-    "degree_consequence",
+    "TooManyVariables", "DatAxiomFails", "NotClassical", "ChainModel",
+    "Evaluation", "evaluate", "finite_scan", "ConsequenceResult",
+    "truth_consequence", "degree_consequence",
     "LfiReport", "check_lfi", "PropagationResult", "check_propagation",
     "DatResult", "check_dat_axiom", "PdatResult", "pdat_search",
     "classical_taut", "bridge_check", "deduction_power_bound",
@@ -68,6 +71,10 @@ class DatAxiomFails(SemanticsError):
     pass
 
 
+class NotClassical(SemanticsError, ValueError):
+    """A goal outside the classical fragment."""
+
+
 @dataclass
 class ChainModel:
     """A chain together with optional consistency/inconsistency bindings."""
@@ -94,6 +101,16 @@ class Evaluation:
     inconsistency: Optional[InconsistencyOp] = None
 
 
+def _operator(ev, t):
+    """The operator that ev (an Evaluation or a ChainModel) binds for the
+    node type t, Circ (O) or Bullet (#)."""
+    op = ev.consistency if t is Circ else ev.inconsistency
+    if op is None:
+        sym = "O" if t is Circ else "#"
+        raise OperatorNotBound(f"the formula uses {sym} but no operator is bound")
+    return op
+
+
 def evaluate(ev: Evaluation, f: Formula) -> Fraction:
     """Homomorphic extension of the assignment; exact rational output."""
     chain = ev.chain
@@ -106,14 +123,8 @@ def evaluate(ev: Evaluation, f: Formula) -> Fraction:
         return _ONE if f.value else _ZERO
     if isinstance(f, Not):
         return chain.negation(evaluate(ev, f.arg))
-    if isinstance(f, Circ):
-        if ev.consistency is None:
-            raise OperatorNotBound("the formula uses O but no operator is bound")
-        return ev.consistency.value(evaluate(ev, f.arg))
-    if isinstance(f, Bullet):
-        if ev.inconsistency is None:
-            raise OperatorNotBound("the formula uses # but no operator is bound")
-        return ev.inconsistency.value(evaluate(ev, f.arg))
+    if isinstance(f, (Circ, Bullet)):
+        return _operator(ev, type(f)).value(evaluate(ev, f.arg))
     if isinstance(f, Delta):
         return chain.delta(evaluate(ev, f.arg))
     if isinstance(f, And):
@@ -131,7 +142,7 @@ def evaluate(ev: Evaluation, f: Formula) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# Compiled evaluation on finite chains (index space, for search loops)
+# Compiled evaluation over index tuples (for the search loop)
 
 def compile_finite(model: ChainModel, f: Formula, var_order: Sequence[str]):
     """Compile a formula into a closure mapping an index tuple to an index.
@@ -148,12 +159,7 @@ def compile_finite(model: ChainModel, f: Formula, var_order: Sequence[str]):
     pos = {name: i for i, name in enumerate(var_order)}
     binary = {And: chain._meet_i, Or: chain._join_i, Fuse: chain._tnorm_i,
               Imp: chain._res_i, Iff: chain._iff_i}
-    unary = {Not: chain._neg_i, Delta: chain._delta_i, Circ: None, Bullet: None}
-    if model.consistency is not None:
-        unary[Circ] = tuple(chain.index[v] for v in model.consistency.values)
-    if model.inconsistency is not None:
-        unary[Bullet] = tuple(chain.index[model.inconsistency.value(x)]
-                              for x in chain.elements)
+    unary = {Not: chain._neg_i, Delta: chain._delta_i}
 
     def lookup(vec, child, g):
         # vec[child's index], as a constant or a closure
@@ -188,17 +194,57 @@ def compile_finite(model: ChainModel, f: Formula, var_order: Sequence[str]):
             if b is not None:
                 return lambda env: tab[l(env)][env[b]]
             return lambda env: tab[l(env)][r(env)]
+        if (t is Circ or t is Bullet) and t not in unary:
+            op = _operator(model, t)
+            unary[t] = tuple(chain.index[op.value(x)] for x in chain.elements)
         if t not in unary:
             raise TypeError(f"not a formula node: {node!r}")
-        if unary[t] is None:
-            sym = "O" if t is Circ else "#"
-            raise OperatorNotBound(f"the formula uses {sym} but no operator is bound")
         return lookup(unary[t], node.arg, build(node.arg))
 
     out = build(f)
     if type(out) is int:
         return lambda env: out
     return out
+
+
+def compile_standard(model: ChainModel, f: Formula, var_order: Sequence[str],
+                     points: Sequence[Fraction]):
+    """Compile a formula on a standard chain into a closure mapping an index
+    tuple to the formula's exact value.
+
+    A Var reads points[env[k]]; every connective calls the chain's exact
+    arithmetic (or min, max, or the bound O and # operators) on its
+    children's values, as evaluate does.  An unbound O or # raises
+    OperatorNotBound here.
+    """
+    chain = model.chain
+    pos = {name: i for i, name in enumerate(var_order)}
+    res = chain.residuum
+    binary = {And: min, Or: max, Fuse: chain.tnorm, Imp: res,
+              Iff: lambda x, y: min(res(x, y), res(y, x))}
+    unary = {Not: chain.negation, Delta: chain.delta}
+
+    def build(node):
+        t = type(node)
+        if t is Var:
+            k = pos[node.name]
+            return lambda env: points[env[k]]
+        if t is Const:
+            v = _ONE if node.value else _ZERO
+            return lambda env: v
+        if t in binary:
+            op, l, r = binary[t], build(node.left), build(node.right)
+            return lambda env: op(l(env), r(env))
+        if t is Circ or t is Bullet:
+            op = _operator(model, t).value
+        elif t in unary:
+            op = unary[t]
+        else:
+            raise TypeError(f"not a formula node: {node!r}")
+        g = build(node.arg)
+        return lambda env: op(g(env))
+
+    return build(f)
 
 
 # ---------------------------------------------------------------------------
@@ -229,29 +275,27 @@ class ConsequenceResult:
         return out
 
 
-def _models_list(models) -> list:
-    if isinstance(models, ChainModel):
-        return [models]
-    return list(models)
-
-
 def finite_scan(model: ChainModel, premises, conclusion, mode: str,
-                vars_: Sequence[str], envs):
+                vars_: Sequence[str], envs, points=None):
     """Walk the index tuples envs (positions as in vars_) in order and stop
-    at the first countermodel.
+    at the first countermodel; the one loop of every countermodel search.
 
-    Returns (env, checked, witness): the first failing index tuple or None,
-    the number of tuples looked at, and in degree mode the index of the
-    least premise value at env (None in truth mode or when nothing fails).
-    Every formula is compiled before the first tuple is looked at, so an
-    unbound O or # raises OperatorNotBound whatever envs holds.  The
-    premises are compiled as one lattice conjunction, whose value is their
-    least value: truth mode tests it against the top, degree mode against
-    the conclusion.
+    An index names an element of a finite chain (compile_finite) or one of
+    points on a standard chain (compile_standard).  Returns (env, checked,
+    witness): the first failing tuple or None, the number of tuples looked
+    at, and in degree mode the least premise value at env, as an element
+    index or a value (else None).  Every formula is compiled first, so an
+    unbound O or # raises whatever envs holds.  The premises are compiled
+    as one lattice conjunction, their least value: truth mode tests it
+    against the top, degree mode against the conclusion.
     """
-    top = model.chain.size - 1
-    prem = compile_finite(model, _conjoin(premises), vars_) if premises else None
-    concl_fn = compile_finite(model, conclusion, vars_)
+    if model.chain.is_finite:
+        top, compile_, extra = model.chain.size - 1, compile_finite, ()
+    else:
+        top, compile_, extra = _ONE, compile_standard, (points,)
+    prem = (compile_(model, _conjoin(premises), vars_, *extra)
+            if premises else None)
+    concl_fn = compile_(model, conclusion, vars_, *extra)
     checked = 0
     if prem is None:
         # both modes fail exactly where the conclusion is below the top,
@@ -272,122 +316,88 @@ def finite_scan(model: ChainModel, premises, conclusion, mode: str,
     return None, checked, None
 
 
-def _finite_search(model: ChainModel, premises, conclusion, mode: str):
-    """Exhaustive up to FINITE_VAR_CAP variables; above it, SAMPLING_BUDGET
-    assignments drawn from Random(0), each variable (in sorted order) by
-    randrange(size), which draws as choice(chain.elements) does."""
-    chain = model.chain
-    vars_ = sorted(set().union(variables(conclusion),
-                               *[variables(p) for p in premises]))
-    n, k = chain.size, len(vars_)
-    exhaustive = k <= FINITE_VAR_CAP
-    if exhaustive:
-        envs = itertools.product(range(n), repeat=k)
-    else:
-        draw = random.Random(0).randrange
-        envs = (tuple(map(draw, itertools.repeat(n, k)))
-                for _ in range(SAMPLING_BUDGET))
+def _points(chain, ops, grid_denominator: int):
+    """The values a pointwise scan visits: a finite chain's elements, or a
+    standard chain's grid points joined with the critical points of the
+    bound operators among ops."""
+    if chain.is_finite:
+        return chain.elements
+    extra = [x for op in ops if op is not None for x in op.critical_points()]
+    return chain.sample_points(grid_denominator, extra=extra)
+
+
+def _search_vars(premises, conclusion) -> list:
+    return sorted(set().union(variables(conclusion),
+                              *[variables(p) for p in premises]))
+
+
+def _scan_result(model: ChainModel, premises, conclusion, mode: str, vars_,
+                 points, envs, clean: str, grid_denominator) -> ConsequenceResult:
+    """finite_scan over envs as a ConsequenceResult: verdict clean when no
+    tuple fails, else the countermodel with its values read from points."""
     env, checked, witness = finite_scan(model, premises, conclusion, mode,
-                                        vars_, envs)
+                                        vars_, envs, points)
     if env is None:
-        return ConsequenceResult("holds" if exhaustive else "unknown", mode,
-                                 model.name, checked=checked)
-    assignment = {v: chain.elements[i] for v, i in zip(vars_, env)}
-    if witness is not None:
-        witness = chain.elements[witness]
-    return ConsequenceResult("fails", mode, model.name, assignment,
-                             witness=witness, checked=checked)
+        return ConsequenceResult(clean, mode, model.name,
+                                 grid_denominator=grid_denominator,
+                                 checked=checked)
+    if witness is not None and model.chain.is_finite:
+        witness = points[witness]
+    return ConsequenceResult("fails", mode, model.name,
+                             {v: points[i] for v, i in zip(vars_, env)},
+                             witness, grid_denominator, checked)
 
 
-def _require_operators(model: ChainModel, formulas) -> None:
-    """Raise OperatorNotBound, with the messages of evaluate, when a formula
-    uses O or # and the model binds no such operator."""
-    for f in formulas:
-        for node in subformulas(f):
-            if isinstance(node, Circ) and model.consistency is None:
-                raise OperatorNotBound("the formula uses O but no operator is bound")
-            if isinstance(node, Bullet) and model.inconsistency is None:
-                raise OperatorNotBound("the formula uses # but no operator is bound")
+def _product_search(model: ChainModel, premises, conclusion, mode: str,
+                    points, cap: int, grid_denominator):
+    """Every tuple of points up to cap variables, _sampled_search above it.
+    A clean scan holds on a finite chain or without variables, and is
+    unknown on a standard chain's grid otherwise."""
+    vars_ = _search_vars(premises, conclusion)
+    if len(vars_) > cap:
+        return _sampled_search(model, premises, conclusion, mode, points,
+                               grid_denominator)
+    envs = itertools.product(range(len(points)), repeat=len(vars_))
+    clean = "holds" if model.chain.is_finite or not vars_ else "unknown"
+    return _scan_result(model, premises, conclusion, mode, vars_, points,
+                        envs, clean, grid_denominator)
+
+
+def _finite_search(model: ChainModel, premises, conclusion, mode: str):
+    return _product_search(model, premises, conclusion, mode,
+                           model.chain.elements, FINITE_VAR_CAP, None)
 
 
 def _standard_search(model: ChainModel, premises, conclusion, mode: str,
                      grid_denominator: int):
-    chain = model.chain
-    vars_ = sorted(set().union(variables(conclusion),
-                               *[variables(p) for p in premises]))
-    # checked up front, as compile_finite does on finite chains: the scan
-    # below evaluates lazily and may never reach an unbound operator
-    _require_operators(model, [*premises, conclusion])
-    extra = []
-    for op in (model.consistency, model.inconsistency):
-        if op is not None:
-            extra.extend(op.critical_points())
-    points = chain.sample_points(grid_denominator, extra=extra)
-    if len(vars_) > STANDARD_VAR_CAP:
-        return _sampled_search(model, premises, conclusion, mode, points,
-                               grid_denominator)
-    checked = 0
-    for combo in itertools.product(points, repeat=len(vars_)):
-        checked += 1
-        assignment = dict(zip(vars_, combo))
-        ev = Evaluation(chain, assignment, model.consistency, model.inconsistency)
-        if mode == "truth":
-            if all(evaluate(ev, p) == _ONE for p in premises) \
-                    and evaluate(ev, conclusion) != _ONE:
-                return ConsequenceResult("fails", mode, model.name, assignment,
-                                         grid_denominator=grid_denominator,
-                                         checked=checked)
-        else:
-            vals = [evaluate(ev, p) for p in premises]
-            a = min(vals) if vals else _ONE
-            if a > evaluate(ev, conclusion):
-                return ConsequenceResult("fails", mode, model.name, assignment,
-                                         witness=a,
-                                         grid_denominator=grid_denominator,
-                                         checked=checked)
-    verdict = "holds" if not vars_ else "unknown"
-    return ConsequenceResult(verdict, mode, model.name,
-                             grid_denominator=grid_denominator, checked=checked)
+    points = _points(model.chain, (model.consistency, model.inconsistency),
+                     grid_denominator)
+    return _product_search(model, premises, conclusion, mode, points,
+                           STANDARD_VAR_CAP, grid_denominator)
 
 
 def _sampled_search(model: ChainModel, premises, conclusion, mode: str,
-                    points, grid_denominator: int):
-    """Randomized fallback above STANDARD_VAR_CAP on a standard chain's grid
-    points; deterministic seed."""
-    chain = model.chain
-    vars_ = sorted(set().union(variables(conclusion),
-                               *[variables(p) for p in premises]))
-    rng = random.Random(0)
-    checked = 0
-    for _ in range(SAMPLING_BUDGET):
-        checked += 1
-        assignment = {v: rng.choice(points) for v in vars_}
-        ev = Evaluation(chain, assignment, model.consistency, model.inconsistency)
-        if mode == "truth":
-            bad = all(evaluate(ev, p) == _ONE for p in premises) \
-                and evaluate(ev, conclusion) != _ONE
-            a = None
-        else:
-            vals = [evaluate(ev, p) for p in premises]
-            a = min(vals) if vals else _ONE
-            bad = a > evaluate(ev, conclusion)
-        if bad:
-            return ConsequenceResult("fails", mode, model.name, assignment,
-                                     witness=a,
-                                     grid_denominator=grid_denominator,
-                                     checked=checked)
-    return ConsequenceResult("unknown", mode, model.name,
-                             grid_denominator=grid_denominator, checked=checked)
+                    points, grid_denominator):
+    """The fallback above the variable caps: SAMPLING_BUDGET index tuples
+    into points drawn from Random(0), each variable (in sorted order) by
+    randrange(len(points)), which draws as choice(points) does.  A clean
+    run is unknown."""
+    vars_ = _search_vars(premises, conclusion)
+    n, k = len(points), len(vars_)
+    draw = random.Random(0).randrange
+    envs = (tuple(map(draw, itertools.repeat(n, k)))
+            for _ in range(SAMPLING_BUDGET))
+    return _scan_result(model, premises, conclusion, mode, vars_, points,
+                        envs, "unknown", grid_denominator)
 
 
 def _consequence(models, premises, conclusion, mode: str, grid_denominator: int):
-    models = _models_list(models)
+    models = [models] if isinstance(models, ChainModel) else list(models)
     if not models:
         raise SemanticsError("consequence needs at least one model to check")
     premises = list(premises)
-    best_unknown = None
-    total = 0
-    last = None
+    # the first failure, else the last unknown, else the last result
+    out, total = None, 0
     for model in models:
         if model.chain.is_finite:
             res = _finite_search(model, premises, conclusion, mode)
@@ -395,17 +405,12 @@ def _consequence(models, premises, conclusion, mode: str, grid_denominator: int)
             res = _standard_search(model, premises, conclusion, mode,
                                    grid_denominator)
         total += res.checked
-        last = res
+        if out is None or out.verdict == "holds" or res.verdict != "holds":
+            out = res
         if res.verdict == "fails":
-            res.checked = total
-            return res
-        if res.verdict == "unknown":
-            best_unknown = res
-    if best_unknown is not None:
-        best_unknown.checked = total
-        return best_unknown
-    last.checked = total
-    return last
+            break
+    out.checked = total
+    return out
 
 
 def truth_consequence(models, premises: Iterable[Formula], conclusion: Formula,
@@ -465,33 +470,17 @@ def check_lfi(model: ChainModel, grid_denominator: int = 60) -> LfiReport:
     }
     for key, premises in groups.items():
         res = degree_consequence([model], premises, q, grid_denominator)
-        if res.verdict == "fails":
-            report.clauses[key] = LfiClause(True, res.assignment, res.witness)
-        elif res.verdict == "holds":
-            report.clauses[key] = LfiClause(False)
-        else:
-            report.clauses[key] = LfiClause(None)
+        # a countermodel passes the clause; only unknown leaves it open
+        passed = {"fails": True, "holds": False}.get(res.verdict)
+        report.clauses[key] = LfiClause(passed, res.assignment, res.witness)
     chain = model.chain
-    if chain.is_finite:
-        ok = True
-        witness = None
-        for x in chain.elements:
-            if min(op.value(x), x, chain.negation(x)) != _ZERO:
-                ok, witness = False, x
-                break
-        report.clauses["iv"] = LfiClause(ok, witness=witness)
+    witness = next((x for x in _points(chain, (op,), grid_denominator)
+                    if min(op.value(x), x, chain.negation(x)) != _ZERO), None)
+    if witness is None and not chain.is_finite and not validate_c(chain, op).valid:
+        # a clean grid proves the law only for a validated operator
+        report.clauses["iv"] = LfiClause(None)
     else:
-        ok = True
-        witness = None
-        for x in chain.sample_points(grid_denominator,
-                                     extra=op.critical_points()):
-            if min(op.value(x), x, chain.negation(x)) != _ZERO:
-                ok, witness = False, x
-                break
-        if ok and not validate_c(chain, op).valid:
-            report.clauses["iv"] = LfiClause(None)
-        else:
-            report.clauses["iv"] = LfiClause(ok, witness=witness)
+        report.clauses["iv"] = LfiClause(witness is None, witness=witness)
     return report
 
 
@@ -507,16 +496,6 @@ class PropagationResult:
     pair: Optional[tuple] = None
     value: Optional[Fraction] = None  # value of the implication at the pair
     checked: int = 0
-
-
-def _combine(chain, token: str, x, y):
-    if token == "/\\":
-        return min(x, y)
-    if token == "&":
-        return chain.tnorm(x, y)
-    if token == "->":
-        return chain.residuum(x, y)
-    raise ValueError(f"unknown connective {token!r}")
 
 
 def check_propagation(model: ChainModel, connective: str,
@@ -539,20 +518,16 @@ def check_propagation(model: ChainModel, connective: str,
     if connective == "0":
         ok = op.value(_ZERO) == _ONE
         return PropagationResult(ok, None if ok else (_ZERO,), checked=1)
-    if chain.is_finite:
-        points = chain.elements
-    else:
-        points = chain.sample_points(grid_denominator,
-                                     extra=op.critical_points())
+    points = _points(chain, (op,), grid_denominator)
     checked = 0
     if connective == "~":
-        for x in points:
-            checked += 1
+        for checked, x in enumerate(points, 1):
             lhs, rhs = op.value(x), op.value(chain.negation(x))
             if lhs > rhs:
                 return PropagationResult(False, (x,), chain.residuum(lhs, rhs),
                                          checked=checked)
     else:
+        combine = {"/\\": min, "&": chain.tnorm, "->": chain.residuum}[connective]
         for x in points:
             ox = op.value(x)
             if ox == _ZERO:
@@ -561,14 +536,12 @@ def check_propagation(model: ChainModel, connective: str,
             for y in points:
                 checked += 1
                 lhs = min(ox, op.value(y))
-                rhs = op.value(_combine(chain, connective, x, y))
+                rhs = op.value(combine(x, y))
                 if lhs > rhs:
                     return PropagationResult(False, (x, y),
                                              chain.residuum(lhs, rhs),
                                              checked=checked)
-    if chain.is_finite:
-        return PropagationResult(True, checked=checked)
-    if connective == "/\\":
+    if chain.is_finite or connective == "/\\":
         return PropagationResult(True, checked=checked)
     if connective in ("->", "~"):
         ok = validate_c(chain, op).valid
@@ -623,15 +596,10 @@ def check_dat_axiom(model: ChainModel, grid_denominator: int = 60) -> DatResult:
             extra.append(nset.infimum())
             extra.append((nset.infimum() + 1) / 2)
         points = chain.sample_points(grid_denominator, extra=extra)
-    checked = 0
-    for x in points:
-        checked += 1
+    for checked, x in enumerate(points, 1):
         if op.value(x) > max(x, chain.negation(x)):
             return DatResult(False, x, checked)
-    return DatResult(True, checked=checked)
-
-
-_CLASSICAL_NODES = (Var, Const, Not, And, Or, Imp, Fuse)
+    return DatResult(True, checked=len(points))
 
 
 def _classical_language(f: Formula) -> bool:
@@ -664,17 +632,12 @@ def pdat_search(model: ChainModel, phi: Formula, k_max: int = 8,
     certainty 'grid'.
     """
     if not _classical_language(phi):
-        raise ValueError("the goal must use only classical connectives")
+        raise NotClassical("the goal must use only classical connectives")
     dat = check_dat_axiom(model, grid_denominator)
     if not dat.holds:
         raise DatAxiomFails(f"O(x) <= x \\/ ~x fails at {dat.witness}")
     names = sorted(variables(phi))
-    if names:
-        conj = Circ(Var(names[0]))
-        for name in names[1:]:
-            conj = And(conj, Circ(Var(name)))
-    else:
-        conj = ONE
+    conj = _conjoin([Circ(Var(name)) for name in names]) if names else ONE
     refuted = []
     total = 0
     for k in range(1, k_max + 1):
@@ -692,7 +655,7 @@ def pdat_search(model: ChainModel, phi: Formula, k_max: int = 8,
 def classical_taut(phi: Formula) -> bool:
     """Exhaustive two-valued check; up to 20 variables."""
     if not _classical_language(phi):
-        raise ValueError("the formula must use only classical connectives")
+        raise NotClassical("the formula must use only classical connectives")
     names = sorted(variables(phi))
     if len(names) > 20:
         raise TooManyVariables(f"{len(names)} variables exceed the cap of 20")

@@ -157,6 +157,22 @@ class TestReports:
         code, out, _ = run(capsys, "dat", "--chain", "LG", "--op", "min")
         assert code == 0
 
+    def test_non_classical_goals_are_usage_errors(self, capsys):
+        code, out, err = run(capsys, "taut", "--classical", "O p")
+        assert (code, out) == (3, "")
+        assert "the formula must use only classical connectives" in err
+        code, out, err = run(capsys, "pdat", "--chain", "LL", "--op", "max",
+                             "--goal", "O p")
+        assert (code, out) == (3, "")
+        assert "the goal must use only classical connectives" in err
+
+    def test_crisp_threshold_must_be_rational(self, capsys):
+        for spec, text in (("crisp:abc", "'abc'"), ("crisp:1/0", "'1/0'")):
+            code, out, err = run(capsys, "conseq", "--chain", "L3",
+                                 "--op", spec, "--goal", "p")
+            assert (code, out) == (3, "")
+            assert f"not an exact rational: {text}" in err
+
     def test_pdat(self, capsys):
         code, out, _ = run(capsys, "pdat", "--chain", "B2", "--op", "min",
                            "--goal", "p \\/ ~p")
@@ -193,6 +209,13 @@ class TestProve:
         code, _, err = run(capsys, "prove", "/nonexistent.proof")
         assert code == 3
 
+    def test_non_numeric_reference_is_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "bad.proof"
+        path.write_text("proof bad in MTL\n1. p | premise x\n")
+        code, out, err = run(capsys, "prove", str(path))
+        assert (code, out) == (3, "")
+        assert "line 1: bad justification 'premise x'" in err
+
 
 class TestLoading:
     def test_load_chain_and_operator(self, capsys, tmp_path):
@@ -213,6 +236,34 @@ class TestLoading:
     def test_unknown_chain_is_usage_error(self, capsys):
         code, _, err = run(capsys, "eval", "--chain", "XX", "p")
         assert code == 3 and "unknown chain" in err
+
+    def test_malformed_chain_file_is_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "bad.chain"
+        path.write_text("chain bad\nkind: finite\nbogus line\n")
+        code, out, err = run(capsys, "enum-ops", "--chain", "L3",
+                             "--load", str(path))
+        assert (code, out) == (3, "")
+        assert "malformed chain file line: 'bogus line'" in err
+
+    @pytest.mark.parametrize("suffix, text, message", [
+        (".chain", "chain x\nkind: finite\nfamily: godel\nsize: three\n",
+         "size must be a natural number, not 'three'"),
+        (".chain", "chain x\nkind: standard\ncomponents: godel 0\n",
+         "a component is '<family> <lo> <hi>', not 'godel 0'"),
+        (".chain", "chain x\nkind: finite\nnegation: 1 1/0 0\n",
+         "not an exact rational: '1/0'"),
+        (".op", "op x on L3\nkind: crisp\n",
+         "crisp operators need a threshold line"),
+        (".op", "op x on L3\nkind: table\nvalues: 1 x 1\n",
+         "not an exact rational: 'x'"),
+    ])
+    def test_malformed_numbers_and_missing_keys(self, capsys, tmp_path,
+                                                suffix, text, message):
+        path = tmp_path / ("bad" + suffix)
+        path.write_text(text)
+        code, out, err = run(capsys, "enum-ops", "--chain", "L3",
+                             "--load", str(path))
+        assert (code, out) == (3, "") and message in err
 
 
 class TestSuiteCommand:
@@ -252,6 +303,16 @@ class TestSuiteCommand:
             seconds, unit = line[12:].split()
             assert unit == "s" and float(seconds) >= 0
             assert len(seconds.split(".")[1]) == 3
+
+    def test_internal_value_error_is_not_a_usage_error(self, monkeypatch):
+        import mtlfi.cli
+
+        def broken(numbers):
+            raise ValueError("internal")
+
+        monkeypatch.setattr(mtlfi.cli, "run_suite", broken)
+        with pytest.raises(ValueError, match="internal"):
+            main(["suite", "paper", "--criteria", "3"])
 
     def test_internal_key_error_is_not_a_usage_error(self, monkeypatch):
         import mtlfi.cli

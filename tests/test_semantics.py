@@ -16,8 +16,9 @@ from mtlfi.semantics import (ChainModel, DatAxiomFails, Evaluation,
                              TooManyVariables, UnboundVariable, bridge_check,
                              check_dat_axiom, check_lfi, check_propagation,
                              classical_taut, deduction_power_bound,
-                             compile_finite, degree_consequence, evaluate,
-                             finite_scan, pdat_search, truth_consequence)
+                             compile_finite, compile_standard,
+                             degree_consequence, evaluate, finite_scan,
+                             pdat_search, truth_consequence)
 from mtlfi.suite import random_formula
 
 
@@ -481,7 +482,7 @@ class TestFiniteScan:
             (verdict, assignment, witness, checked)
 
     @pytest.mark.parametrize("seed", [0, 1, 7, 2024])
-    @pytest.mark.parametrize("n", [2, 3, 5, 6, 16, 17])
+    @pytest.mark.parametrize("n", [2, 3, 5, 6, 16, 17, 61, 62, 1001])
     def test_randrange_draws_as_choice(self, seed, n):
         elements = [F(i, n) for i in range(n)]
         ours, theirs = random.Random(seed), random.Random(seed)
@@ -620,6 +621,183 @@ class TestCompiledEvaluation:
         assert finite_scan(model, premises, conclusion, mode, names, envs) \
             == _reference_finite_scan(model, premises, conclusion, mode,
                                       names, envs)
+
+
+# ---------------------------------------------------------------------------
+# The standard-chain scan against the loops it replaced
+
+def _standard_model(chains, chain_name, kind, with_dual):
+    """The standard chain with no operator, or one of several kinds with
+    its dual optionally bound; every threshold and breakpoint lies in the
+    zero-negation region [1/2, 1) of LG, LL and LP."""
+    chain = chains[chain_name]
+    op = {None: lambda: None,
+          "min": lambda: min_op(chain),
+          "max": lambda: max_op(chain),
+          "crisp": lambda: crisp_op(chain, F(3, 4)),
+          "linear": lambda: piecewise_op(chain, [(F(3, 5), F(1, 3)), (1, 1)],
+                                         "linear"),
+          "step": lambda: piecewise_op(chain, [(F(3, 5), F(1, 3)),
+                                               (F(4, 5), F(2, 3)), (1, 1)],
+                                       "step")}[kind]()
+    bop = dual(op) if op is not None and with_dual else None
+    return ChainModel(chain_name, chain, op, bop)
+
+
+def _grid(model, denominator):
+    extra = [x for op in (model.consistency, model.inconsistency)
+             if op is not None for x in op.critical_points()]
+    return model.chain.sample_points(denominator, extra=extra)
+
+
+def _reference_standard_search(model, premises, conclusion, mode,
+                               denominator):
+    """_standard_search and its sampler before the shared scan: the
+    Fraction tree walk over every tuple of grid points, or above
+    STANDARD_VAR_CAP over SAMPLING_BUDGET rng.choice(points) draws per
+    variable, formulas evaluated lazily.  Returns (verdict, assignment,
+    witness, grid_denominator, checked)."""
+    vars_ = sorted(set().union(variables(conclusion),
+                               *[variables(p) for p in premises]))
+    points = _grid(model, denominator)
+    if len(vars_) > semantics.STANDARD_VAR_CAP:
+        rng = random.Random(0)
+        combos = ([rng.choice(points) for _ in vars_]
+                  for _ in range(semantics.SAMPLING_BUDGET))
+        clean = "unknown"
+    else:
+        combos = itertools.product(points, repeat=len(vars_))
+        clean = "unknown" if vars_ else "holds"
+    checked = 0
+    for combo in combos:
+        checked += 1
+        assignment = dict(zip(vars_, combo))
+        ev = Evaluation(model.chain, assignment, model.consistency,
+                        model.inconsistency)
+        if mode == "truth":
+            bad = all(evaluate(ev, p) == 1 for p in premises) \
+                and evaluate(ev, conclusion) != 1
+            a = None
+        else:
+            vals = [evaluate(ev, p) for p in premises]
+            a = min(vals) if vals else F(1)
+            bad = a > evaluate(ev, conclusion)
+        if bad:
+            return "fails", assignment, a, denominator, checked
+    return clean, None, None, denominator, checked
+
+
+def _any_formula(rng, names, unary, depth):
+    """A random formula over names using every binary connective and the
+    unary ones in unary."""
+    if depth <= 0 or rng.random() < 0.25:
+        if rng.random() < 0.1:
+            return rng.choice([ZERO, ONE])
+        return Var(rng.choice(names))
+    if rng.random() < 0.3:
+        return rng.choice(unary)(_any_formula(rng, names, unary, depth - 1))
+    ctor = rng.choice([And, Or, Fuse, Imp, Iff])
+    return ctor(_any_formula(rng, names, unary, depth - 1),
+                _any_formula(rng, names, unary, depth - 1))
+
+
+_OP_KINDS = [None, "min", "max", "crisp", "linear", "step"]
+
+
+class TestStandardScan:
+    @given(seed=st.integers(min_value=0, max_value=2**32),
+           chain_name=st.sampled_from(["LG", "LL", "LP"]),
+           kind=st.sampled_from(_OP_KINDS), with_dual=st.booleans(),
+           mode=st.sampled_from(["truth", "degree"]),
+           count=st.integers(min_value=1, max_value=5),
+           premise_count=st.integers(min_value=0, max_value=2),
+           denominator=st.sampled_from([2, 3, 4, 6]))
+    @settings(max_examples=60, deadline=None)
+    def test_search_matches_the_fraction_walk(self, chains, seed, chain_name,
+                                              kind, with_dual, mode, count,
+                                              premise_count, denominator):
+        rng = random.Random(seed)
+        model = _standard_model(chains, chain_name, kind, with_dual)
+        unary = [Not, Delta]
+        unary += [Circ] if model.consistency is not None else []
+        unary += [Bullet] if model.inconsistency is not None else []
+        names = [f"p{i}" for i in range(1, count + 1)]
+        premises = [_any_formula(rng, names, unary, 2)
+                    for _ in range(premise_count)]
+        goal = _any_formula(rng, names, unary, 3)
+        for name in names:
+            if name not in variables(goal):
+                goal = rng.choice([Or, Imp])(goal, Var(name))
+        check = truth_consequence if mode == "truth" else degree_consequence
+        res = check([model], premises, goal, denominator)
+        assert (res.verdict, res.assignment, res.witness,
+                res.grid_denominator, res.checked) == \
+            _reference_standard_search(model, premises, goal, mode,
+                                       denominator)
+
+    @given(f=_formulas, chain_name=st.sampled_from(["LG", "LL", "LP"]),
+           kind=st.sampled_from(_OP_KINDS[1:]), data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_closure_matches_the_fraction_walk(self, chains, f, chain_name,
+                                               kind, data):
+        model = _standard_model(chains, chain_name, kind, True)
+        points = _grid(model, 4)
+        names = data.draw(st.permutations(sorted(variables(f))))
+        fn = compile_standard(model, f, names, points)
+        for env in itertools.product(range(len(points)), repeat=len(names)):
+            ev = Evaluation(model.chain, {v: points[i]
+                                          for v, i in zip(names, env)},
+                            model.consistency, model.inconsistency)
+            assert fn(env) == evaluate(ev, f)
+
+    @pytest.mark.parametrize("chain_name, kind", [("LG", "max"),
+                                                  ("LL", "linear"),
+                                                  ("LP", "crisp")])
+    def test_every_child_shape(self, chains, chain_name, kind):
+        # each connective over each pair of a variable, a constant and a
+        # compound child, with q at a position other than 0
+        model = _standard_model(chains, chain_name, kind, True)
+        points = _grid(model, 4)
+        kids = [Var("p"), Var("q"), ZERO, ONE, parse("~q"), parse("# p"),
+                parse("D (p & q)"), parse("O (q -> p)")]
+        shapes = [node(a) for node in (Not, Circ, Bullet, Delta) for a in kids]
+        shapes += [node(a, b) for node in (And, Or, Fuse, Imp, Iff)
+                   for a in kids for b in kids]
+        envs = list(itertools.product(range(len(points)), repeat=2))
+        for f in shapes:
+            fn = compile_standard(model, f, ["p", "q"], points)
+            for env in envs:
+                ev = Evaluation(model.chain, {"p": points[env[0]],
+                                              "q": points[env[1]]},
+                                model.consistency, model.inconsistency)
+                assert fn(env) == evaluate(ev, f), (f, env)
+
+    # five-variable queries take the sampler; a query without variables
+    # checks the one empty tuple
+    @pytest.mark.parametrize("chain_name, kind, premises, goal, mode", [
+        ("LG", "max", [], "O 1 -> (~0 & 1)", "truth"),
+        ("LP", None, ["~0"], "D (1 & 0)", "degree"),
+        ("LP", None, [], "((p & q) -> r) -> (p -> (q -> (r \\/ (s & t))))",
+         "truth"),
+        ("LG", None, [], "(p1 /\\ p2 /\\ p3 /\\ p4) -> (p5 \\/ ~p5)", "truth"),
+        ("LL", "linear", ["O p", "q -> r"], "(p & s) -> (r \\/ (t -> q))",
+         "degree"),
+    ])
+    def test_fixed_queries_match_the_fraction_walk(self, chains, chain_name,
+                                                   kind, premises, goal, mode):
+        model = _standard_model(chains, chain_name, kind, False)
+        premises, goal = [parse(p) for p in premises], parse(goal)
+        check = truth_consequence if mode == "truth" else degree_consequence
+        res = check([model], premises, goal)
+        assert (res.verdict, res.assignment, res.witness,
+                res.grid_denominator, res.checked) == \
+            _reference_standard_search(model, premises, goal, mode, 60)
+
+    def test_unbound_operators_raise_at_compile_time(self, chains):
+        model = ChainModel("LG", chains["LG"])
+        for text in ("O p", "# p", "1 /\\ ~(0 -> O 1)"):
+            with pytest.raises(OperatorNotBound, match="no operator is bound"):
+                compile_standard(model, parse(text), ["p"], [F(0), F(1)])
 
 
 class TestUnboundOperator:
