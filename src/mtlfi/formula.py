@@ -7,19 +7,22 @@ and the binary connectives & (strong conjunction), /\ (lattice conjunction),
 
 ASCII grammar, tightest to loosest: unary {~, O, #, D}; & ; /\ ; \/ ;
 -> and <-> (right associative, same level, mixing requires parentheses).
+Variables are [a-z][a-z0-9_]*.  parse builds the tree in one loop, without
+recursion, and rejects a formula more than MAX_DEPTH levels deep.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
 __all__ = [
     "Formula", "Var", "Const", "Not", "Circ", "Bullet", "Delta",
     "And", "Fuse", "Or", "Imp", "Iff", "ZERO", "ONE",
-    "FormulaSyntaxError", "parse", "render", "normalize", "variables",
-    "subformulas", "power", "Schema", "schema", "match_schema", "substitute",
-    "to_bullet_language", "to_circ_language",
+    "FormulaSyntaxError", "MAX_DEPTH", "parse", "render", "normalize",
+    "variables", "subformulas", "power", "Schema", "schema", "match_schema",
+    "substitute", "to_bullet_language", "to_circ_language",
 ]
 
 
@@ -124,153 +127,130 @@ class FormulaSyntaxError(ValueError):
         return type(self), (self.message, self.offset, self.expected)
 
 
-_TWO_CHAR = {"/\\": "AND", "\\/": "OR", "->": "IMP", "<->": "IFF"}
-_ONE_CHAR = {"~": "NOT", "O": "CIRC", "#": "BULLET", "D": "DELTA",
-             "&": "FUSE", "(": "LPAR", ")": "RPAR", "0": "ZERO", "1": "ONE"}
+# Every token; \S catches any other non-space character for the error path.
+# \s is Unicode whitespace, the characters str.isspace accepts.
+_TOKEN = re.compile(r"[()]|[a-z][a-z0-9_]*|<?->|/\\|\\/|[~O#D&01]|\S")
+_CONST = {"0": ZERO, "1": ONE}
+# the stack entry each operand-opening token pushes: None for "(", and for
+# a prefix (binding power, constructor, no left operand, unused)
+_PREFIX = {"~": (4, Not, None, 0), "O": (4, Circ, None, 0),
+           "#": (4, Bullet, None, 0), "D": (4, Delta, None, 0), "(": None}
+# infix token -> (binding power, constructor); the arrows share the loosest
+# level, fold to the right, and are folded only where their group ends
+_INFIX = {"&": (3, Fuse), "/\\": (2, And), "\\/": (1, Or),
+          "->": (0, Imp), "<->": (0, Iff)}
+_KNOWN = {*_CONST, *_PREFIX, *_INFIX, ")"}
+_ATOM_EXPECTED = ("variable", "0", "1", "~", "O", "#", "D", "(")
 
-
-def _tokenize(text: str) -> list:
-    tokens = []
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-            continue
-        if text.startswith("<->", i):
-            tokens.append(("IFF", "<->", i))
-            i += 3
-            continue
-        two = text[i:i + 2]
-        if two in _TWO_CHAR:
-            tokens.append((_TWO_CHAR[two], two, i))
-            i += 2
-            continue
-        if c in _ONE_CHAR:
-            tokens.append((_ONE_CHAR[c], c, i))
-            i += 1
-            continue
-        if c.islower() and c.isalpha():
-            j = i + 1
-            while j < n and (text[j].islower() or text[j].isdigit() or text[j] == "_"):
-                j += 1
-            tokens.append(("VAR", text[i:j], i))
-            i = j
-            continue
-        raise FormulaSyntaxError(f"unexpected character {c!r}", i,
-                                 ("variable", "0", "1", "~", "O", "#", "D", "("))
-    tokens.append(("EOF", "", n))
-    return tokens
-
-
-class _Parser:
-    def __init__(self, text: str):
-        self.tokens = _tokenize(text)
-        self.pos = 0
-
-    def peek(self):
-        return self.tokens[self.pos]
-
-    def advance(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def expect(self, kind: str):
-        tok = self.peek()
-        if tok[0] != kind:
-            raise FormulaSyntaxError(f"unexpected token {tok[1] or 'end of input'!r}",
-                                     tok[2], (kind,))
-        return self.advance()
-
-    def parse(self) -> Formula:
-        f = self.parse_arrow()
-        tok = self.peek()
-        if tok[0] != "EOF":
-            raise FormulaSyntaxError(f"trailing input {tok[1]!r}", tok[2], ("EOF",))
-        return f
-
-    def parse_arrow(self) -> Formula:
-        # -> and <-> share one level, right associative, no mixing.
-        parts = [self.parse_or()]
-        ops = []
-        while self.peek()[0] in ("IMP", "IFF"):
-            ops.append(self.advance())
-            parts.append(self.parse_or())
-        if not ops:
-            return parts[0]
-        kinds = {op[0] for op in ops}
-        if len(kinds) > 1:
-            bad = ops[1]
-            raise FormulaSyntaxError(
-                "mixing -> and <-> requires parentheses", bad[2], ("(",))
-        ctor = Imp if ops[0][0] == "IMP" else Iff
-        out = parts[-1]
-        for part in reversed(parts[:-1]):
-            out = ctor(part, out)
-        return out
-
-    def parse_or(self) -> Formula:
-        f = self.parse_and()
-        while self.peek()[0] == "OR":
-            self.advance()
-            f = Or(f, self.parse_and())
-        return f
-
-    def parse_and(self) -> Formula:
-        f = self.parse_fuse()
-        while self.peek()[0] == "AND":
-            self.advance()
-            f = And(f, self.parse_fuse())
-        return f
-
-    def parse_fuse(self) -> Formula:
-        f = self.parse_unary()
-        while self.peek()[0] == "FUSE":
-            self.advance()
-            f = Fuse(f, self.parse_unary())
-        return f
-
-    def parse_unary(self) -> Formula:
-        tok = self.peek()
-        if tok[0] == "NOT":
-            self.advance()
-            return Not(self.parse_unary())
-        if tok[0] == "CIRC":
-            self.advance()
-            return Circ(self.parse_unary())
-        if tok[0] == "BULLET":
-            self.advance()
-            return Bullet(self.parse_unary())
-        if tok[0] == "DELTA":
-            self.advance()
-            return Delta(self.parse_unary())
-        return self.parse_atom()
-
-    def parse_atom(self) -> Formula:
-        tok = self.peek()
-        if tok[0] == "VAR":
-            self.advance()
-            return Var(tok[1])
-        if tok[0] == "ZERO":
-            self.advance()
-            return ZERO
-        if tok[0] == "ONE":
-            self.advance()
-            return ONE
-        if tok[0] == "LPAR":
-            self.advance()
-            f = self.parse_arrow()
-            self.expect("RPAR")
-            return f
-        raise FormulaSyntaxError(
-            f"unexpected token {tok[1] or 'end of input'!r}", tok[2],
-            ("variable", "0", "1", "~", "O", "#", "D", "("))
+# The most nodes on any root-to-leaf path of a parsed formula.  Rendering,
+# normalising, evaluating, compiling and comparing recurse once or twice per
+# level; this keeps them inside Python's default recursion limit of 1000.
+MAX_DEPTH = 300
 
 
 def parse(text: str) -> Formula:
-    """Parse ASCII text into a formula tree."""
-    return _Parser(text).parse()
+    """Parse ASCII text into a formula tree.
+
+    One operator-precedence loop over the tokens: every prefix and infix
+    connective waits on one stack until a looser connective, or the end of
+    its group, reduces it.  A text with more tokens than MAX_DEPTH is also
+    measured, since only such a text can be deeper than that.
+    """
+    toks = _TOKEN.findall(text)
+    toks.append("")                         # end of input
+    stack = []      # None for an open "(", else (power, constructor, left, i)
+    i = 0
+    while True:
+        # an operand: prefixes and open groups, then an atom
+        tok = toks[i]
+        while tok in _PREFIX:
+            stack.append(_PREFIX[tok])
+            i += 1
+            tok = toks[i]
+        node = _CONST.get(tok)
+        if node is None:
+            if not "a" <= tok[:1] <= "z":
+                raise _syntax_error(
+                    text, toks, i,
+                    f"unexpected token {tok or 'end of input'!r}",
+                    _ATOM_EXPECTED)
+            node = Var(tok)
+        i += 1
+        while True:
+            # an infix token, or the end of the innermost group
+            tok = toks[i]
+            infix = _INFIX.get(tok)
+            floor = (infix[0] or 1) if infix else 1   # arrows wait
+            while stack:
+                top = stack[-1]
+                if top is None or top[0] < floor:
+                    break
+                del stack[-1]
+                node = top[1](node) if top[2] is None else top[1](top[2], node)
+            if infix:
+                stack.append((infix[0], infix[1], node, i))
+                i += 1
+                break
+            if stack and stack[-1] is not None:
+                node = _fold_arrows(text, toks, stack, node)
+            if stack:
+                if tok != ")":
+                    raise _syntax_error(
+                        text, toks, i,
+                        f"unexpected token {tok or 'end of input'!r}",
+                        ("RPAR",))
+                del stack[-1]
+                i += 1
+                continue
+            if tok:
+                raise _syntax_error(text, toks, i, f"trailing input {tok!r}",
+                                    ("EOF",))
+            if len(toks) > MAX_DEPTH + 1:
+                _check_depth(text, node)
+            return node
+
+
+def _fold_arrows(text, toks, stack, node):
+    """Fold the arrows that end the innermost group, to the right."""
+    ops = []
+    while stack and stack[-1] is not None:
+        _, ctor, left, i = stack.pop()
+        node = ctor(left, node)
+        ops.append((ctor, i))
+    if len(ops) > 1 and any(ctor is not ops[0][0] for ctor, _ in ops):
+        # reported at the group's second arrow, as the text reads
+        raise _syntax_error(text, toks, ops[-2][1],
+                            "mixing -> and <-> requires parentheses", ("(",))
+    return node
+
+
+def _syntax_error(text, toks, i, message, expected):
+    """The error at token i, unless the text has a character that starts no
+    token: that one is reported instead, wherever it is."""
+    offsets = [m.start() for m in _TOKEN.finditer(text)] + [len(text)]
+    for j, tok in enumerate(toks):
+        if tok and tok not in _KNOWN and not "a" <= tok[0] <= "z":
+            return FormulaSyntaxError(f"unexpected character {tok!r}",
+                                      offsets[j], _ATOM_EXPECTED)
+    return FormulaSyntaxError(message, offsets[i], expected)
+
+
+def _check_depth(text, root):
+    """Raise at the first atom, in text order, deeper than MAX_DEPTH."""
+    stack, atoms = [(root, 1)], 0
+    while stack:
+        node, depth = stack.pop()
+        if type(node) in _BINARY:
+            stack += ((node.right, depth + 1), (node.left, depth + 1))
+        elif type(node) in _UNARY:
+            stack.append((node.arg, depth + 1))
+        elif depth <= MAX_DEPTH:
+            atoms += 1
+        else:
+            offsets = [m.start() for m in _TOKEN.finditer(text)
+                       if m[0] in _CONST or "a" <= m[0][0] <= "z"]
+            raise FormulaSyntaxError(
+                f"formula deeper than {MAX_DEPTH} levels", offsets[atoms])
 
 
 # ---------------------------------------------------------------------------
@@ -327,20 +307,20 @@ def render(f: Formula, unicode: bool = False) -> str:
 # ---------------------------------------------------------------------------
 # Structure helpers
 
-def variables(f: Formula) -> frozenset:
-    """Names of the variables occurring in f."""
+def variables(*formulas: Formula) -> frozenset:
+    """Names of the variables occurring in any of the formulas."""
     out = set()
-
-    def walk(node):
-        if isinstance(node, Var):
+    stack = list(formulas)
+    while stack:
+        node = stack.pop()
+        t = type(node)
+        if t is Var:
             out.add(node.name)
-        elif isinstance(node, _UNARY):
-            walk(node.arg)
-        elif isinstance(node, _BINARY):
-            walk(node.left)
-            walk(node.right)
-
-    walk(f)
+        elif t in _BINARY:
+            stack.append(node.left)
+            stack.append(node.right)
+        elif t is not Const:
+            stack.append(node.arg)
     return frozenset(out)
 
 

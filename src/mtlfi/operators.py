@@ -530,6 +530,10 @@ def delta_from_op(chain, op: ConsistencyOp, x) -> Fraction:
 # ---------------------------------------------------------------------------
 # Operator spec files
 
+_FLAGS = {"true": True, "yes": True, "1": True,
+          "false": False, "no": False, "0": False}
+
+
 def parse_op_file(text: str, chains: dict):
     """Parse 'op <name> on <chain>' followed by key: value lines.
 
@@ -559,7 +563,11 @@ def parse_op_file(text: str, chains: dict):
         elif key == "threshold":
             params["threshold"] = rat(value)
         elif key == "closed":
-            params["closed"] = value.lower() in ("true", "yes", "1")
+            flag = _FLAGS.get(value.lower())
+            if flag is None:
+                raise OperatorSpecError(
+                    f"closed must be true/yes/1 or false/no/0, not {value!r}")
+            params["closed"] = flag
         elif key == "interpolation":
             params["interpolation"] = value
         elif key == "breakpoints":

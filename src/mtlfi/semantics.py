@@ -24,6 +24,7 @@ import itertools
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
 from typing import Iterable, Optional, Sequence
 
 from .chain import GODEL, FiniteChain, rat
@@ -155,56 +156,70 @@ def compile_finite(model: ChainModel, f: Formula, var_order: Sequence[str]):
     here, also inside a constant subformula.
     """
     chain: FiniteChain = model.chain
-    top = chain.size - 1
+    tables = {And: chain._meet_i, Or: chain._join_i, Fuse: chain._tnorm_i,
+              Imp: chain._res_i, Iff: chain._iff_i,
+              Not: chain._neg_i, Delta: chain._delta_i}
     pos = {name: i for i, name in enumerate(var_order)}
-    binary = {And: chain._meet_i, Or: chain._join_i, Fuse: chain._tnorm_i,
-              Imp: chain._res_i, Iff: chain._iff_i}
-    unary = {Not: chain._neg_i, Delta: chain._delta_i}
-
-    def lookup(vec, child, g):
-        # vec[child's index], as a constant or a closure
-        if type(g) is int:
-            return vec[g]
-        if type(child) is Var:
-            k = pos[child.name]
-            return lambda env: vec[env[k]]
-        return lambda env: vec[g(env)]
-
-    def build(node):
-        # the constant index of node, or a closure from env to its index
-        t = type(node)
-        if t is Var:
-            k = pos[node.name]
-            return lambda env: env[k]
-        if t is Const:
-            return top if node.value else 0
-        if t in binary:
-            tab = binary[t]
-            l, r = build(node.left), build(node.right)
-            if type(r) is int:
-                return lookup(tuple(row[r] for row in tab), node.left, l)
-            if type(l) is int:
-                return lookup(tab[l], node.right, r)
-            a = pos[node.left.name] if type(node.left) is Var else None
-            b = pos[node.right.name] if type(node.right) is Var else None
-            if a is not None and b is not None:
-                return lambda env: tab[env[a]][env[b]]
-            if a is not None:
-                return lambda env: tab[env[a]][r(env)]
-            if b is not None:
-                return lambda env: tab[l(env)][env[b]]
-            return lambda env: tab[l(env)][r(env)]
-        if (t is Circ or t is Bullet) and t not in unary:
-            op = _operator(model, t)
-            unary[t] = tuple(chain.index[op.value(x)] for x in chain.elements)
-        if t not in unary:
-            raise TypeError(f"not a formula node: {node!r}")
-        return lookup(unary[t], node.arg, build(node.arg))
-
-    out = build(f)
+    out = _finite_node(model, tables, pos, f)
     if type(out) is int:
         return lambda env: out
     return out
+
+
+def _finite_node(model, tables, pos, node):
+    """The constant index of node, or a closure from env to its index.
+
+    A module-level function, so that a compiled formula holds no reference
+    cycle, and one call per level of the formula: a Var child is read
+    inline and never compiled on its own.
+    """
+    t = type(node)
+    if t is Var:
+        k = pos[node.name]
+        return lambda env: env[k]
+    if t is Const:
+        return model.chain.size - 1 if node.value else 0
+    tab = tables.get(t)
+    if tab is None:
+        if t is not Circ and t is not Bullet:
+            raise TypeError(f"not a formula node: {node!r}")
+        chain, op = model.chain, _operator(model, t)
+        tab = tables[t] = tuple(chain.index[op.value(x)]
+                                for x in chain.elements)
+    if t is Not or t is Delta or t is Circ or t is Bullet:
+        if type(node.arg) is Var:
+            k = pos[node.arg.name]
+            return lambda env: tab[env[k]]
+        return _lookup(tab, _finite_node(model, tables, pos, node.arg))
+    left, right = node.left, node.right
+    a = pos[left.name] if type(left) is Var else None
+    b = pos[right.name] if type(right) is Var else None
+    if a is not None and b is not None:
+        return lambda env: tab[env[a]][env[b]]
+    l = _finite_node(model, tables, pos, left) if a is None else None
+    r = _finite_node(model, tables, pos, right) if b is None else None
+    if type(r) is int:
+        col = tuple(row[r] for row in tab)
+        if a is not None:
+            return lambda env: col[env[a]]
+        return _lookup(col, l)
+    if type(l) is int:
+        row = tab[l]
+        if b is not None:
+            return lambda env: row[env[b]]
+        return _lookup(row, r)
+    if a is not None:
+        return lambda env: tab[env[a]][r(env)]
+    if b is not None:
+        return lambda env: tab[l(env)][env[b]]
+    return lambda env: tab[l(env)][r(env)]
+
+
+def _lookup(vec, g):
+    """vec[g], or the closure reading vec at g's index."""
+    if type(g) is int:
+        return vec[g]
+    return lambda env: vec[g(env)]
 
 
 def compile_standard(model: ChainModel, f: Formula, var_order: Sequence[str],
@@ -218,33 +233,34 @@ def compile_standard(model: ChainModel, f: Formula, var_order: Sequence[str],
     OperatorNotBound here.
     """
     chain = model.chain
-    pos = {name: i for i, name in enumerate(var_order)}
     res = chain.residuum
-    binary = {And: min, Or: max, Fuse: chain.tnorm, Imp: res,
-              Iff: lambda x, y: min(res(x, y), res(y, x))}
-    unary = {Not: chain.negation, Delta: chain.delta}
+    ops = {And: min, Or: max, Fuse: chain.tnorm, Imp: res,
+           Iff: lambda x, y: min(res(x, y), res(y, x)),
+           Not: chain.negation, Delta: chain.delta}
+    pos = {name: i for i, name in enumerate(var_order)}
+    return _standard_node(model, ops, pos, points, f)
 
-    def build(node):
-        t = type(node)
-        if t is Var:
-            k = pos[node.name]
-            return lambda env: points[env[k]]
-        if t is Const:
-            v = _ONE if node.value else _ZERO
-            return lambda env: v
-        if t in binary:
-            op, l, r = binary[t], build(node.left), build(node.right)
-            return lambda env: op(l(env), r(env))
-        if t is Circ or t is Bullet:
-            op = _operator(model, t).value
-        elif t in unary:
-            op = unary[t]
-        else:
+
+def _standard_node(model, ops, pos, points, node):
+    """The closure from env to node's value (module level, as _finite_node)."""
+    t = type(node)
+    if t is Var:
+        k = pos[node.name]
+        return lambda env: points[env[k]]
+    if t is Const:
+        v = _ONE if node.value else _ZERO
+        return lambda env: v
+    op = ops.get(t)
+    if op is None:
+        if t is not Circ and t is not Bullet:
             raise TypeError(f"not a formula node: {node!r}")
-        g = build(node.arg)
+        op = ops[t] = _operator(model, t).value
+    if t is Not or t is Delta or t is Circ or t is Bullet:
+        g = _standard_node(model, ops, pos, points, node.arg)
         return lambda env: op(g(env))
-
-    return build(f)
+    l = _standard_node(model, ops, pos, points, node.left)
+    r = _standard_node(model, ops, pos, points, node.right)
+    return lambda env: op(l(env), r(env))
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +309,7 @@ def finite_scan(model: ChainModel, premises, conclusion, mode: str,
         top, compile_, extra = model.chain.size - 1, compile_finite, ()
     else:
         top, compile_, extra = _ONE, compile_standard, (points,)
-    prem = (compile_(model, _conjoin(premises), vars_, *extra)
+    prem = (compile_(model, reduce(And, premises), vars_, *extra)
             if premises else None)
     concl_fn = compile_(model, conclusion, vars_, *extra)
     checked = 0
@@ -327,8 +343,7 @@ def _points(chain, ops, grid_denominator: int):
 
 
 def _search_vars(premises, conclusion) -> list:
-    return sorted(set().union(variables(conclusion),
-                              *[variables(p) for p in premises]))
+    return sorted(variables(conclusion, *premises))
 
 
 def _scan_result(model: ChainModel, premises, conclusion, mode: str, vars_,
@@ -637,7 +652,7 @@ def pdat_search(model: ChainModel, phi: Formula, k_max: int = 8,
     if not dat.holds:
         raise DatAxiomFails(f"O(x) <= x \\/ ~x fails at {dat.witness}")
     names = sorted(variables(phi))
-    conj = _conjoin([Circ(Var(name)) for name in names]) if names else ONE
+    conj = reduce(And, [Circ(Var(name)) for name in names]) if names else ONE
     refuted = []
     total = 0
     for k in range(1, k_max + 1):
@@ -667,13 +682,6 @@ def classical_taut(phi: Formula) -> bool:
 # ---------------------------------------------------------------------------
 # Bridge and bounded deduction
 
-def _conjoin(premises: Sequence[Formula]) -> Formula:
-    out = premises[0]
-    for p in premises[1:]:
-        out = And(out, p)
-    return out
-
-
 def bridge_check(model: ChainModel, premises: Sequence[Formula],
                  conclusion: Formula) -> bool:
     """Degree-preserving consequence from finitely many premises must agree
@@ -682,7 +690,8 @@ def bridge_check(model: ChainModel, premises: Sequence[Formula],
         raise ValueError("the bridge check is decided on finite chains")
     premises = list(premises)
     left = degree_consequence([model], premises, conclusion)
-    implication = Imp(_conjoin(premises), conclusion) if premises else conclusion
+    implication = (Imp(reduce(And, premises), conclusion) if premises
+                   else conclusion)
     right = truth_consequence([model], [], implication)
     return left.verdict == right.verdict
 

@@ -1,6 +1,7 @@
 import pytest
 
 from mtlfi.cli import main
+from mtlfi.formula import MAX_DEPTH
 
 
 def run(capsys, *argv):
@@ -48,6 +49,44 @@ class TestParseEval:
         code, out, _ = run(capsys, "eval", "--chain", "L3", "--assign",
                            "p=1/2,q=1", "p /\\ q")
         assert code == 0 and out.strip() == "1/2"
+
+
+class TestDeepAndForeignInput:
+    AT_LIMIT = {"fold": "p" + " & p" * (MAX_DEPTH - 1),
+                "arrows": " -> ".join(["p"] * MAX_DEPTH)}
+
+    @pytest.mark.parametrize("chain, fold_value, arrows_code", [
+        ("L3", "0", 0), ("LG", "1/2", 2)])
+    def test_formulas_at_the_depth_limit_are_decided(self, capsys, chain,
+                                                     fold_value, arrows_code):
+        # p & ... & p fails (its value at 1/2 is 0 on L3, 1/2 on LG);
+        # p -> ... -> p holds, which a standard grid cannot prove
+        code, out, _ = run(capsys, "taut", "--chain", chain,
+                           self.AT_LIMIT["fold"])
+        assert code == 1 and "verdict: fails" in out
+        code, out, _ = run(capsys, "eval", "--chain", chain, "--assign",
+                           "p=1/2", self.AT_LIMIT["fold"])
+        assert (code, out.strip()) == (0, fold_value)
+        code, _, _ = run(capsys, "taut", "--chain", chain,
+                         self.AT_LIMIT["arrows"])
+        assert code == arrows_code
+
+    def test_nested_parentheses_are_decided(self, capsys):
+        text = "(p -> " * 200 + "p" + ")" * 200
+        code, out, _ = run(capsys, "taut", "--chain", "L3", text)
+        assert code == 0 and "verdict: holds" in out
+
+    @pytest.mark.parametrize("text", [
+        "p" + " & p" * MAX_DEPTH, "p" + " & p" * 1199, "~" * MAX_DEPTH + "p"])
+    def test_deeper_formulas_are_usage_errors(self, capsys, text):
+        code, out, err = run(capsys, "taut", "--chain", "L3", text)
+        assert (code, out) == (3, "")
+        assert f"formula deeper than {MAX_DEPTH} levels" in err
+
+    @pytest.mark.parametrize("text", ["p² -> p²", "é", "x١ -> x١"])
+    def test_non_ascii_variable_names_are_usage_errors(self, capsys, text):
+        code, out, err = run(capsys, "taut", "--chain", "L3", text)
+        assert (code, out) == (3, "") and "unexpected character" in err
 
 
 class TestConsequence:
@@ -232,6 +271,26 @@ class TestLoading:
                            "--chain", "demo", "--op", "ramp",
                            "--assign", "p=3/5", "O p -> (p \\/ ~p) & (p \\/ ~p)")
         assert code == 0 and out.strip() == "9/10"
+
+    @pytest.mark.parametrize("flag, value", [
+        ("true", "1"), ("Yes", "1"), ("1", "1"),
+        ("false", "0"), ("NO", "0"), ("0", "0")])
+    def test_crisp_closed_flag(self, capsys, tmp_path, flag, value):
+        path = tmp_path / "crisp.op"
+        path.write_text("op c on LP\nkind: crisp\nthreshold: 3/4\n"
+                        f"closed: {flag}\n")
+        code, out, _ = run(capsys, "eval", "--load", str(path), "--chain",
+                           "LP", "--op", "c", "--assign", "p=3/4", "O p")
+        assert (code, out.strip()) == (0, value)
+
+    def test_misspelt_closed_flag_is_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "crisp.op"
+        path.write_text("op c on LP\nkind: crisp\nthreshold: 3/4\n"
+                        "closed: ture\n")
+        code, out, err = run(capsys, "eval", "--load", str(path), "--chain",
+                             "LP", "--op", "c", "--assign", "p=3/4", "O p")
+        assert (code, out) == (3, "")
+        assert "closed must be true/yes/1 or false/no/0, not 'ture'" in err
 
     def test_unknown_chain_is_usage_error(self, capsys):
         code, _, err = run(capsys, "eval", "--chain", "XX", "p")

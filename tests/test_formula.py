@@ -4,7 +4,7 @@ from dataclasses import FrozenInstanceError, fields
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mtlfi.formula import (And, Bullet, Circ, Const, Delta,
+from mtlfi.formula import (MAX_DEPTH, And, Bullet, Circ, Const, Delta,
                            FormulaSyntaxError, Fuse, Iff, Imp, Not, ONE, Or,
                            Var, ZERO, match_schema, normalize, parse, power,
                            render, schema, substitute, subformulas,
@@ -70,6 +70,56 @@ class TestParse:
     def test_trailing_garbage(self):
         with pytest.raises(FormulaSyntaxError):
             parse("p q")
+
+
+def deep_texts(depth):
+    """Formula texts exactly depth levels deep, one per shape: a left fold
+    of &, a right-associative arrow chain, a prefix stack and parenthesised
+    left-nested arrows."""
+    return {"fold": "p" + " & p" * (depth - 1),
+            "arrows": " -> ".join(["p"] * depth),
+            "prefixes": "~" * (depth - 1) + "p",
+            "parens": "(" * (depth - 1) + "p" + " -> p)" * (depth - 1)}
+
+
+class TestDepthLimit:
+    @pytest.mark.parametrize("shape", ["fold", "arrows", "prefixes", "parens"])
+    def test_a_formula_at_the_limit_is_walked_without_recursion_errors(
+            self, shape):
+        text = deep_texts(MAX_DEPTH)[shape]
+        f = parse(text)
+        assert parse(render(f)) == f
+        assert variables(normalize(f)) == {"p"}
+        assert render(normalize(f), unicode=True)
+
+    @pytest.mark.parametrize("shape, offset", [
+        # the last two atoms of the arrow chain are both too deep
+        ("fold", 0), ("arrows", -len("p -> p")), ("prefixes", MAX_DEPTH),
+        ("parens", MAX_DEPTH)])
+    def test_one_level_more_is_a_syntax_error_at_the_deepest_atom(
+            self, shape, offset):
+        text = deep_texts(MAX_DEPTH + 1)[shape]
+        with pytest.raises(FormulaSyntaxError) as exc:
+            parse(text)
+        assert exc.value.message == f"formula deeper than {MAX_DEPTH} levels"
+        assert exc.value.offset == offset % len(text)
+        assert text[exc.value.offset] == "p"
+
+    def test_parentheses_alone_add_no_depth(self):
+        assert parse("(" * 3000 + "p" + ")" * 3000) == Var("p")
+        assert parse("~(" * (MAX_DEPTH - 1) + "p" + ")" * (MAX_DEPTH - 1)) \
+            == parse("~" * (MAX_DEPTH - 1) + "p")
+
+    def test_a_long_shallow_formula_is_accepted(self):
+        # far more tokens than MAX_DEPTH, so its depth is measured
+        def balanced(names):
+            if len(names) == 1:
+                return names[0]
+            half = len(names) // 2
+            return f"({balanced(names[:half])} /\\ {balanced(names[half:])})"
+
+        names = [f"p{i}" for i in range(1024)]
+        assert variables(parse(balanced(names))) == set(names)
 
 
 # --- random ASTs ------------------------------------------------------------

@@ -1,3 +1,4 @@
+import gc
 import itertools
 import random
 from fractions import Fraction as F
@@ -834,3 +835,26 @@ class TestDeterminism:
         a = truth_consequence([model], [], parse("O p -> (p \\/ ~p)"))
         b = truth_consequence([model], [], parse("O p -> (p \\/ ~p)"))
         assert (a.verdict, a.assignment, a.checked) == (b.verdict, b.assignment, b.checked)
+
+
+@pytest.mark.parametrize("name", ["L5", "LG"])
+def test_compiling_leaves_no_reference_cycle(chains, name):
+    # every compiled closure is freed by reference counting alone
+    chain = chains[name]
+    op = max_op(chain)
+    model = ChainModel(name, chain, op, dual(op))
+    f = parse("p -> (q & ~p) \\/ O (q <-> 1) /\\ D # p & (0 -> p)")
+    points = chain.elements if chain.is_finite else chain.sample_points(4)
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(100):
+            if chain.is_finite:
+                fn = compile_finite(model, f, ["p", "q"])
+            else:
+                fn = compile_standard(model, f, ["p", "q"], points)
+            fn((1, 2))
+        del fn
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
