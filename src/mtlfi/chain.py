@@ -23,14 +23,15 @@ above is one integer numerator over one integer denominator.
 StandardChain.tnorm_pair and residuum_pair are that kernel;
 StandardChain.tnorm and residuum check their arguments against the carrier,
 call it, and build one normalized Fraction from the result.  Loops over
-many points (validate_mtl_laws here, the propagation scan of the suite)
-convert each point to a pair once and stay in pair space, so they pay for
-no Fraction until they report a witness, and the witness is the caller's
-own value.
+many points (standard_law_violations here, the propagation scan of the
+suite) read the points from a table of pairs, converted and checked once,
+and take index tuples into it, so they pay for no Fraction until they
+report a witness, and the witness is the caller's own value.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -39,11 +40,12 @@ from typing import Iterable, Optional, Sequence
 __all__ = [
     "Rat", "rat", "ChainError", "OutOfCarrier", "TableNotTnorm",
     "NegationNotDecreasing", "SizeMismatch", "GapOrOverlap",
-    "NonRationalEndpoint", "NotAFilter", "ChainSpecError", "LUKASIEWICZ",
-    "GODEL", "PRODUCT",
+    "NonRationalEndpoint", "NotAFilter", "ChainSpecError",
+    "BadGridDenominator", "LUKASIEWICZ", "GODEL", "PRODUCT",
     "Component", "NSet", "FiniteChain", "StandardChain", "Chain",
-    "validate_mtl_laws", "is_filter", "upward_filter", "quotient_by_filter",
-    "parse_chain_file", "builtin_chains",
+    "validate_mtl_laws", "standard_law_violations", "is_filter",
+    "upward_filter", "quotient_by_filter", "parse_chain_file",
+    "builtin_chains",
 ]
 
 Rat = Fraction
@@ -107,6 +109,10 @@ class NotAFilter(ChainError):
 
 class ChainSpecError(ChainError, ValueError):
     """A malformed chain file, or an unknown family."""
+
+
+class BadGridDenominator(ChainError):
+    """A sample grid {i/d} asked for with d below 1."""
 
 
 LUKASIEWICZ = "lukasiewicz"
@@ -529,16 +535,26 @@ class StandardChain:
         return True, None
 
     def sample_points(self, denominator: int = 60, extra: Iterable = ()) -> list:
-        """Grid {i/d} joined with component endpoints and any extras, sorted."""
-        pts = {Fraction(i, denominator) for i in range(denominator + 1)}
-        for c in self.components:
-            pts.add(c.lo)
-            pts.add(c.hi)
+        """Grid {i/d} joined with component endpoints and any extras in
+        [0,1], sorted and without repeats.
+
+        The grid is built in order; a point p/q (in lowest terms) lies on
+        it exactly when q divides d, and the few that do not are inserted
+        by bisection.  A denominator below 1 raises BadGridDenominator.
+        """
+        if denominator < 1:
+            raise BadGridDenominator(
+                f"the grid denominator must be at least 1, not {denominator}")
+        pts = [Fraction(i, denominator) for i in range(denominator + 1)]
+        off = {c.lo for c in self.components} | {c.hi for c in self.components}
         for e in extra:
             v = rat(e)
             if _ZERO <= v <= _ONE:
-                pts.add(v)
-        return sorted(pts)
+                off.add(v)
+        for v in off:
+            if denominator % v.denominator:
+                bisect.insort(pts, v)
+        return pts
 
     def __repr__(self) -> str:
         comps = ", ".join(f"{c.family}[{c.lo},{c.hi}]" for c in self.components)
@@ -565,53 +581,67 @@ def validate_mtl_laws(chain, triples: Optional[Iterable] = None) -> list:
         return _finite_law_violations(chain)
     if triples is None:
         raise ValueError("standard chains need explicit triples")
-    return _standard_law_violations(chain, triples)
+    points = []
+    for x, y, z in triples:
+        points += (x, y, z)
+    pairs = [chain.pair(x) for x in points]
+    n = len(points)
+    return standard_law_violations(
+        chain, pairs, zip(range(0, n, 3), range(1, n, 3), range(2, n, 3)),
+        points)
 
 
-def _standard_law_violations(chain: StandardChain, triples: Iterable) -> list:
-    """validate_mtl_laws on a standard chain, in pair space.
+def standard_law_violations(chain: StandardChain, pairs: Sequence,
+                            triples: Iterable, values: Sequence) -> list:
+    """validate_mtl_laws on a standard chain, over index triples (i, j, k)
+    into a table of points.
 
-    Each point is checked against the carrier and turned into a pair once;
-    rationals are compared by cross-multiplication, and witnesses are the
-    caller's own values.
+    pairs[i] is point i as a pair (numerator, denominator) in [0,1], not
+    necessarily reduced, and values[i] is the same point as the caller's
+    own value, reported in witnesses.  Rationals are compared by
+    cross-multiplication.  The unit law concerns one point, so it is
+    checked once per point of the table.
     """
     bad = []
-    pair, tnorm, residuum = chain.pair, chain.tnorm_pair, chain.residuum_pair
-    for x, y, z in triples:
-        xn, xd = pair(x)
-        yn, yd = pair(y)
-        zn, zd = pair(z)
+    tnorm, residuum = chain.tnorm_pair, chain.residuum_pair
+    unit_fails = []
+    for xn, xd in pairs:
+        un, ud = tnorm(xn, xd, 1, 1)
+        unit_fails.append(un * xd != xn * ud)
+    for i, j, k in triples:
+        xn, xd = pairs[i]
+        yn, yd = pairs[j]
+        zn, zd = pairs[k]
         tn, td = tnorm(xn, xd, yn, yd)  # x & y
         un, ud = tnorm(yn, yd, xn, xd)
         if tn * ud != un * td:
-            bad.append(("commutativity", (x, y)))
+            bad.append(("commutativity", (values[i], values[j])))
             continue
         un, ud = tnorm(tn, td, zn, zd)
         vn, vd = tnorm(yn, yd, zn, zd)
         vn, vd = tnorm(xn, xd, vn, vd)
         if un * vd != vn * ud:
-            bad.append(("associativity", (x, y, z)))
+            bad.append(("associativity", (values[i], values[j], values[k])))
             continue
-        un, ud = tnorm(xn, xd, 1, 1)
-        if un * xd != xn * ud:
-            bad.append(("unit", (x,)))
+        if unit_fails[i]:
+            bad.append(("unit", (values[i],)))
             continue
         if yn * zd <= zn * yd:
             un, ud = tnorm(xn, xd, zn, zd)
             if tn * ud > un * td:
-                bad.append(("monotonicity", (x, y, z)))
+                bad.append(("monotonicity", (values[i], values[j], values[k])))
                 continue
         # adjointness both ways
         un, ud = residuum(yn, yd, zn, zd)
         if (tn * zd <= zn * td) != (xn * ud <= un * xd):
-            bad.append(("adjointness", (x, y, z)))
+            bad.append(("adjointness", (values[i], values[j], values[k])))
             continue
         un, ud = residuum(xn, xd, yn, yd)
         vn, vd = residuum(yn, yd, xn, xd)
         if vn * ud > un * vd:
             un, ud = vn, vd
         if un != ud:  # max(x -> y, y -> x) is not 1
-            bad.append(("prelinearity", (x, y)))
+            bad.append(("prelinearity", (values[i], values[j])))
     return bad
 
 

@@ -1,13 +1,18 @@
 """Batch front-end.
 
 Exit codes: 0 holds/valid, 1 refuted (countermodel printed), 2 unknown
-(search or enumeration budget exhausted), 3 usage or I/O error.
+(search or enumeration budget exhausted), 3 usage or I/O error, 4 internal
+error.  main() returns the first four; any exception it does not map to
+one of them propagates.  Run as a program (python -m mtlfi.cli, or the
+mtlfi script), run() calls main() and turns such an exception into its
+traceback on stderr and exit code 4.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+import traceback
 
 from .chain import (ChainError, NotAFilter, OutOfCarrier, builtin_chains,
                     parse_chain_file, quotient_by_filter, rat, upward_filter)
@@ -24,7 +29,7 @@ from .semantics import (ChainModel, Evaluation, SemanticsError, check_dat_axiom,
                         truth_consequence)
 from .suite import CRITERIA, run_suite
 
-__all__ = ["main", "Workspace"]
+__all__ = ["main", "run", "Workspace"]
 
 
 class UsageError(Exception):
@@ -452,5 +457,15 @@ def main(argv=None) -> int:
         return 3
 
 
+def run() -> int:
+    """main() on sys.argv, with an escaping exception reported as an
+    internal error: its traceback on stderr and exit code 4."""
+    try:
+        return main()
+    except Exception:
+        traceback.print_exc()
+        return 4
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

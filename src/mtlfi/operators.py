@@ -77,41 +77,57 @@ class ValidationReport:
         return f"ValidationReport(invalid, clause={self.clause}, witness=({w}))"
 
 
+def _element_indices(chain: FiniteChain, values) -> tuple:
+    """The index in chain.elements of each of values."""
+    index = chain.index
+    try:
+        return tuple([index[v] for v in values])
+    except KeyError as exc:
+        raise OutOfCarrier(
+            f"operator value {exc.args[0]} is not a chain element") from None
+
+
 class ConsistencyOp:
     """A unary map on a chain, evaluated exactly at rational points.
 
-    Finite chains store an explicit value vector.  Standard chains store one
-    of the symbolic kinds: min, max, crisp(threshold) or piecewise
-    (breakpoints with step or linear interpolation on the zero-negation
-    region).
+    Finite chains store the map as an element-index table: indices[i] is
+    the index of the value at chain.elements[i].  It is given directly, or
+    built once from a value vector, and values reads it back as elements.
+    Standard chains store one of the symbolic kinds: min, max,
+    crisp(threshold) or piecewise (breakpoints with step or linear
+    interpolation on the zero-negation region).
     """
 
     def __init__(self, chain, kind: str, values: Optional[tuple] = None,
                  threshold: Optional[Fraction] = None, closed: bool = True,
                  breakpoints: tuple = (), interpolation: str = "linear",
-                 name: str = ""):
+                 name: str = "", indices: Optional[tuple] = None):
         self.chain = chain
         self.kind = kind
-        self.values = values
         self.threshold = threshold
         self.closed = closed
         self.breakpoints = tuple(breakpoints)
         self.interpolation = interpolation
         self.name = name or kind
+        if values is not None:
+            indices = _element_indices(chain, values)
+        self.indices = indices
         if not chain.is_finite:
             self._nset = chain.n_set()
             if threshold is not None:
                 t = rat(threshold)
                 self._threshold_nd = (t.numerator, t.denominator)
 
+    @property
+    def values(self) -> Optional[tuple]:
+        """The value at each element of a finite chain; None on a standard
+        chain."""
+        return _element_values(self.chain, self.indices)
+
     def value(self, x) -> Fraction:
         chain = self.chain
         if chain.is_finite:
-            x = rat(x)
-            try:
-                return self.values[chain.index[x]]
-            except KeyError:
-                raise OutOfCarrier(f"{x} is not an element of {chain.name}")
+            return chain.elements[self.indices[_index_of(chain, x)]]
         x = chain._check(x)
         n, d = self.value_pair(x.numerator, x.denominator)
         return _ONE if n == d else _ZERO if n == 0 else Fraction(n, d)
@@ -149,25 +165,37 @@ class ConsistencyOp:
 
 class InconsistencyOp:
     """Dual marker; either an explicit finite vector or the pointwise
-    negation of a consistency operator."""
+    negation of a consistency operator.
+
+    On a finite chain the map is an element-index table, as for
+    ConsistencyOp, built once: from values, or else from the base
+    operator's table through the negation.
+    """
 
     def __init__(self, chain, values: Optional[tuple] = None,
                  base: Optional[ConsistencyOp] = None, name: str = ""):
         if values is None and base is None:
             raise ValueError("an inconsistency operator needs values or a base")
         self.chain = chain
-        self.values = values
         self.base = base
         self.name = name or (f"dual({base.name})" if base else "table")
+        self.indices = None
+        if values is not None:
+            self.indices = _element_indices(chain, values)
+        elif chain.is_finite:
+            neg = chain._neg_i
+            self.indices = tuple([neg[i] for i in base.indices])
+
+    @property
+    def values(self) -> Optional[tuple]:
+        """The value at each element of a finite chain; None on a standard
+        chain."""
+        return _element_values(self.chain, self.indices)
 
     def value(self, x) -> Fraction:
-        x = rat(x)
         chain = self.chain
-        if self.values is not None:
-            try:
-                return self.values[chain.index[x]]
-            except KeyError:
-                raise OutOfCarrier(f"{x} is not an element of {chain.name}")
+        if self.indices is not None:
+            return chain.elements[self.indices[_index_of(chain, x)]]
         return chain.negation(self.base.value(x))
 
     def critical_points(self) -> list:
@@ -176,6 +204,21 @@ class InconsistencyOp:
 
     def __repr__(self) -> str:
         return f"InconsistencyOp({self.name} on {self.chain.name})"
+
+
+def _index_of(chain: FiniteChain, x) -> int:
+    x = rat(x)
+    try:
+        return chain.index[x]
+    except KeyError:
+        raise OutOfCarrier(f"{x} is not an element of {chain.name}") from None
+
+
+def _element_values(chain, indices: Optional[tuple]) -> Optional[tuple]:
+    if indices is None:
+        return None
+    els = chain.elements
+    return tuple([els[i] for i in indices])
 
 
 # ---------------------------------------------------------------------------
@@ -191,9 +234,6 @@ def table_op(chain: FiniteChain, values: Sequence, name: str = "") -> Consistenc
     vals = tuple(rat(v) for v in values)
     if len(vals) != chain.size:
         raise OperatorError(f"expected {chain.size} values, got {len(vals)}")
-    for v in vals:
-        if v not in chain.index:
-            raise OutOfCarrier(f"operator value {v} is not a chain element")
     return ConsistencyOp(chain, "table", values=vals, name=name or "table")
 
 
@@ -220,19 +260,19 @@ def min_op(chain) -> ConsistencyOp:
     """1 exactly at the bounds, 0 elsewhere; the pointwise least valid operator."""
     if chain.is_finite:
         top = chain.size - 1
-        vals = tuple(_ONE if i in (0, top) else _ZERO for i in range(chain.size))
-        return ConsistencyOp(chain, "min", values=vals, name="min")
+        indices = tuple(top if i in (0, top) else 0 for i in range(chain.size))
+        return ConsistencyOp(chain, "min", indices=indices, name="min")
     return ConsistencyOp(chain, "min", name="min")
 
 
 def max_op(chain) -> ConsistencyOp:
     """1 on the bounds and the whole zero-negation region; pointwise greatest."""
     if chain.is_finite:
-        nset = chain.n_set()
         top = chain.size - 1
-        vals = tuple(_ONE if (i in (0, top) or x in nset) else _ZERO
-                     for i, x in enumerate(chain.elements))
-        return ConsistencyOp(chain, "max", values=vals, name="max")
+        neg = chain._neg_i
+        indices = tuple(top if (i == 0 or neg[i] == 0) else 0
+                        for i in range(chain.size))
+        return ConsistencyOp(chain, "max", indices=indices, name="max")
     return ConsistencyOp(chain, "max", name="max")
 
 
@@ -349,23 +389,22 @@ def validate_c(chain, op: ConsistencyOp, grid: int = 1000) -> ValidationReport:
     """
     _require_host(chain, op)
     if chain.is_finite:
-        vals = op.values
-        n = chain.size
-        top = n - 1
+        vi = op.indices
+        els = chain.elements
+        top = chain.size - 1
         neg = chain._neg_i
         # c1: contradictory elements must be sent to 0
-        for i in range(n):
-            if i != 0 and neg[i] != 0 and vals[i] != _ZERO:
-                return ValidationReport(False, "c1", (chain.elements[i],))
-        if vals[0] != _ONE or vals[top] != _ONE:
-            w = chain.elements[0] if vals[0] != _ONE else chain.elements[top]
+        for i in range(1, top):
+            if neg[i] != 0 and vi[i] != 0:
+                return ValidationReport(False, "c1", (els[i],))
+        if vi[0] != top or vi[top] != top:
+            w = els[0] if vi[0] != top else els[top]
             return ValidationReport(False, "c2", (w,))
         # c3: non-decreasing on the zero-negation region up to the top
         ladder = _ladder(chain)
         for a, b in zip(ladder, ladder[1:]):
-            if vals[a] > vals[b]:
-                return ValidationReport(False, "c3",
-                                        (chain.elements[a], chain.elements[b]))
+            if vi[a] > vi[b]:
+                return ValidationReport(False, "c3", (els[a], els[b]))
         return ValidationReport(True)
 
     nset = chain.n_set()
@@ -398,14 +437,12 @@ def validate_algebraic(chain, op: ConsistencyOp) -> ValidationReport:
         raise StandardChainUnsupported(
             "the quantified form is checked on finite chains; "
             "use validate_c for standard chains")
-    vals = op.values
+    vi = op.indices
     els = chain.elements
     n = chain.size
     top = n - 1
     neg = chain._neg_i
     res = chain._res_i
-    idx = chain.index
-    vi = tuple(idx[v] for v in vals)
     for i in range(n):
         if min(i, neg[i], vi[i]) != 0:
             return ValidationReport(False, "o1", (els[i],))
@@ -436,13 +473,15 @@ def enumerate_ops(chain: FiniteChain) -> list:
     count = comb(chain.size + len(free) - 1, len(free))
     if count > ENUMERATION_BUDGET:
         raise TooLarge(f"{count} operators exceed the budget of {ENUMERATION_BUDGET}")
-    forced = min_op(chain).values
+    forced = min_op(chain).indices
     out = []
-    for tup in itertools.combinations_with_replacement(chain.elements, len(free)):
-        vals = list(forced)
+    for tup in itertools.combinations_with_replacement(range(chain.size),
+                                                       len(free)):
+        indices = list(forced)
         for i, v in zip(free, tup):
-            vals[i] = v
-        op = ConsistencyOp(chain, "table", values=tuple(vals), name="enumerated")
+            indices[i] = v
+        op = ConsistencyOp(chain, "table", indices=tuple(indices),
+                           name="enumerated")
         if validate_c(chain, op).valid:
             out.append(op)
     return out
@@ -453,11 +492,7 @@ def enumerate_ops(chain: FiniteChain) -> list:
 
 def dual(op: ConsistencyOp) -> InconsistencyOp:
     """The pointwise negation of a consistency operator."""
-    chain = op.chain
-    if chain.is_finite:
-        vals = tuple(chain.negation(v) for v in op.values)
-        return InconsistencyOp(chain, values=vals, base=op, name=f"dual({op.name})")
-    return InconsistencyOp(chain, base=op, name=f"dual({op.name})")
+    return InconsistencyOp(op.chain, base=op, name=f"dual({op.name})")
 
 
 def bullet_table_op(chain: FiniteChain, values: Sequence, name: str = "") -> InconsistencyOp:
@@ -466,9 +501,6 @@ def bullet_table_op(chain: FiniteChain, values: Sequence, name: str = "") -> Inc
     vals = tuple(rat(v) for v in values)
     if len(vals) != chain.size:
         raise OperatorError(f"expected {chain.size} values, got {len(vals)}")
-    for v in vals:
-        if v not in chain.index:
-            raise OutOfCarrier(f"operator value {v} is not a chain element")
     return InconsistencyOp(chain, values=vals, name=name or "table")
 
 
@@ -477,17 +509,19 @@ def validate_bullet(chain, bop: InconsistencyOp, grid: int = 1000) -> Validation
     bounds, and antitonicity on the zero-negation region."""
     _require_host(chain, bop)
     if chain.is_finite:
+        vi = bop.indices
         els = chain.elements
-        vals = [bop.value(x) for x in els]
-        for x, v in zip(els, vals):
-            if max(chain.negation(min(x, chain.negation(x))), v) != _ONE:
-                return ValidationReport(False, "b1", (x,))
-        for i in (0, -1):
-            if vals[i] != _ZERO:
+        top = chain.size - 1
+        neg = chain._neg_i
+        for i in range(top + 1):
+            if max(neg[min(i, neg[i])], vi[i]) != top:
+                return ValidationReport(False, "b1", (els[i],))
+        for i in (0, top):
+            if vi[i] != 0:
                 return ValidationReport(False, "b2", (els[i],))
         ladder = _ladder(chain)
         for a, b in zip(ladder, ladder[1:]):
-            if vals[a] < vals[b]:
+            if vi[a] < vi[b]:
                 return ValidationReport(False, "b3", (els[a], els[b]))
         return ValidationReport(True)
 

@@ -35,8 +35,8 @@ from .operators import (ConsistencyOp, HostMismatch, InconsistencyOp,
 
 __all__ = [
     "SemanticsError", "UnboundVariable", "OperatorNotBound",
-    "TooManyVariables", "DatAxiomFails", "NotClassical", "ChainModel",
-    "Evaluation", "evaluate", "finite_scan", "ConsequenceResult",
+    "TooManyVariables", "DatAxiomFails", "NotClassical", "BadPowerBound",
+    "ChainModel", "Evaluation", "evaluate", "finite_scan", "ConsequenceResult",
     "truth_consequence", "degree_consequence",
     "LfiReport", "check_lfi", "PropagationResult", "check_propagation",
     "DatResult", "check_dat_axiom", "PdatResult", "pdat_search",
@@ -74,6 +74,10 @@ class DatAxiomFails(SemanticsError):
 
 class NotClassical(SemanticsError, ValueError):
     """A goal outside the classical fragment."""
+
+
+class BadPowerBound(SemanticsError):
+    """A power search asked to stop below k = 1."""
 
 
 @dataclass
@@ -148,12 +152,13 @@ def evaluate(ev: Evaluation, f: Formula) -> Fraction:
 def compile_finite(model: ChainModel, f: Formula, var_order: Sequence[str]):
     """Compile a formula into a closure mapping an index tuple to an index.
 
-    Every connective is one lookup in an index table of the chain (or of
-    the bound O and # operators).  A parent reads a Var child inline as
-    env[k] instead of calling a closure for it, and a constant subformula
-    is folded: a binary node with one constant side becomes a lookup in
-    that table's row or column.  An unbound O or # raises OperatorNotBound
-    here, also inside a constant subformula.
+    Every connective is one lookup in an index table of the chain, or in
+    the element-index table (indices) of the bound O or # operator.  A
+    parent reads a Var child inline as env[k] instead of calling a closure
+    for it, and a constant subformula is folded: a binary node with one
+    constant side becomes a lookup in that table's row or column.  An
+    unbound O or # raises OperatorNotBound here, also inside a constant
+    subformula.
     """
     chain: FiniteChain = model.chain
     tables = {And: chain._meet_i, Or: chain._join_i, Fuse: chain._tnorm_i,
@@ -183,9 +188,7 @@ def _finite_node(model, tables, pos, node):
     if tab is None:
         if t is not Circ and t is not Bullet:
             raise TypeError(f"not a formula node: {node!r}")
-        chain, op = model.chain, _operator(model, t)
-        tab = tables[t] = tuple(chain.index[op.value(x)]
-                                for x in chain.elements)
+        tab = tables[t] = _operator(model, t).indices
     if t is Not or t is Delta or t is Circ or t is Bullet:
         if type(node.arg) is Var:
             k = pos[node.arg.name]
@@ -644,8 +647,11 @@ def pdat_search(model: ChainModel, phi: Formula, k_max: int = 8,
     phi must be in the classical fragment and the excluded-middle bound
     O(x) <= x \\/ ~x must hold for the bound operator.  Refutations are
     certified countermodels; on standard chains a clean grid pass reports
-    certainty 'grid'.
+    certainty 'grid'.  A k_max below 1 raises BadPowerBound: no power would
+    be checked, so no refutation could be certified.
     """
+    if k_max < 1:
+        raise BadPowerBound(f"k_max must be at least 1, not {k_max}")
     if not _classical_language(phi):
         raise NotClassical("the goal must use only classical connectives")
     dat = check_dat_axiom(model, grid_denominator)

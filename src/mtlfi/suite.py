@@ -14,12 +14,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .chain import (GODEL, LUKASIEWICZ, FiniteChain, builtin_chains,
-                    quotient_by_filter, upward_filter, validate_mtl_laws)
+                    quotient_by_filter, standard_law_violations,
+                    upward_filter, validate_mtl_laws)
 from .formula import And, Const, Formula, Fuse, Imp, Not, Or, Var, parse
 from .hilbert import parse_proof, soundness_bridge, verify_proof
-from .operators import (crisp_op, dual, enumerate_ops, max_op, min_op,
-                        piecewise_op, validate_algebraic, validate_bullet,
-                        validate_c)
+from .operators import (ConsistencyOp, crisp_op, dual, enumerate_ops, max_op,
+                        min_op, piecewise_op, validate_algebraic,
+                        validate_bullet, validate_c)
 from .proofs import FIXTURES, MUTANTS, fixture_chains, fixture_models
 from .semantics import (ChainModel, Evaluation, bridge_check, check_dat_axiom,
                         check_lfi, check_propagation, classical_taut,
@@ -189,9 +190,10 @@ def criterion_1() -> CriterionResult:
             return CriterionResult(1, title, False, f"{name}: {bad[0]}")
     rng = random.Random(101)
     for name in ("LG", "LP", "LL"):
-        points = [_GRID_VALUES[i] for i in _grid_indices(rng, 30000)]
-        triples = zip(points[0::3], points[1::3], points[2::3])
-        bad = validate_mtl_laws(chains[name], triples)
+        drawn = _grid_indices(rng, 30000)
+        triples = zip(drawn[0::3], drawn[1::3], drawn[2::3])
+        bad = standard_law_violations(chains[name], _GRID, triples,
+                                      _GRID_VALUES)
         if bad:
             return CriterionResult(1, title, False, f"{name}: {bad[0]}")
     return CriterionResult(1, title, True, "7 finite chains + 3x10^4 triples")
@@ -199,15 +201,14 @@ def criterion_1() -> CriterionResult:
 
 def criterion_2() -> CriterionResult:
     title = "pointwise and equational operator validation agree on all n^n maps (n <= 5)"
-    from .operators import ConsistencyOp
     total = 0
     for chain in _small_chains().values():
-        for combo in itertools.product(chain.elements, repeat=chain.size):
-            op = ConsistencyOp(chain, "table", values=combo)
+        for combo in itertools.product(range(chain.size), repeat=chain.size):
+            op = ConsistencyOp(chain, "table", indices=combo)
             total += 1
             if validate_c(chain, op).valid != validate_algebraic(chain, op).valid:
                 return CriterionResult(2, title, False,
-                                       f"{chain.name}: disagreement at {combo}")
+                                       f"{chain.name}: disagreement at {op.values}")
     return CriterionResult(2, title, True, f"{total} candidate maps, 100% agreement")
 
 
@@ -449,10 +450,11 @@ CRITERIA = {
 
 
 # The order in which the worker pool is handed the criteria: longest first
-# (in one interpreter criterion 1 takes about 0.27 s, 11 about 0.22 s, 2 and
-# 5 about 0.14 s each, 12 about 0.09 s, the rest under 0.08 s), so the short
-# ones fill in behind the long ones and the workers finish close together.
-_LONGEST_FIRST = (1, 11, 2, 5, 12, 9, 4, 6, 3, 10, 7, 8)
+# (in one interpreter, pinned to one CPU, criterion 1 takes about 0.21 s,
+# 11 about 0.17 s, 5 about 0.15 s, 12 about 0.07 s, 2 about 0.07 s, 9 about
+# 0.04 s, the rest under 0.01 s), so the short ones fill in behind the long
+# ones and the workers finish close together.
+_LONGEST_FIRST = (1, 11, 5, 12, 2, 9, 6, 7, 4, 8, 10, 3)
 
 
 def _usable_cpus() -> int:

@@ -5,12 +5,13 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mtlfi.chain import (GODEL, LUKASIEWICZ, PRODUCT, ChainError, FiniteChain,
-                         GapOrOverlap, NegationNotDecreasing,
-                         NonRationalEndpoint, NotAFilter, OutOfCarrier,
-                         SizeMismatch, StandardChain,
-                         TableNotTnorm, builtin_chains, is_filter,
-                         parse_chain_file, quotient_by_filter, upward_filter,
+from mtlfi.chain import (GODEL, LUKASIEWICZ, PRODUCT, BadGridDenominator,
+                         ChainError, FiniteChain, GapOrOverlap,
+                         NegationNotDecreasing, NonRationalEndpoint,
+                         NotAFilter, OutOfCarrier, SizeMismatch,
+                         StandardChain, TableNotTnorm, builtin_chains,
+                         is_filter, parse_chain_file, quotient_by_filter,
+                         standard_law_violations, upward_filter,
                          validate_mtl_laws)
 
 
@@ -301,6 +302,49 @@ def _reference_law_violations(chain, triples):
     return bad
 
 
+def _pair_law_violations(chain, triples):
+    """The standard-chain law loop in pair space before the point table:
+    each point of each triple converted by chain.pair as it comes, the unit
+    law checked once per triple."""
+    bad = []
+    pair, tnorm, residuum = chain.pair, chain.tnorm_pair, chain.residuum_pair
+    for x, y, z in triples:
+        xn, xd = pair(x)
+        yn, yd = pair(y)
+        zn, zd = pair(z)
+        tn, td = tnorm(xn, xd, yn, yd)
+        un, ud = tnorm(yn, yd, xn, xd)
+        if tn * ud != un * td:
+            bad.append(("commutativity", (x, y)))
+            continue
+        un, ud = tnorm(tn, td, zn, zd)
+        vn, vd = tnorm(yn, yd, zn, zd)
+        vn, vd = tnorm(xn, xd, vn, vd)
+        if un * vd != vn * ud:
+            bad.append(("associativity", (x, y, z)))
+            continue
+        un, ud = tnorm(xn, xd, 1, 1)
+        if un * xd != xn * ud:
+            bad.append(("unit", (x,)))
+            continue
+        if yn * zd <= zn * yd:
+            un, ud = tnorm(xn, xd, zn, zd)
+            if tn * ud > un * td:
+                bad.append(("monotonicity", (x, y, z)))
+                continue
+        un, ud = residuum(yn, yd, zn, zd)
+        if (tn * zd <= zn * td) != (xn * ud <= un * xd):
+            bad.append(("adjointness", (x, y, z)))
+            continue
+        un, ud = residuum(xn, xd, yn, yd)
+        vn, vd = residuum(yn, yd, xn, xd)
+        if vn * ud > un * vd:
+            un, ud = vn, vd
+        if un != ud:
+            bad.append(("prelinearity", (x, y)))
+    return bad
+
+
 @given(data=st.data())
 @settings(max_examples=100, deadline=None)
 def test_pair_law_check_matches_fraction_loop(data):
@@ -312,6 +356,42 @@ def test_pair_law_check_matches_fraction_loop(data):
                                  min_size=1, max_size=30))
     got = validate_mtl_laws(chain, triples)
     assert got == _reference_law_violations(chain, triples) == []
+    assert got == _pair_law_violations(chain, triples)
+
+
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_indexed_law_check_matches_the_per_point_loop(data):
+    """standard_law_violations over index triples into a table of
+    unreduced pairs, against the per-point loop on the same values."""
+    chain = data.draw(ordinal_sums())
+    breakage = data.draw(st.sampled_from([None, "inside", "ordered"]))
+    if breakage is not None:
+        tnorm = chain.tnorm_pair
+
+        def squared(a, b, c, d):  # depends on the rationals only
+            n, m = tnorm(a, b, c, d)
+            hit = a * d < c * b if breakage == "ordered" else 0 < n < m
+            return (n * n, m * m) if hit else (n, m)
+
+        chain.tnorm_pair = squared
+    ends = [c.lo for c in chain.components] + [F(1)]
+    values = data.draw(st.lists(st.one_of(st.sampled_from(ends), rationals),
+                                min_size=1, max_size=12))
+    scale = data.draw(st.lists(st.integers(1, 5), min_size=len(values),
+                               max_size=len(values)))
+    pairs = [(v.numerator * k, v.denominator * k)
+             for v, k in zip(values, scale)]
+    index = st.integers(0, len(values) - 1)
+    triples = data.draw(st.lists(st.tuples(index, index, index),
+                                 min_size=1, max_size=40))
+    got = standard_law_violations(chain, pairs, triples, values)
+    expected = _pair_law_violations(
+        chain, [(values[i], values[j], values[k]) for i, j, k in triples])
+    assert got == expected
+    # the witnesses are the table's own objects
+    for _, witness in got:
+        assert all(any(w is v for v in values) for w in witness)
 
 
 def _perturbed(chain, index, **changes):
@@ -344,6 +424,7 @@ def test_perturbed_kernel_fails_the_same_laws_both_ways(chain):
     triples = [(x, y, z) for x in _GRID12 for y in _GRID12 for z in _GRID12]
     got = validate_mtl_laws(chain, triples)
     assert got and got == _reference_law_violations(chain, triples)
+    assert got == _pair_law_violations(chain, triples)
 
 
 @pytest.mark.parametrize("triple", [(F(3, 2), F(1, 2), 0), (F(1, 2), -1, 1),
@@ -355,6 +436,38 @@ def test_law_check_rejects_points_outside_the_carrier(chains, triple):
         _reference_law_violations(chain, [(0, 1, F(1, 2)), triple])
     with pytest.raises(type(ref.value), match=re.escape(str(ref.value))):
         validate_mtl_laws(chain, [(0, 1, F(1, 2)), triple])
+
+
+def _sorted_sample_points(chain, denominator, extra):
+    """sample_points before the in-order grid: every point in one set,
+    then sorted."""
+    pts = {F(i, denominator) for i in range(denominator + 1)}
+    for c in chain.components:
+        pts.add(c.lo)
+        pts.add(c.hi)
+    for e in extra:
+        v = F(e)
+        if 0 <= v <= 1:
+            pts.add(v)
+    return sorted(pts)
+
+
+@given(chain=ordinal_sums(), denominator=st.integers(1, 240),
+       extra=st.lists(st.one_of(st.fractions(min_value=-1, max_value=2,
+                                             max_denominator=400),
+                                st.integers(-2, 2)), max_size=8))
+@settings(max_examples=200, deadline=None)
+def test_sample_points_match_the_sorted_set(chain, denominator, extra):
+    got = chain.sample_points(denominator, extra=extra)
+    assert got == _sorted_sample_points(chain, denominator, extra)
+    assert all(type(v) is F for v in got)
+
+
+@pytest.mark.parametrize("denominator", [0, -1, -3])
+def test_sample_points_need_a_positive_denominator(chains, denominator):
+    with pytest.raises(BadGridDenominator, match="at least 1"):
+        chains["LG"].sample_points(denominator)
+    assert issubclass(BadGridDenominator, ChainError)
 
 
 @pytest.mark.parametrize("name", ["B2", "L3", "L5", "G3", "G5", "NM6", "L3G3"])

@@ -1,5 +1,10 @@
+import os
+import subprocess
+import sys
+
 import pytest
 
+import mtlfi
 from mtlfi.cli import main
 from mtlfi.formula import MAX_DEPTH
 
@@ -220,6 +225,28 @@ class TestReports:
                            "--goal", "p -> q", "--kmax", "3")
         assert code == 1 and "refuted" in out
 
+    @pytest.mark.parametrize("kmax", ["0", "-2"])
+    def test_pdat_without_a_power_is_a_usage_error(self, capsys, kmax):
+        code, out, err = run(capsys, "pdat", "--chain", "B2", "--op", "min",
+                             "--goal", "p -> q", "--kmax", kmax)
+        assert (code, out) == (3, "")
+        assert err == f"error: k_max must be at least 1, not {kmax}\n"
+
+    @pytest.mark.parametrize("denominator", ["0", "-3"])
+    def test_grid_denominator_below_one_is_a_usage_error(self, capsys,
+                                                         denominator):
+        for argv in (("taut", "--chain", "LG", "p -> p"),
+                     ("lfi-report", "--chain", "LP", "--op", "crisp:3/4"),
+                     ("dat", "--chain", "LL", "--op", "min")):
+            code, out, err = run(capsys, *argv, "--grid-denominator",
+                                 denominator)
+            assert (code, out) == (3, "")
+            assert err == ("error: the grid denominator must be at least 1, "
+                           f"not {denominator}\n")
+        code, out, _ = run(capsys, "taut", "--chain", "LG",
+                           "--grid-denominator", "1", "p -> p")
+        assert code == 2 and "checked: 3" in out
+
 
 class TestProve:
     def test_bundled_fixture(self, capsys):
@@ -372,6 +399,39 @@ class TestSuiteCommand:
         monkeypatch.setattr(mtlfi.cli, "run_suite", broken)
         with pytest.raises(ValueError, match="internal"):
             main(["suite", "paper", "--criteria", "3"])
+
+    def test_run_reports_an_internal_error_with_exit_code_4(self, monkeypatch,
+                                                           capsys):
+        import mtlfi.cli
+
+        def broken(numbers):
+            raise ValueError("internal")
+
+        monkeypatch.setattr(mtlfi.cli, "run_suite", broken)
+        monkeypatch.setattr(sys, "argv", ["mtlfi", "suite", "paper"])
+        assert mtlfi.cli.run() == 4
+        err = capsys.readouterr().err
+        assert err.startswith("Traceback (most recent call last):")
+        assert err.endswith("ValueError: internal\n")
+        monkeypatch.setattr(sys, "argv", ["mtlfi", "suite", "paper", "--x"])
+        assert mtlfi.cli.run() == 3
+
+    def test_module_entry_point_exits_4_on_an_internal_error(self):
+        # runpy executes mtlfi.cli as __main__, as python -m does, after
+        # breaking the suite runner it imports
+        script = ("import runpy, sys, mtlfi.suite\n"
+                  "def broken(numbers=None):\n"
+                  "    raise KeyError('internal')\n"
+                  "mtlfi.suite.run_suite = broken\n"
+                  "sys.argv = ['mtlfi', 'suite', 'paper']\n"
+                  "runpy.run_module('mtlfi.cli', run_name='__main__')\n")
+        src = os.path.dirname(os.path.dirname(mtlfi.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 4 and proc.stdout == ""
+        assert "Traceback" in proc.stderr
+        assert proc.stderr.endswith("KeyError: 'internal'\n")
 
     def test_internal_key_error_is_not_a_usage_error(self, monkeypatch):
         import mtlfi.cli

@@ -425,6 +425,111 @@ def test_validate_algebraic_equals_the_cubic_reference(chains):
     assert tables == 9689
 
 
+def _fraction_validate_c(chain, op):
+    """validate_c on a finite chain before the element-index table: the
+    postulates compared on op.values."""
+    vals, n, neg = op.values, chain.size, chain._neg_i
+    top = n - 1
+    for i in range(n):
+        if i != 0 and neg[i] != 0 and vals[i] != 0:
+            return operators.ValidationReport(False, "c1", (chain.elements[i],))
+    if vals[0] != 1 or vals[top] != 1:
+        w = chain.elements[0] if vals[0] != 1 else chain.elements[top]
+        return operators.ValidationReport(False, "c2", (w,))
+    ladder = operators._ladder(chain)
+    for a, b in zip(ladder, ladder[1:]):
+        if vals[a] > vals[b]:
+            return operators.ValidationReport(
+                False, "c3", (chain.elements[a], chain.elements[b]))
+    return operators.ValidationReport(True)
+
+
+def _fraction_validate_bullet(chain, bop):
+    """validate_bullet on a finite chain before the element-index table:
+    the postulates on bop.value at every element."""
+    els = chain.elements
+    vals = [bop.value(x) for x in els]
+    for x, v in zip(els, vals):
+        if max(chain.negation(min(x, chain.negation(x))), v) != 1:
+            return operators.ValidationReport(False, "b1", (x,))
+    for i in (0, -1):
+        if vals[i] != 0:
+            return operators.ValidationReport(False, "b2", (els[i],))
+    ladder = operators._ladder(chain)
+    for a, b in zip(ladder, ladder[1:]):
+        if vals[a] < vals[b]:
+            return operators.ValidationReport(False, "b3", (els[a], els[b]))
+    return operators.ValidationReport(True)
+
+
+def _assert_table_paths_agree(chain, combo):
+    """The operators on the index tuple combo, built from indices and from
+    values, against the Fraction validators and the old dual."""
+    els = chain.elements
+    values = tuple(els[i] for i in combo)
+    op = ConsistencyOp(chain, "table", indices=combo)
+    from_values = ConsistencyOp(chain, "table", values=values)
+    assert op.indices == from_values.indices == combo
+    assert op.values == values
+    assert validate_c(chain, op) == _fraction_validate_c(chain, from_values)
+    assert (validate_algebraic(chain, op)
+            == _cubic_validate_algebraic(chain, from_values))
+    bop = dual(op)
+    assert bop.values == tuple(chain.negation(v) for v in values)
+    assert validate_bullet(chain, bop) == _fraction_validate_bullet(chain, bop)
+    table = bullet_table_op(chain, values)
+    assert table.indices == combo
+    assert validate_bullet(chain, table) == _fraction_validate_bullet(chain, table)
+
+
+def test_table_paths_agree_on_every_map_up_to_four_elements(chains):
+    four = FiniteChain.ordinal_sum([(GODEL, 2), (LUKASIEWICZ, 3)])
+    maps = 0
+    for chain in (chains["B2"], chains["L3"], chains["G3"], chains["L4"], four):
+        for combo in itertools.product(range(chain.size), repeat=chain.size):
+            _assert_table_paths_agree(chain, combo)
+            maps += 1
+    assert maps == 4 + 2 * 27 + 2 * 256
+
+
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_table_paths_agree_on_larger_chains(chains, data):
+    chain = data.draw(st.one_of(
+        small_ordinal_sums(),
+        st.sampled_from(["L5", "G5", "NM6", "W15"]).map(chains.get)))
+    index = st.integers(0, chain.size - 1)
+    combo = data.draw(st.one_of(
+        st.lists(index, min_size=chain.size, max_size=chain.size),
+        # mostly valid maps: min_op's table with some entries moved
+        st.lists(st.tuples(index, index), max_size=3).map(
+            lambda moves: _moved(min_op(chain).indices, moves))))
+    _assert_table_paths_agree(chain, tuple(combo))
+    top = chain.size - 1
+    nset = chain.n_set()
+    assert min_op(chain).values == tuple(
+        1 if i in (0, top) else 0 for i in range(chain.size))
+    assert max_op(chain).values == tuple(
+        1 if (i in (0, top) or x in nset) else 0
+        for i, x in enumerate(chain.elements))
+
+
+def _moved(indices, moves):
+    out = list(indices)
+    for i, v in moves:
+        out[i] = v
+    return out
+
+
+def test_operator_values_must_be_chain_elements(chains):
+    l3 = chains["L3"]
+    for build in (lambda: ConsistencyOp(l3, "table", values=(1, F(1, 3), 1)),
+                  lambda: bullet_table_op(l3, [0, F(1, 3), 0]),
+                  lambda: table_op(l3, [1, F(1, 3), 1])):
+        with pytest.raises(OutOfCarrier, match="1/3 is not a chain element"):
+            build()
+
+
 class TestDuality:
     def test_involutive_dual_values(self, chains):
         l3 = chains["L3"]

@@ -12,7 +12,8 @@ from mtlfi.formula import (ONE, ZERO, And, Bullet, Circ, Delta, Fuse, Iff,
                            Imp, Not, Or, Var, parse, variables)
 from mtlfi.operators import (crisp_op, dual, enumerate_ops, max_op, min_op,
                              piecewise_op)
-from mtlfi.semantics import (ChainModel, DatAxiomFails, Evaluation,
+from mtlfi.semantics import (BadPowerBound, ChainModel, DatAxiomFails,
+                             Evaluation,
                              OperatorNotBound, SemanticsError,
                              TooManyVariables, UnboundVariable, bridge_check,
                              check_dat_axiom, check_lfi, check_propagation,
@@ -277,6 +278,15 @@ class TestDatAndPdat:
     def test_pdat_rejects_marker_formulas(self, ll_identity):
         with pytest.raises(ValueError):
             pdat_search(ll_identity, parse("O p"))
+
+    @pytest.mark.parametrize("k_max", [0, -1])
+    def test_pdat_needs_a_power_to_check(self, chains, k_max):
+        # below k = 1 nothing is checked, so "refuted" would be unfounded
+        b2 = chains["B2"]
+        model = ChainModel("B2", b2, min_op(b2))
+        with pytest.raises(BadPowerBound, match="k_max must be at least 1"):
+            pdat_search(model, parse("p -> q"), k_max)
+        assert issubclass(BadPowerBound, SemanticsError)
 
 
 class TestClassicalTaut:

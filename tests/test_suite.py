@@ -14,15 +14,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import mtlfi.suite as suite
-from mtlfi.chain import (StandardChain, TableNotTnorm, builtin_chains,
-                         validate_mtl_laws)
+from mtlfi.chain import StandardChain, TableNotTnorm, builtin_chains
 from mtlfi.formula import FormulaSyntaxError
-from mtlfi.operators import ConsistencyOp
+from mtlfi.operators import ConsistencyOp, ValidationReport
 from mtlfi.semantics import SemanticsError
 from mtlfi.suite import (_DENOMS, _GRID, _GRID_VALUES, CriterionResult,
                          _example_standard_ops, _grid_indices,
                          _random_rational, criterion_1, criterion_5,
                          run_suite)
+from test_chain import _pair_law_violations
 
 
 def _stdlib_point(rng):
@@ -107,13 +107,14 @@ def _reference_criterion_5_detail():
 
 def _reference_criterion_1_detail():
     """The detail of criterion 1's standard-chain part as it ran before the
-    grid table."""
+    grid table: Fraction triples drawn by choice and randint, each point
+    converted as it comes."""
     rng = random.Random(101)
     chains = builtin_chains()
     for name in ("LG", "LP", "LL"):
         triples = [tuple(F(*_stdlib_point(rng)) for _ in range(3))
                    for _ in range(10000)]
-        bad = validate_mtl_laws(chains[name], triples)
+        bad = _pair_law_violations(chains[name], triples)
         if bad:
             return f"{name}: {bad[0]}"
     return None
@@ -144,6 +145,14 @@ def _product_squares_upper_half(chain, a, b, c, d):
     return n, m
 
 
+def _unit_lost_on_ll(chain, a, b, c, d):
+    # x & 1 (1 as the second argument only) halves 3/5 <= x < 2/3 on LL: the
+    # unit law fails, and commutativity where the sampled y is 1
+    if chain.name == "LL" and c == d and 3 * b <= 5 * a and 3 * a < 2 * b:
+        return a, 2 * b
+    return _tnorm_pair(chain, a, b, c, d)
+
+
 @pytest.mark.parametrize("broken", [_max_drops_near_top, _crisp_has_a_gap])
 def test_broken_value_gives_the_reference_criterion_5_detail(monkeypatch, broken):
     monkeypatch.setattr(ConsistencyOp, "value_pair", broken)
@@ -154,13 +163,25 @@ def test_broken_value_gives_the_reference_criterion_5_detail(monkeypatch, broken
 
 
 def test_broken_tnorm_gives_the_reference_criterion_details(monkeypatch):
-    monkeypatch.setattr(StandardChain, "tnorm_pair", _product_squares_upper_half)
-    for run, reference in ((criterion_1, _reference_criterion_1_detail),
-                           (criterion_5, _reference_criterion_5_detail)):
-        expected = reference()
-        assert expected is not None
-        result = run()
-        assert not result.passed and result.detail == expected
+    for broken in (_product_squares_upper_half, _unit_lost_on_ll):
+        monkeypatch.setattr(StandardChain, "tnorm_pair", broken)
+        for run, reference in ((criterion_1, _reference_criterion_1_detail),
+                               (criterion_5, _reference_criterion_5_detail)):
+            expected = reference()
+            assert expected is not None
+            result = run()
+            assert not result.passed and result.detail == expected
+
+
+def test_a_disagreement_in_criterion_2_names_the_map_by_its_values(monkeypatch):
+    # the first map on B2 is (0, 0), which validate_c rejects
+    def flipped(chain, op):
+        return ValidationReport(True)
+
+    monkeypatch.setattr(suite, "validate_algebraic", flipped)
+    result = suite.criterion_2()
+    assert not result.passed
+    assert result.detail == "B2: disagreement at (Fraction(0, 1), Fraction(0, 1))"
 
 
 # ---------------------------------------------------------------------------
