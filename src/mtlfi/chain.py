@@ -37,6 +37,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
+from . import InputError
+
 __all__ = [
     "Rat", "rat", "ChainError", "OutOfCarrier", "TableNotTnorm",
     "NegationNotDecreasing", "SizeMismatch", "GapOrOverlap",
@@ -65,7 +67,7 @@ def rat(x) -> Fraction:
     raise NonRationalEndpoint(f"not an exact rational: {x!r}")
 
 
-class ChainError(Exception):
+class ChainError(InputError):
     pass
 
 

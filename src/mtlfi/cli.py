@@ -2,8 +2,10 @@
 
 Exit codes: 0 holds/valid, 1 refuted (countermodel printed), 2 unknown
 (search or enumeration budget exhausted), 3 usage or I/O error, 4 internal
-error.  main() returns the first four; any exception it does not map to
-one of them propagates.  Run as a program (python -m mtlfi.cli, or the
+error.  main() returns the first four: an input error (mtlfi.InputError,
+the base of every error bad input raises) is reported on stderr and exits
+with its exit_code, 3 except an enumeration over its budget (2).  Any
+other exception propagates.  Run as a program (python -m mtlfi.cli, or the
 mtlfi script), run() calls main() and turns such an exception into its
 traceback on stderr and exit code 4.
 """
@@ -12,27 +14,19 @@ from __future__ import annotations
 
 import argparse
 import sys
-import traceback
 
-from .chain import (ChainError, NotAFilter, OutOfCarrier, builtin_chains,
-                    parse_chain_file, quotient_by_filter, rat, upward_filter)
-from .formula import FormulaSyntaxError, parse, render
-from .hilbert import HilbertError, parse_proof, verify_proof
-from .operators import (OperatorError, TooLarge, crisp_op, dual, enumerate_ops,
-                        max_op, min_op, op_from_delta, parse_op_file,
-                        validate_algebraic, validate_bullet, validate_c)
-from .profiles import UnknownProfile, load_profile
-from .proofs import FIXTURES
-from .semantics import (ChainModel, Evaluation, SemanticsError, check_dat_axiom,
-                        check_lfi, check_propagation, classical_taut,
-                        degree_consequence, evaluate, pdat_search,
-                        truth_consequence)
-from .suite import CRITERIA, run_suite
+from . import InputError
+from .chain import (NotAFilter, OutOfCarrier, builtin_chains, parse_chain_file,
+                    quotient_by_filter, rat, upward_filter)
+
+# Only the chain module loads with this one, since every Workspace holds the
+# built-in chains; each command imports the rest of what it uses when it
+# runs, so a small query does not compile the whole package at start-up.
 
 __all__ = ["main", "run", "Workspace"]
 
 
-class UsageError(Exception):
+class UsageError(InputError):
     pass
 
 
@@ -56,9 +50,11 @@ class Workspace:
             name, chain = parse_chain_file(text)
             self.chains[name] = chain
         elif kind == "op":
+            from .operators import parse_op_file
             name, op = parse_op_file(text, self.chains)
             self.ops[name] = op
         elif kind == "proof":
+            from .hilbert import parse_proof
             script = parse_proof(text)
             self.scripts[script.name] = script
         else:
@@ -74,6 +70,8 @@ class Workspace:
     def op(self, chain, spec: str):
         """Resolve an operator spec: auto, min, max, delta, crisp:t[:open]
         or the name of a loaded operator."""
+        from .operators import (crisp_op, enumerate_ops, max_op, min_op,
+                                op_from_delta)
         if spec in self.ops:
             op = self.ops[spec]
             if op.chain is not chain:
@@ -101,6 +99,7 @@ class Workspace:
 
 
 def _parse_formula(text: str):
+    from .formula import FormulaSyntaxError, parse
     try:
         return parse(text)
     except FormulaSyntaxError as exc:
@@ -111,7 +110,9 @@ def _split_premises(text: str) -> list:
     return [_parse_formula(part) for part in text.split(",") if part.strip()]
 
 
-def _model(ws: Workspace, args) -> ChainModel:
+def _model(ws: Workspace, args):
+    from .operators import dual
+    from .semantics import ChainModel
     chain = ws.chain(args.chain)
     cop = bop = None
     if getattr(args, "op", None):
@@ -139,6 +140,7 @@ def _emit_consequence(res, fmt: str) -> int:
 # Commands
 
 def _cmd_parse(ws, args) -> int:
+    from .formula import render
     f = _parse_formula(args.formula)
     print(render(f, unicode=args.unicode))
     return 0
@@ -156,6 +158,7 @@ def _element(chain, text: str):
 
 
 def _cmd_eval(ws, args) -> int:
+    from .semantics import Evaluation, evaluate
     model = _model(ws, args)
     assignment = {}
     if args.assign:
@@ -173,6 +176,7 @@ def _cmd_eval(ws, args) -> int:
 
 
 def _cmd_taut(ws, args) -> int:
+    from .semantics import classical_taut, truth_consequence
     f = _parse_formula(args.formula)
     if args.classical:
         ok = classical_taut(f)
@@ -184,6 +188,7 @@ def _cmd_taut(ws, args) -> int:
 
 
 def _cmd_conseq(ws, args) -> int:
+    from .semantics import degree_consequence, truth_consequence
     model = _model(ws, args)
     premises = _split_premises(args.premises) if args.premises else []
     goal = _parse_formula(args.goal)
@@ -193,6 +198,8 @@ def _cmd_conseq(ws, args) -> int:
 
 
 def _cmd_validate_op(ws, args) -> int:
+    from .operators import (dual, validate_algebraic, validate_bullet,
+                            validate_c)
     chain = ws.chain(args.chain)
     op = ws.op(chain, args.op)
     report = validate_c(chain, op)
@@ -209,6 +216,7 @@ def _cmd_validate_op(ws, args) -> int:
 
 
 def _cmd_enum_ops(ws, args) -> int:
+    from .operators import enumerate_ops
     chain = ws.chain(args.chain)
     ops = enumerate_ops(chain)
     print(f"count: {len(ops)}")
@@ -235,6 +243,7 @@ def _cmd_quotient(ws, args) -> int:
 
 
 def _cmd_lfi_report(ws, args) -> int:
+    from .semantics import check_lfi
     model = _model(ws, args)
     report = check_lfi(model, args.grid_denominator)
     status = {True: "pass", False: "fail", None: "unknown"}
@@ -253,6 +262,7 @@ def _cmd_lfi_report(ws, args) -> int:
 
 
 def _cmd_propagation(ws, args) -> int:
+    from .semantics import check_propagation
     model = _model(ws, args)
     res = check_propagation(model, args.connective, args.grid_denominator)
     if res.holds is True:
@@ -267,6 +277,7 @@ def _cmd_propagation(ws, args) -> int:
 
 
 def _cmd_dat(ws, args) -> int:
+    from .semantics import check_dat_axiom
     model = _model(ws, args)
     res = check_dat_axiom(model, args.grid_denominator)
     if res.holds:
@@ -277,6 +288,7 @@ def _cmd_dat(ws, args) -> int:
 
 
 def _cmd_pdat(ws, args) -> int:
+    from .semantics import pdat_search
     model = _model(ws, args)
     goal = _parse_formula(args.goal)
     res = pdat_search(model, goal, args.kmax, args.grid_denominator)
@@ -291,7 +303,11 @@ def _cmd_pdat(ws, args) -> int:
 
 
 def _cmd_prove(ws, args) -> int:
+    from .formula import render
+    from .hilbert import parse_proof, verify_proof
+    from .profiles import load_profile
     if args.fixture:
+        from .proofs import FIXTURES
         try:
             text = FIXTURES[args.fixture]["text"]
         except KeyError:
@@ -322,6 +338,7 @@ def _cmd_prove(ws, args) -> int:
 
 
 def _cmd_suite(ws, args) -> int:
+    from .suite import CRITERIA, run_suite
     if args.which != "paper":
         raise UsageError("the only bundled suite is named 'paper'")
     numbers = None
@@ -447,14 +464,9 @@ def main(argv=None) -> int:
         for path in args.load:
             ws.load(path)
         return args.fn(ws, args)
-    except TooLarge as exc:
-        # an enumeration refused over its budget
+    except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (UsageError, ChainError, OperatorError, SemanticsError,
-            HilbertError, FormulaSyntaxError, UnknownProfile) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return exc.exit_code
 
 
 def run() -> int:
@@ -463,6 +475,7 @@ def run() -> int:
     try:
         return main()
     except Exception:
+        import traceback
         traceback.print_exc()
         return 4
 

@@ -17,12 +17,14 @@ import re
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
+from . import InputError
+
 __all__ = [
     "Formula", "Var", "Const", "Not", "Circ", "Bullet", "Delta",
     "And", "Fuse", "Or", "Imp", "Iff", "ZERO", "ONE",
     "FormulaSyntaxError", "MAX_DEPTH", "parse", "render", "normalize",
-    "variables", "subformulas", "power", "Schema", "schema", "match_schema",
-    "substitute", "to_bullet_language", "to_circ_language",
+    "variables", "depth", "subformulas", "power", "Schema", "schema",
+    "match_schema", "substitute", "to_bullet_language", "to_circ_language",
 ]
 
 
@@ -109,7 +111,7 @@ _BINARY = (And, Fuse, Or, Imp, Iff)
 # ---------------------------------------------------------------------------
 # Parsing
 
-class FormulaSyntaxError(ValueError):
+class FormulaSyntaxError(InputError, ValueError):
     """Raised on malformed input; carries the byte offset and expected tokens."""
 
     def __init__(self, message: str, offset: int, expected: tuple = ()):
@@ -322,6 +324,19 @@ def variables(*formulas: Formula) -> frozenset:
         elif t is not Const:
             stack.append(node.arg)
     return frozenset(out)
+
+
+def depth(f: Formula) -> int:
+    """The most nodes on any root-to-leaf path of f."""
+    deepest, stack = 0, [(f, 1)]
+    while stack:
+        node, level = stack.pop()
+        deepest = max(deepest, level)
+        if type(node) in _BINARY:
+            stack += ((node.left, level + 1), (node.right, level + 1))
+        elif type(node) in _UNARY:
+            stack.append((node.arg, level + 1))
+    return deepest
 
 
 def subformulas(f: Formula) -> Iterator[Formula]:

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
+from . import InputError
 from .formula import Formula, Imp, Schema, match_schema, normalize, parse
 from .profiles import (LogicProfile, REGISTERED_THEOREMS, Rule, load_profile)
 from .semantics import (ChainModel, OperatorNotBound, degree_consequence,
@@ -28,7 +29,7 @@ __all__ = [
 ]
 
 
-class HilbertError(Exception):
+class HilbertError(InputError):
     pass
 
 

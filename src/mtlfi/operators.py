@@ -14,6 +14,7 @@ from fractions import Fraction
 from math import comb
 from typing import Optional, Sequence
 
+from . import InputError
 from .chain import FiniteChain, OutOfCarrier, rat
 
 __all__ = [
@@ -32,7 +33,7 @@ _ONE = Fraction(1)
 ENUMERATION_BUDGET = 100_000  # the most operators enumerate_ops builds
 
 
-class OperatorError(Exception):
+class OperatorError(InputError):
     pass
 
 
@@ -53,7 +54,9 @@ class NotNondecreasing(OperatorError):
 
 
 class TooLarge(OperatorError):
-    pass
+    """An enumeration refused over its budget: an unknown, not a usage error."""
+
+    exit_code = 2
 
 
 class StandardChainUnsupported(OperatorError):

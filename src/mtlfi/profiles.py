@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+from . import InputError
 from .formula import Or, Schema, Var, schema
 
 __all__ = [
@@ -20,7 +21,7 @@ __all__ = [
 ]
 
 
-class UnknownProfile(KeyError):
+class UnknownProfile(InputError, KeyError):
     pass
 
 

@@ -27,9 +27,11 @@ from fractions import Fraction
 from functools import reduce
 from typing import Iterable, Optional, Sequence
 
+from . import InputError
 from .chain import GODEL, FiniteChain, rat
-from .formula import (And, Bullet, Circ, Const, Delta, Formula, Fuse, Iff,
-                      Imp, Not, Or, Var, ONE, power, variables)
+from .formula import (MAX_DEPTH, And, Bullet, Circ, Const, Delta, Formula,
+                      Fuse, Iff, Imp, Not, Or, Var, ONE, depth, power,
+                      variables)
 from .operators import (ConsistencyOp, HostMismatch, InconsistencyOp,
                         validate_c)
 
@@ -52,7 +54,7 @@ STANDARD_VAR_CAP = 4
 SAMPLING_BUDGET = 20000
 
 
-class SemanticsError(Exception):
+class SemanticsError(InputError):
     pass
 
 
@@ -648,17 +650,24 @@ def pdat_search(model: ChainModel, phi: Formula, k_max: int = 8,
     O(x) <= x \\/ ~x must hold for the bound operator.  Refutations are
     certified countermodels; on standard chains a clean grid pass reports
     certainty 'grid'.  A k_max below 1 raises BadPowerBound: no power would
-    be checked, so no refutation could be certified.
+    be checked, so no refutation could be certified.  So does a k_max whose
+    implication would be deeper than MAX_DEPTH, which evaluation could not
+    recurse through.
     """
     if k_max < 1:
         raise BadPowerBound(f"k_max must be at least 1, not {k_max}")
+    names = sorted(variables(phi))
+    conj = reduce(And, [Circ(Var(name)) for name in names]) if names else ONE
+    # Imp(power(conj, k_max), phi), without building it
+    deepest = 1 + max(depth(conj) + k_max - 1, depth(phi))
+    if deepest > MAX_DEPTH:
+        raise BadPowerBound(f"k_max {k_max} would build a formula {deepest} "
+                            f"levels deep, more than {MAX_DEPTH}")
     if not _classical_language(phi):
         raise NotClassical("the goal must use only classical connectives")
     dat = check_dat_axiom(model, grid_denominator)
     if not dat.holds:
         raise DatAxiomFails(f"O(x) <= x \\/ ~x fails at {dat.witness}")
-    names = sorted(variables(phi))
-    conj = reduce(And, [Circ(Var(name)) for name in names]) if names else ONE
     refuted = []
     total = 0
     for k in range(1, k_max + 1):

@@ -232,6 +232,14 @@ class TestReports:
         assert (code, out) == (3, "")
         assert err == f"error: k_max must be at least 1, not {kmax}\n"
 
+    def test_pdat_past_the_depth_limit_is_a_usage_error(self, capsys):
+        # it used to recurse past Python's limit: a traceback and exit 4
+        code, out, err = run(capsys, "pdat", "--chain", "L3", "--op", "min",
+                             "--goal", "p -> q", "--kmax", "1000")
+        assert (code, out) == (3, "")
+        assert err == ("error: k_max 1000 would build a formula 1003 levels "
+                       f"deep, more than {MAX_DEPTH}\n")
+
     @pytest.mark.parametrize("denominator", ["0", "-3"])
     def test_grid_denominator_below_one_is_a_usage_error(self, capsys,
                                                          denominator):
@@ -391,23 +399,24 @@ class TestSuiteCommand:
             assert len(seconds.split(".")[1]) == 3
 
     def test_internal_value_error_is_not_a_usage_error(self, monkeypatch):
-        import mtlfi.cli
+        import mtlfi.suite
 
         def broken(numbers):
             raise ValueError("internal")
 
-        monkeypatch.setattr(mtlfi.cli, "run_suite", broken)
+        monkeypatch.setattr(mtlfi.suite, "run_suite", broken)
         with pytest.raises(ValueError, match="internal"):
             main(["suite", "paper", "--criteria", "3"])
 
     def test_run_reports_an_internal_error_with_exit_code_4(self, monkeypatch,
                                                            capsys):
         import mtlfi.cli
+        import mtlfi.suite
 
         def broken(numbers):
             raise ValueError("internal")
 
-        monkeypatch.setattr(mtlfi.cli, "run_suite", broken)
+        monkeypatch.setattr(mtlfi.suite, "run_suite", broken)
         monkeypatch.setattr(sys, "argv", ["mtlfi", "suite", "paper"])
         assert mtlfi.cli.run() == 4
         err = capsys.readouterr().err
@@ -434,12 +443,12 @@ class TestSuiteCommand:
         assert proc.stderr.endswith("KeyError: 'internal'\n")
 
     def test_internal_key_error_is_not_a_usage_error(self, monkeypatch):
-        import mtlfi.cli
+        import mtlfi.suite
 
         def broken(numbers):
             raise KeyError("internal")
 
-        monkeypatch.setattr(mtlfi.cli, "run_suite", broken)
+        monkeypatch.setattr(mtlfi.suite, "run_suite", broken)
         with pytest.raises(KeyError):
             main(["suite", "paper", "--criteria", "3"])
 

@@ -8,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from mtlfi import semantics
 from mtlfi.chain import FiniteChain, GODEL
-from mtlfi.formula import (ONE, ZERO, And, Bullet, Circ, Delta, Fuse, Iff,
-                           Imp, Not, Or, Var, parse, variables)
+from mtlfi.formula import (MAX_DEPTH, ONE, ZERO, And, Bullet, Circ, Delta,
+                           Fuse, Iff, Imp, Not, Or, Var, parse, variables)
 from mtlfi.operators import (crisp_op, dual, enumerate_ops, max_op, min_op,
                              piecewise_op)
 from mtlfi.semantics import (BadPowerBound, ChainModel, DatAxiomFails,
@@ -287,6 +287,23 @@ class TestDatAndPdat:
         with pytest.raises(BadPowerBound, match="k_max must be at least 1"):
             pdat_search(model, parse("p -> q"), k_max)
         assert issubclass(BadPowerBound, SemanticsError)
+
+    def test_pdat_power_stays_within_the_depth_limit(self, chains):
+        # (O p /\ O q)^k -> (p -> q) is k + 3 levels deep; one level more
+        # than MAX_DEPTH is refused before any search, here before the DAT
+        # check that LG/max fails
+        b2, lg = chains["B2"], chains["LG"]
+        largest = MAX_DEPTH - 3
+        res = pdat_search(ChainModel("B2", b2, min_op(b2)), parse("p -> q"),
+                          largest)
+        assert res.reason == "refuted"
+        assert res.refuted == tuple(range(1, largest + 1))
+        for model in (ChainModel("B2", b2, min_op(b2)),
+                      ChainModel("LG", lg, max_op(lg))):
+            with pytest.raises(BadPowerBound,
+                               match=f"k_max {largest + 1} would build a "
+                                     f"formula {MAX_DEPTH + 1} levels deep"):
+                pdat_search(model, parse("p -> q"), largest + 1)
 
 
 class TestClassicalTaut:
