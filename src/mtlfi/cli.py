@@ -72,6 +72,8 @@ class Workspace:
         or the name of a loaded operator."""
         from .operators import (crisp_op, enumerate_ops, max_op, min_op,
                                 op_from_delta)
+        if spec is None:
+            raise UsageError("no operator given: pass --op")
         if spec in self.ops:
             op = self.ops[spec]
             if op.chain is not chain:
@@ -426,7 +428,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("propagation", parents=[common])
     p.add_argument("--connective", required=True,
-                   choices=("/\\", "&", "->", "~", "0"))
+                   choices=("/\\", "&", "->", "~", "0"),
+                   help="write -> as --connective=->")
     p.set_defaults(fn=_cmd_propagation)
 
     p = sub.add_parser("dat", parents=[common])

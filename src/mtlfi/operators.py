@@ -151,9 +151,6 @@ class ConsistencyOp:
         v = _interpolate(self.breakpoints, self.interpolation, Fraction(n, d))
         return v.numerator, v.denominator
 
-    def pointwise(self, points) -> list:
-        return [self.value(x) for x in points]
-
     def critical_points(self) -> list:
         """The breakpoint abscissae and the threshold, where the value
         function can change shape; grid scans add them to their points."""

@@ -22,7 +22,7 @@ __all__ = [
 
 
 class UnknownProfile(InputError, KeyError):
-    pass
+    __str__ = Exception.__str__  # the message, not KeyError's quoted key
 
 
 @dataclass(frozen=True)
@@ -304,4 +304,8 @@ def load_profile(name: str) -> LogicProfile:
     try:
         return _REGISTRY[key]
     except KeyError:
-        raise UnknownProfile(name) from None
+        raise UnknownProfile(
+            f"unknown profile {name!r}; a name is a base ({', '.join(BASES)})"
+            " with an optional suffix -o, -o-nn, -o-nn+, -o-c, -o-min, -o-max,"
+            " -o-dat, -b, -b-nn, -b-c, -b-min or -b-max, or MTLD; a final <="
+            " (or -leq) names its degree-preserving companion") from None

@@ -15,7 +15,9 @@ combination up to FINITE_VAR_CAP (finite) or STANDARD_VAR_CAP (standard)
 variables, and above the cap SAMPLING_BUDGET draws from one seeded sampler.
 Finite exhaustive verdicts are exact.  A countermodel is always a certified
 failure (all arithmetic is exact); any other clean scan is unknown, except
-a standard-chain query without variables, which holds.
+a standard-chain query without variables, which holds.  The pointwise
+operator laws (propagation, the excluded-middle bound, and gentle explosion,
+clause (iv) of check_lfi) are degree-mode queries on the same scan.
 """
 
 from __future__ import annotations
@@ -30,8 +32,8 @@ from typing import Iterable, Optional, Sequence
 from . import InputError
 from .chain import GODEL, FiniteChain, rat
 from .formula import (MAX_DEPTH, And, Bullet, Circ, Const, Delta, Formula,
-                      Fuse, Iff, Imp, Not, Or, Var, ONE, depth, power,
-                      variables)
+                      Fuse, Iff, Imp, Not, Or, Var, ONE, ZERO, depth,
+                      power, variables)
 from .operators import (ConsistencyOp, HostMismatch, InconsistencyOp,
                         validate_c)
 
@@ -232,10 +234,10 @@ def compile_standard(model: ChainModel, f: Formula, var_order: Sequence[str],
     """Compile a formula on a standard chain into a closure mapping an index
     tuple to the formula's exact value.
 
-    A Var reads points[env[k]]; every connective calls the chain's exact
-    arithmetic (or min, max, or the bound O and # operators) on its
-    children's values, as evaluate does.  An unbound O or # raises
-    OperatorNotBound here.
+    A Var, or a unary connective on a Var, reads its table over points; any
+    other connective applies the chain's exact arithmetic (min, max, or the
+    bound O or #) to its children's values as evaluate does, and a /\\ or &
+    is 0 where its left side is.  An unbound O or # raises OperatorNotBound.
     """
     chain = model.chain
     res = chain.residuum
@@ -243,14 +245,14 @@ def compile_standard(model: ChainModel, f: Formula, var_order: Sequence[str],
            Iff: lambda x, y: min(res(x, y), res(y, x)),
            Not: chain.negation, Delta: chain.delta}
     pos = {name: i for i, name in enumerate(var_order)}
-    return _standard_node(model, ops, pos, points, f)
+    return _standard_node(model, ops, pos, {Var: points}, f)
 
 
-def _standard_node(model, ops, pos, points, node):
+def _standard_node(model, ops, pos, tabs, node):
     """The closure from env to node's value (module level, as _finite_node)."""
     t = type(node)
     if t is Var:
-        k = pos[node.name]
+        k, points = pos[node.name], tabs[Var]
         return lambda env: points[env[k]]
     if t is Const:
         v = _ONE if node.value else _ZERO
@@ -261,10 +263,17 @@ def _standard_node(model, ops, pos, points, node):
             raise TypeError(f"not a formula node: {node!r}")
         op = ops[t] = _operator(model, t).value
     if t is Not or t is Delta or t is Circ or t is Bullet:
-        g = _standard_node(model, ops, pos, points, node.arg)
+        if type(node.arg) is Var:
+            k, tab = pos[node.arg.name], tabs.get(t)
+            if tab is None:
+                tab = tabs[t] = tuple([op(x) for x in tabs[Var]])
+            return lambda env: tab[env[k]]
+        g = _standard_node(model, ops, pos, tabs, node.arg)
         return lambda env: op(g(env))
-    l = _standard_node(model, ops, pos, points, node.left)
-    r = _standard_node(model, ops, pos, points, node.right)
+    l = _standard_node(model, ops, pos, tabs, node.left)
+    r = _standard_node(model, ops, pos, tabs, node.right)
+    if t is And or t is Fuse:  # 0 /\ y = 0 & y = 0: y is not evaluated
+        return lambda env: (x := l(env)) and op(x, r(env))
     return lambda env: op(l(env), r(env))
 
 
@@ -308,7 +317,7 @@ def finite_scan(model: ChainModel, premises, conclusion, mode: str,
     index or a value (else None).  Every formula is compiled first, so an
     unbound O or # raises whatever envs holds.  The premises are compiled
     as one lattice conjunction, their least value: truth mode tests it
-    against the top, degree mode against the conclusion.
+    against the top, degree mode (above the bottom) against the conclusion.
     """
     if model.chain.is_finite:
         top, compile_, extra = model.chain.size - 1, compile_finite, ()
@@ -332,7 +341,7 @@ def finite_scan(model: ChainModel, premises, conclusion, mode: str,
     else:
         for checked, env in enumerate(envs, 1):
             a = prem(env)
-            if a > concl_fn(env):
+            if a and a > concl_fn(env):  # a is 0 at the bottom
                 return env, checked, a
     return None, checked, None
 
@@ -476,7 +485,7 @@ def check_lfi(model: ChainModel, grid_denominator: int = 60) -> LfiReport:
 
     The first three ask for non-derivations and pass when a countermodel
     with a fresh goal variable exists; the fourth (gentle explosion) is the
-    pointwise law min(O(x), x, ~x) = 0.
+    law O p, p, ~p |=_<= 0, scanned over the operator's points.
     """
     p, q = Var("p"), Var("q")
     op = model.consistency
@@ -494,13 +503,13 @@ def check_lfi(model: ChainModel, grid_denominator: int = 60) -> LfiReport:
         passed = {"fails": True, "holds": False}.get(res.verdict)
         report.clauses[key] = LfiClause(passed, res.assignment, res.witness)
     chain = model.chain
-    witness = next((x for x in _points(chain, (op,), grid_denominator)
-                    if min(op.value(x), x, chain.negation(x)) != _ZERO), None)
-    if witness is None and not chain.is_finite and not validate_c(chain, op).valid:
-        # a clean grid proves the law only for a validated operator
-        report.clauses["iv"] = LfiClause(None)
-    else:
-        report.clauses["iv"] = LfiClause(witness is None, witness=witness)
+    res = _product_search(model, [Circ(p), p, Not(p)], ZERO, "degree",
+                          _points(chain, (op,), grid_denominator), 1, None)
+    passed = res.verdict != "fails"
+    if res.verdict == "unknown" and not validate_c(chain, op).valid:
+        passed = None  # a clean grid proves the law only for a valid operator
+    at = res.assignment
+    report.clauses["iv"] = LfiClause(passed, witness=at and at["p"])
     return report
 
 
@@ -522,12 +531,12 @@ def check_propagation(model: ChainModel, connective: str,
                       grid_denominator: int = 60) -> PropagationResult:
     """Does min(O(x), O(y)) <= O(x # y) hold for the chosen connective?
 
-    Unary ~ checks O(x) <= O(~x) and the constant 0 checks O(0) = 1.
-    Finite chains are exhaustive.  Standard chains scan grid pairs; a clean
-    scan upgrades to a definite yes only where the structural argument
-    applies (the lattice conjunction always, the implication and negation
-    for validated operators, the strong conjunction for the min and max
-    kinds).
+    Decided as O p, O q |=_<= O(p # q), or O p |=_<= O ~p for ~, over the
+    operator's points; 0 checks O(0) = 1.  Finite chains are exhaustive.  A
+    clean scan of a standard chain's grid upgrades to a definite yes only
+    where the structural argument applies (the lattice conjunction always,
+    the implication and negation for validated operators, the strong
+    conjunction for the min and max kinds).
     """
     op = model.consistency
     if op is None:
@@ -538,37 +547,27 @@ def check_propagation(model: ChainModel, connective: str,
     if connective == "0":
         ok = op.value(_ZERO) == _ONE
         return PropagationResult(ok, None if ok else (_ZERO,), checked=1)
-    points = _points(chain, (op,), grid_denominator)
-    checked = 0
+    p, q = Var("p"), Var("q")
     if connective == "~":
-        for checked, x in enumerate(points, 1):
-            lhs, rhs = op.value(x), op.value(chain.negation(x))
-            if lhs > rhs:
-                return PropagationResult(False, (x,), chain.residuum(lhs, rhs),
-                                         checked=checked)
+        premises, law = [Circ(p)], Circ(Not(p))
     else:
-        combine = {"/\\": min, "&": chain.tnorm, "->": chain.residuum}[connective]
-        for x in points:
-            ox = op.value(x)
-            if ox == _ZERO:
-                checked += len(points)
-                continue
-            for y in points:
-                checked += 1
-                lhs = min(ox, op.value(y))
-                rhs = op.value(combine(x, y))
-                if lhs > rhs:
-                    return PropagationResult(False, (x, y),
-                                             chain.residuum(lhs, rhs),
-                                             checked=checked)
+        node = {"/\\": And, "&": Fuse, "->": Imp}[connective]
+        premises, law = [Circ(p), Circ(q)], Circ(node(p, q))
+    res = _product_search(model, premises, law, "degree",
+                          _points(chain, (op,), grid_denominator), 2, None)
+    if res.verdict == "fails":
+        at = res.assignment
+        rhs = evaluate(Evaluation(chain, at, op), law)
+        return PropagationResult(False, tuple(at[v] for v in sorted(at)),
+                                 chain.residuum(res.witness, rhs), res.checked)
     if chain.is_finite or connective == "/\\":
-        return PropagationResult(True, checked=checked)
-    if connective in ("->", "~"):
-        ok = validate_c(chain, op).valid
-        return PropagationResult(True if ok else None, checked=checked)
-    if op.kind in ("min", "max") or _is_effectively_max(chain, op):
-        return PropagationResult(True, checked=checked)
-    return PropagationResult(None, checked=checked)
+        holds = True
+    elif connective in ("->", "~"):
+        holds = validate_c(chain, op).valid or None
+    else:
+        holds = (op.kind in ("min", "max")
+                 or _is_effectively_max(chain, op) or None)
+    return PropagationResult(holds, checked=res.checked)
 
 
 def _is_effectively_max(chain, op: ConsistencyOp) -> bool:
@@ -596,13 +595,13 @@ class DatResult:
 
 
 def check_dat_axiom(model: ChainModel, grid_denominator: int = 60) -> DatResult:
-    """Pointwise check of O(x) <= x \\/ ~x."""
+    """O p |=_<= p \\/ ~p, the pointwise bound O(x) <= x \\/ ~x."""
     op = model.consistency
     if op is None:
         raise OperatorNotBound("an operator binding is required")
     chain = model.chain
     if chain.is_finite:
-        points = list(chain.elements)
+        points = chain.elements
     else:
         # Breakpoints and midpoints pin down piecewise-linear segments; the
         # comparison against the identity is linear on each one.
@@ -613,13 +612,13 @@ def check_dat_axiom(model: ChainModel, grid_denominator: int = 60) -> DatResult:
         extra.extend((a + b) / 2 for a, b in zip(bps, bps[1:]))
         nset = chain.n_set()
         if not nset.empty:
-            extra.append(nset.infimum())
-            extra.append((nset.infimum() + 1) / 2)
+            extra += [nset.infimum(), (nset.infimum() + 1) / 2]
         points = chain.sample_points(grid_denominator, extra=extra)
-    for checked, x in enumerate(points, 1):
-        if op.value(x) > max(x, chain.negation(x)):
-            return DatResult(False, x, checked)
-    return DatResult(True, checked=len(points))
+    p = Var("p")
+    res = _product_search(model, [Circ(p)], Or(p, Not(p)), "degree", points,
+                          1, None)
+    at = res.assignment
+    return DatResult(at is None, at and at["p"], res.checked)
 
 
 def _classical_language(f: Formula) -> bool:

@@ -151,9 +151,9 @@ def _propagation_failure(chain, op, pairs, fuse: bool):
     x, y Fractions, or None.  Runs in pair space on a standard chain.  O is
     tabulated once over _GRID.  A pair with min(O(x), O(y)) = 0 cannot fail,
     since no value is below 0, so it is skipped before any arithmetic.  The
-    /\\ comparison holds for every map: O(x /\\ y) = O(min(x, y)) is O(x)
-    or O(y), never below their minimum.  The -> and & comparisons are the
-    ones that can fail.
+    /\\ comparison is not made, since it holds for every map:
+    O(x /\\ y) = O(min(x, y)) is O(x) or O(y), never below their minimum.
+    The -> and & comparisons are the ones that can fail.
     """
     table = [op.value_pair(n, d) for n, d in _GRID]
     value, tnorm, residuum = op.value_pair, chain.tnorm_pair, chain.residuum_pair
@@ -165,9 +165,6 @@ def _propagation_failure(chain, op, pairs, fuse: bool):
             continue
         xn, xd = _GRID[i]
         yn, yd = _GRID[j]
-        vn, vd = table[i] if xn * yd <= yn * xd else table[j]  # O(x /\\ y)
-        if ln * vd > vn * ld:
-            return "/\\ or ->", _GRID_VALUES[i], _GRID_VALUES[j]
         vn, vd = value(*residuum(xn, xd, yn, yd))
         if ln * vd > vn * ld:
             return "/\\ or ->", _GRID_VALUES[i], _GRID_VALUES[j]

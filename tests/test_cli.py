@@ -160,6 +160,12 @@ class TestOperatorCommands:
         assert err == ("error: 352716 operators exceed the budget "
                        "of 100000\n")
 
+    def test_validate_op_without_an_operator_is_a_usage_error(self, capsys):
+        # a missing --op used to reach None.startswith: a traceback, exit 4
+        code, out, err = run(capsys, "validate-op", "--chain", "L3")
+        assert (code, out) == (3, "")
+        assert err == "error: no operator given: pass --op\n"
+
     def test_validate_op_auto_on_w15(self, capsys):
         code, out, _ = run(capsys, "validate-op", "--chain", "W15", "--op", "auto")
         assert code == 0 and "equational verdict: valid" in out
@@ -194,6 +200,17 @@ class TestReports:
         code, out, _ = run(capsys, "propagation", "--chain", "LP",
                            "--op", "crisp:3/4", "--connective", "/\\")
         assert code == 0 and "propagates" in out
+
+    def test_implication_connective_needs_the_equals_form(self, capsys):
+        # argparse reads a separate '->' as an option, not as the value
+        argv = ("propagation", "--chain", "LG", "--op", "max")
+        code, out, err = run(capsys, *argv, "--connective", "->")
+        assert (code, out) == (3, "")
+        assert "--connective: expected one argument" in err
+        code, out, _ = run(capsys, *argv, "--connective=->")
+        assert (code, out) == (0, "propagates (3721 checks)\n")
+        code, out, _ = run(capsys, "propagation", "--help")
+        assert code == 0 and "--connective=->" in out
 
     def test_dat(self, capsys):
         code, out, _ = run(capsys, "dat", "--chain", "LG", "--op", "max")
@@ -278,6 +295,19 @@ class TestProve:
         path.write_text("proof bad in MTL\n1. p -> q | axiom A2\n")
         code, out, _ = run(capsys, "prove", str(path))
         assert code == 1 and "invalid at line 1" in out
+
+    def test_unknown_profile_says_what_a_profile_name_is(self, capsys,
+                                                         tmp_path):
+        # a KeyError's message is the quoted key alone: "error: 'nope'"
+        path = tmp_path / "x.proof"
+        path.write_text("proof x in nope\n1. p -> p | thm imp-id\n")
+        for argv in (("prove", "--fixture", "b1-to-a1", "--profile", "nope"),
+                     ("prove", str(path))):
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (3, "")
+            assert err.startswith("error: unknown profile 'nope'; a name is "
+                                  "a base (MTL, SMTL, ")
+            assert "-o-nn+" in err and "<= (or -leq)" in err
 
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "prove", "/nonexistent.proof")

@@ -40,8 +40,10 @@ class TestRegistry:
         assert load_profile("MTL-o-leq") is load_profile("MTL-o<=")
 
     def test_unknown_profile(self):
-        with pytest.raises(UnknownProfile):
+        with pytest.raises(UnknownProfile) as info:
             load_profile("nope")
+        assert isinstance(info.value, KeyError)
+        assert str(info.value).startswith("unknown profile 'nope'; ")
 
     def test_bl_form_of_the_maximal_rule(self):
         assert "maxBL" in load_profile("BL-o-max").axioms

@@ -10,8 +10,8 @@ from mtlfi import semantics
 from mtlfi.chain import FiniteChain, GODEL
 from mtlfi.formula import (MAX_DEPTH, ONE, ZERO, And, Bullet, Circ, Delta,
                            Fuse, Iff, Imp, Not, Or, Var, parse, variables)
-from mtlfi.operators import (crisp_op, dual, enumerate_ops, max_op, min_op,
-                             piecewise_op)
+from mtlfi.operators import (ConsistencyOp, crisp_op, dual, enumerate_ops,
+                             max_op, min_op, piecewise_op, validate_c)
 from mtlfi.semantics import (BadPowerBound, ChainModel, DatAxiomFails,
                              Evaluation,
                              OperatorNotBound, SemanticsError,
@@ -791,6 +791,11 @@ class TestStandardScan:
         shapes = [node(a) for node in (Not, Circ, Bullet, Delta) for a in kids]
         shapes += [node(a, b) for node in (And, Or, Fuse, Imp, Iff)
                    for a in kids for b in kids]
+        # compile_standard tabulates a unary connective over a Var, and
+        # reads no right side of a /\ or & whose left side is 0: constant
+        # (ZERO above), or O q and ~p at the points where they are 0
+        shapes += [node(a, b) for node in (And, Fuse)
+                   for a in (parse("O q"), parse("~p")) for b in kids]
         envs = list(itertools.product(range(len(points)), repeat=2))
         for f in shapes:
             fn = compile_standard(model, f, ["p", "q"], points)
@@ -885,3 +890,131 @@ def test_compiling_leaves_no_reference_cycle(chains, name):
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+# ---------------------------------------------------------------------------
+# The pointwise laws as degree-mode queries against the loops they replaced
+
+def _reference_propagation(model, connective, grid_denominator=60):
+    """check_propagation before it became a degree-mode query: a loop over
+    points for ~, a loop over pairs that skips O(x) = 0 for the binary
+    connectives.  Returns (holds, pair, value, checked)."""
+    op, chain = model.consistency, model.chain
+    if connective == "0":
+        ok = op.value(F(0)) == 1
+        return ok, None if ok else (F(0),), None, 1
+    points = semantics._points(chain, (op,), grid_denominator)
+    checked = 0
+    if connective == "~":
+        for checked, x in enumerate(points, 1):
+            lhs, rhs = op.value(x), op.value(chain.negation(x))
+            if lhs > rhs:
+                return False, (x,), chain.residuum(lhs, rhs), checked
+    else:
+        combine = {"/\\": min, "&": chain.tnorm,
+                   "->": chain.residuum}[connective]
+        for x in points:
+            ox = op.value(x)
+            if ox == 0:
+                checked += len(points)
+                continue
+            for y in points:
+                checked += 1
+                lhs = min(ox, op.value(y))
+                rhs = op.value(combine(x, y))
+                if lhs > rhs:
+                    return (False, (x, y), chain.residuum(lhs, rhs),
+                            checked)
+    if chain.is_finite or connective == "/\\":
+        return True, None, None, checked
+    if connective in ("->", "~"):
+        ok = validate_c(chain, op).valid
+        return True if ok else None, None, None, checked
+    if op.kind in ("min", "max") or semantics._is_effectively_max(chain, op):
+        return True, None, None, checked
+    return None, None, None, checked
+
+
+def _reference_dat(model, grid_denominator=60):
+    """check_dat_axiom's loop over its points: (holds, witness, checked)."""
+    op, chain = model.consistency, model.chain
+    if chain.is_finite:
+        points = list(chain.elements)
+    else:
+        extra = op.critical_points()
+        if op.threshold is not None:
+            extra.append((op.threshold + 1) / 2)
+        bps = [x for x, _ in op.breakpoints]
+        extra.extend((a + b) / 2 for a, b in zip(bps, bps[1:]))
+        nset = chain.n_set()
+        if not nset.empty:
+            extra.append(nset.infimum())
+            extra.append((nset.infimum() + 1) / 2)
+        points = chain.sample_points(grid_denominator, extra=extra)
+    for checked, x in enumerate(points, 1):
+        if op.value(x) > max(x, chain.negation(x)):
+            return False, x, checked
+    return True, None, len(points)
+
+
+def _reference_gentle_explosion(model, grid_denominator=60):
+    """check_lfi clause (iv) as a scan for min(O(x), x, ~x) != 0:
+    (passed, witness)."""
+    op, chain = model.consistency, model.chain
+    witness = next((x for x in semantics._points(chain, (op,),
+                                                 grid_denominator)
+                    if min(op.value(x), x, chain.negation(x)) != 0), None)
+    if witness is None and not chain.is_finite \
+            and not validate_c(chain, op).valid:
+        return None, None
+    return witness is None, witness
+
+
+def _pointwise_results(model, grid_denominator):
+    """(new, old) result tuples of every pointwise law on model."""
+    new, old = [], []
+    for token in semantics.CONNECTIVE_TOKENS:
+        res = check_propagation(model, token, grid_denominator)
+        new.append((res.holds, res.pair, res.value, res.checked))
+        old.append(_reference_propagation(model, token, grid_denominator))
+    dat = check_dat_axiom(model, grid_denominator)
+    new.append((dat.holds, dat.witness, dat.checked))
+    old.append(_reference_dat(model, grid_denominator))
+    iv = check_lfi(model, grid_denominator).clauses["iv"]
+    new.append((iv.passed, iv.witness))
+    old.append(_reference_gentle_explosion(model, grid_denominator))
+    return new, old
+
+
+class TestPointwiseLawsAsQueries:
+    @pytest.mark.parametrize("chain_name", ["B2", "L3", "G3", "L4", "WNM4"])
+    def test_every_table_operator(self, chains, chain_name):
+        chain = (FiniteChain.from_negation([1, F(2, 3), F(1, 3), 0],
+                                           name="WNM4")
+                 if chain_name == "WNM4" else chains[chain_name])
+        failures = 0
+        for combo in itertools.product(range(chain.size), repeat=chain.size):
+            op = ConsistencyOp(chain, "table", indices=combo)
+            new, old = _pointwise_results(ChainModel(chain_name, chain, op),
+                                          60)
+            assert new == old, (chain_name, op.values)
+            failures += sum(r[0] is False for r in new)
+        assert failures > 0
+
+    @pytest.mark.parametrize("chain_name", ["LG", "LP", "LL"])
+    @pytest.mark.parametrize("denominator", [7, 12, 60])
+    def test_standard_operators(self, chains, chain_name, denominator):
+        chain = chains[chain_name]
+        half = F(1, 2)
+        ops = [min_op(chain), max_op(chain), crisp_op(chain, F(3, 4)),
+               crisp_op(chain, half), crisp_op(chain, F(2, 3), False),
+               piecewise_op(chain, [(half, half), (1, 1)], "linear"),
+               piecewise_op(chain, [(half, half), (F(3, 4), 1)], "step"),
+               # not valid: it drops from 1 to 0 at 3/4, so a clean grid
+               # leaves clause (iv), -> and ~ unproven
+               ConsistencyOp(chain, "piecewise", interpolation="step",
+                             breakpoints=((half, F(1)), (F(3, 4), F(0))))]
+        for op in ops:
+            new, old = _pointwise_results(ChainModel(chain_name, chain, op),
+                                          denominator)
+            assert new == old, (chain_name, op.name, denominator)
