@@ -175,9 +175,11 @@ class NSet:
         return self.contains_pair(x.numerator, x.denominator)
 
     def contains_pair(self, n: int, d: int) -> bool:
-        """Membership of n/d (d > 0) in an empty or interval N-set."""
+        """Membership of n/d (d > 0) in the N-set."""
         if self.empty or n >= d:
             return False
+        if self.elements is not None:
+            return Fraction(n, d) in self.elements
         ln, ld = self._lower_nd
         diff = n * ld - ln * d  # sign of n/d - lower
         return diff >= 0 if self.closed else diff > 0
@@ -275,8 +277,10 @@ class FiniteChain:
         self._iff_i = tuple(tuple(min(self._res_i[i][j], self._res_i[j][i])
                                   for j in range(n)) for i in range(n))
         self._delta_i = (0,) * (n - 1) + (n - 1,)
-        self._nset = NSet.finite(x for i, x in enumerate(self.elements)
-                                 if i < n - 1 and self._neg_i[i] == 0)
+        # whether the negation is 0 at each index: N below the top, and the top
+        self._neg_zero = tuple(v == 0 for v in self._neg_i)
+        self._nset = NSet.finite(x for x, z in zip(self.elements[:-1],
+                                                   self._neg_zero) if z)
 
     # -- constructors ------------------------------------------------------
 

@@ -112,12 +112,14 @@ def _split_premises(text: str) -> list:
     return [_parse_formula(part) for part in text.split(",") if part.strip()]
 
 
-def _model(ws: Workspace, args):
+def _model(ws: Workspace, args, needs_op: bool = False):
+    """The chain of --chain with the operator of --op and its dual; without
+    --op, no operator, unless needs_op makes that a usage error."""
     from .operators import dual
     from .semantics import ChainModel
     chain = ws.chain(args.chain)
     cop = bop = None
-    if getattr(args, "op", None):
+    if args.op or needs_op:
         cop = ws.op(chain, args.op)
         bop = dual(cop)
     return ChainModel(chain.name, chain, cop, bop)
@@ -246,7 +248,7 @@ def _cmd_quotient(ws, args) -> int:
 
 def _cmd_lfi_report(ws, args) -> int:
     from .semantics import check_lfi
-    model = _model(ws, args)
+    model = _model(ws, args, needs_op=True)
     report = check_lfi(model, args.grid_denominator)
     status = {True: "pass", False: "fail", None: "unknown"}
     for key in ("i", "ii", "iii", "iv"):
@@ -265,7 +267,7 @@ def _cmd_lfi_report(ws, args) -> int:
 
 def _cmd_propagation(ws, args) -> int:
     from .semantics import check_propagation
-    model = _model(ws, args)
+    model = _model(ws, args, needs_op=True)
     res = check_propagation(model, args.connective, args.grid_denominator)
     if res.holds is True:
         print(f"propagates ({res.checked} checks)")
@@ -280,7 +282,7 @@ def _cmd_propagation(ws, args) -> int:
 
 def _cmd_dat(ws, args) -> int:
     from .semantics import check_dat_axiom
-    model = _model(ws, args)
+    model = _model(ws, args, needs_op=True)
     res = check_dat_axiom(model, args.grid_denominator)
     if res.holds:
         print(f"holds ({res.checked} points)")
@@ -291,7 +293,7 @@ def _cmd_dat(ws, args) -> int:
 
 def _cmd_pdat(ws, args) -> int:
     from .semantics import pdat_search
-    model = _model(ws, args)
+    model = _model(ws, args, needs_op=True)
     goal = _parse_formula(args.goal)
     res = pdat_search(model, goal, args.kmax, args.grid_denominator)
     if res.k is not None:

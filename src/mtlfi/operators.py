@@ -2,8 +2,16 @@ r"""Consistency and inconsistency operators attached to chains.
 
 A consistency operator marks how classically an element behaves: it must
 vanish on contradictory elements (those x with x /\ ~x != 0), take the value
-1 at the bounds, and be non-decreasing on the region where the negation is 0.
-Inconsistency operators are the pointwise negated duals.
+1 at the bounds, and be non-decreasing on the region N where the negation is
+0.  Inconsistency operators are the pointwise negated duals, with the mirror
+postulates.
+
+Each symbolic kind (min, max, crisp, piecewise) has one value rule,
+ConsistencyOp.value_pair, on every chain; a finite chain tabulates it once
+at its elements.  validate_c and validate_bullet share one postulate scan,
+over a finite chain's elements or a standard chain's sample points; the
+inconsistency side passes its values upside down (top - v), an order
+reversal rather than the chain's negation.
 """
 
 from __future__ import annotations
@@ -93,12 +101,13 @@ def _element_indices(chain: FiniteChain, values) -> tuple:
 class ConsistencyOp:
     """A unary map on a chain, evaluated exactly at rational points.
 
-    Finite chains store the map as an element-index table: indices[i] is
-    the index of the value at chain.elements[i].  It is given directly, or
-    built once from a value vector, and values reads it back as elements.
-    Standard chains store one of the symbolic kinds: min, max,
-    crisp(threshold) or piecewise (breakpoints with step or linear
-    interpolation on the zero-negation region).
+    The symbolic kinds are min, max, crisp(threshold) and piecewise
+    (breakpoints with step or linear interpolation on the zero-negation
+    region); value_pair is the rule of each, on every chain.  Finite chains
+    store the map as an element-index table: indices[i] is the index of the
+    value at chain.elements[i].  It is given directly, built once from a
+    value vector, or else built from value_pair at every element; values
+    reads it back as elements.  Standard chains evaluate value_pair itself.
     """
 
     def __init__(self, chain, kind: str, values: Optional[tuple] = None,
@@ -112,14 +121,17 @@ class ConsistencyOp:
         self.breakpoints = tuple(breakpoints)
         self.interpolation = interpolation
         self.name = name or kind
+        self._nset = chain.n_set()
+        if threshold is not None:
+            t = rat(threshold)
+            self._threshold_nd = (t.numerator, t.denominator)
         if values is not None:
             indices = _element_indices(chain, values)
+        elif indices is None and chain.is_finite:
+            indices = _element_indices(chain, [
+                Fraction(*self.value_pair(x.numerator, x.denominator))
+                for x in chain.elements])
         self.indices = indices
-        if not chain.is_finite:
-            self._nset = chain.n_set()
-            if threshold is not None:
-                t = rat(threshold)
-                self._threshold_nd = (t.numerator, t.denominator)
 
     @property
     def values(self) -> Optional[tuple]:
@@ -136,7 +148,7 @@ class ConsistencyOp:
         return _ONE if n == d else _ZERO if n == 0 else Fraction(n, d)
 
     def value_pair(self, n: int, d: int) -> tuple:
-        """The value at n/d in [0,1] (d > 0) on a standard chain, as a pair."""
+        """The value of the symbolic kind at n/d in [0,1] (d > 0), as a pair."""
         if n == 0 or n == d:
             return 1, 1
         kind = self.kind
@@ -251,28 +263,13 @@ def _interpolate(bps, interpolation: str, x: Fraction) -> Fraction:
     return bps[-1][1]
 
 
-def _materialize(chain: FiniteChain, fn, kind: str, name: str = "", **params):
-    vals = tuple(fn(x) for x in chain.elements)
-    return ConsistencyOp(chain, kind, values=vals, name=name or kind, **params)
-
-
 def min_op(chain) -> ConsistencyOp:
     """1 exactly at the bounds, 0 elsewhere; the pointwise least valid operator."""
-    if chain.is_finite:
-        top = chain.size - 1
-        indices = tuple(top if i in (0, top) else 0 for i in range(chain.size))
-        return ConsistencyOp(chain, "min", indices=indices, name="min")
     return ConsistencyOp(chain, "min", name="min")
 
 
 def max_op(chain) -> ConsistencyOp:
     """1 on the bounds and the whole zero-negation region; pointwise greatest."""
-    if chain.is_finite:
-        top = chain.size - 1
-        neg = chain._neg_i
-        indices = tuple(top if (i == 0 or neg[i] == 0) else 0
-                        for i in range(chain.size))
-        return ConsistencyOp(chain, "max", indices=indices, name="max")
     return ConsistencyOp(chain, "max", name="max")
 
 
@@ -308,17 +305,6 @@ def crisp_op(chain, threshold, closed: bool = True, name: str = "") -> Consisten
     t = rat(threshold)
     _check_threshold(chain, t, closed)
     label = name or f"crisp:{t}" + ("" if closed else ":open")
-    if chain.is_finite:
-        nset = chain.n_set()
-
-        def fn(x):
-            if x == _ZERO or x == _ONE:
-                return _ONE
-            if x not in nset:
-                return _ZERO
-            return _ONE if (x >= t if closed else x > t) else _ZERO
-
-        return _materialize(chain, fn, "crisp", name=label)
     return ConsistencyOp(chain, "crisp", threshold=t, closed=closed, name=label)
 
 
@@ -344,23 +330,8 @@ def piecewise_op(chain, breakpoints: Sequence, interpolation: str = "linear",
             raise NotNondecreasing(f"values decrease between {x0} and {x1}")
     if not bps:
         return min_op(chain)
-    label = name or "piecewise"
-    if chain.is_finite:
-        def fn(x):
-            if x == _ZERO or x == _ONE:
-                return _ONE
-            if x not in nset:
-                return _ZERO
-            return _interpolate(bps, interpolation, x)
-
-        vals = tuple(fn(x) for x in chain.elements)
-        for v in vals:
-            if v not in chain.index:
-                raise OutOfCarrier(f"interpolated value {v} is not a chain element")
-        return ConsistencyOp(chain, "piecewise", values=vals, breakpoints=bps,
-                             interpolation=interpolation, name=label)
     return ConsistencyOp(chain, "piecewise", breakpoints=bps,
-                         interpolation=interpolation, name=label)
+                         interpolation=interpolation, name=name or "piecewise")
 
 
 # ---------------------------------------------------------------------------
@@ -371,58 +342,63 @@ def _require_host(chain, op):
         raise HostMismatch("the operator is hosted on a different chain")
 
 
-def _ladder(chain: FiniteChain) -> list:
-    """The indices of the zero-negation region N, then the top: where an
-    operator must rise (c3) and its dual fall (b3); elsewhere both are forced."""
-    top = chain.size - 1
-    neg = chain._neg_i
-    return [i for i in range(1, top) if neg[i] == 0] + [top]
+def _samples(chain, op, grid: int) -> tuple:
+    """The points a postulate scan visits, bottom first and top last, with
+    flags that mark the interior ones in N, the operator's value at each,
+    and the top of the scale the values are read on.
 
-
-def validate_c(chain, op: ConsistencyOp, grid: int = 1000) -> ValidationReport:
-    """Check the three pointwise postulates.
-
-    Finite chains are scanned exhaustively.  On standard chains the verdict
-    combines the structural guarantees of the symbolic kinds with exact
-    checks at breakpoints and grid points; a grid failure is always a
-    genuine counterexample.
+    A finite chain is scanned at every element, reading the index table, so
+    the values are indices and the top is the last index.  A standard chain
+    is scanned at its sample points, which include the critical points.
     """
     _require_host(chain, op)
     if chain.is_finite:
-        vi = op.indices
-        els = chain.elements
-        top = chain.size - 1
-        neg = chain._neg_i
-        # c1: contradictory elements must be sent to 0
-        for i in range(1, top):
-            if neg[i] != 0 and vi[i] != 0:
-                return ValidationReport(False, "c1", (els[i],))
-        if vi[0] != top or vi[top] != top:
-            w = els[0] if vi[0] != top else els[top]
-            return ValidationReport(False, "c2", (w,))
-        # c3: non-decreasing on the zero-negation region up to the top
-        ladder = _ladder(chain)
-        for a, b in zip(ladder, ladder[1:]):
-            if vi[a] > vi[b]:
-                return ValidationReport(False, "c3", (els[a], els[b]))
-        return ValidationReport(True)
+        return chain.elements, chain._neg_zero, op.indices, chain.size - 1
+    points = chain.sample_points(grid, extra=op.critical_points())
+    contains = chain.n_set().contains_pair
+    in_n = [contains(x.numerator, x.denominator) for x in points]
+    return points, in_n, [op.value(x) for x in points], _ONE
 
-    nset = chain.n_set()
-    pts = chain.sample_points(grid, extra=op.critical_points())
-    if op.value(_ZERO) != _ONE:
-        return ValidationReport(False, "c2", (_ZERO,))
-    if op.value(_ONE) != _ONE:
-        return ValidationReport(False, "c2", (_ONE,))
+
+def _scan(points, in_n, values, top):
+    """The first postulate the values break, as (clause "1", "2" or "3",
+    witness), or None: (1) 0 at every interior point outside N, (2) top at
+    both bounds, (3) non-decreasing over N.  Only interior points are read
+    off in_n."""
+    last = len(points) - 1
+    for k in range(1, last):
+        if not in_n[k] and values[k] != 0:
+            return "1", (points[k],)
+    if values[0] != top:
+        return "2", (points[0],)
+    if values[last] != top:
+        return "2", (points[last],)
+    # the top needs no step of its own: clause 2 put the greatest value there
     prev = None
-    for x in pts:
-        v = op.value(x)
-        if x not in nset and _ZERO < x < _ONE and v != _ZERO:
-            return ValidationReport(False, "c1", (x,))
-        if x in nset:
-            if prev is not None and v < prev[1]:
-                return ValidationReport(False, "c3", (prev[0], x))
-            prev = (x, v)
-    return ValidationReport(True)
+    for k in range(1, last):
+        if in_n[k]:
+            if prev is not None and values[prev] > values[k]:
+                return "3", (points[prev], points[k])
+            prev = k
+    return None
+
+
+def _report(prefix: str, failure) -> ValidationReport:
+    if failure is None:
+        return ValidationReport(True)
+    clause, witness = failure
+    return ValidationReport(False, prefix + clause, witness)
+
+
+def validate_c(chain, op: ConsistencyOp, grid: int = 1000) -> ValidationReport:
+    """Check the three pointwise postulates (clauses c1, c2, c3).
+
+    Finite chains are scanned exhaustively.  On standard chains the symbolic
+    kinds meet c1 and c2 by construction, and c3 is checked exactly at the
+    grid points and the critical points; a failure is always a genuine
+    counterexample.
+    """
+    return _report("c", _scan(*_samples(chain, op, grid)))
 
 
 def validate_algebraic(chain, op: ConsistencyOp) -> ValidationReport:
@@ -469,7 +445,7 @@ def enumerate_ops(chain: FiniteChain) -> list:
     """
     if not chain.is_finite:
         raise StandardChainUnsupported("enumeration needs a finite chain")
-    free = _ladder(chain)[:-1]
+    free = [i for i in range(1, chain.size - 1) if chain._neg_zero[i]]
     count = comb(chain.size + len(free) - 1, len(free))
     if count > ENUMERATION_BUDGET:
         raise TooLarge(f"{count} operators exceed the budget of {ENUMERATION_BUDGET}")
@@ -505,42 +481,15 @@ def bullet_table_op(chain: FiniteChain, values: Sequence, name: str = "") -> Inc
 
 
 def validate_bullet(chain, bop: InconsistencyOp, grid: int = 1000) -> ValidationReport:
-    """Check the dual postulates: ~(x /\\ ~x) \\/ bullet(x) = 1, value 0 at the
-    bounds, and antitonicity on the zero-negation region."""
-    _require_host(chain, bop)
-    if chain.is_finite:
-        vi = bop.indices
-        els = chain.elements
-        top = chain.size - 1
-        neg = chain._neg_i
-        for i in range(top + 1):
-            if max(neg[min(i, neg[i])], vi[i]) != top:
-                return ValidationReport(False, "b1", (els[i],))
-        for i in (0, top):
-            if vi[i] != 0:
-                return ValidationReport(False, "b2", (els[i],))
-        ladder = _ladder(chain)
-        for a, b in zip(ladder, ladder[1:]):
-            if vi[a] < vi[b]:
-                return ValidationReport(False, "b3", (els[a], els[b]))
-        return ValidationReport(True)
-
-    nset = chain.n_set()
-    pts = chain.sample_points(grid, extra=bop.critical_points())
-    if bop.value(_ZERO) != _ZERO:
-        return ValidationReport(False, "b2", (_ZERO,))
-    if bop.value(_ONE) != _ZERO:
-        return ValidationReport(False, "b2", (_ONE,))
-    prev = None
-    for x in pts:
-        v = bop.value(x)
-        if _ZERO < x < _ONE and x not in nset and v != _ONE:
-            return ValidationReport(False, "b1", (x,))
-        if x in nset:
-            if prev is not None and v > prev[1]:
-                return ValidationReport(False, "b3", (prev[0], x))
-            prev = (x, v)
-    return ValidationReport(True)
+    """Check the dual postulates (clauses b1, b2, b3): ~(x /\\ ~x) \\/
+    bullet(x) = 1, value 0 at the bounds, and antitonicity on the
+    zero-negation region."""
+    # the mirror image of the consistency postulates: the same scan over the
+    # values read upside down, top - v, an order reversal (not the negation).
+    # b1 is clause 1: ~(x /\ ~x) is 1 exactly where x /\ ~x is 0, so the
+    # join is 1 off the contradictory elements and asks bullet(x) = 1 on them.
+    points, in_n, values, top = _samples(chain, bop, grid)
+    return _report("b", _scan(points, in_n, [top - v for v in values], top))
 
 
 # ---------------------------------------------------------------------------

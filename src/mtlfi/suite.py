@@ -500,12 +500,22 @@ def _run_pooled(context, selected: list, workers: int) -> list:
     rank = {n: k for k, n in enumerate(_LONGEST_FIRST)}
     dispatch = sorted(range(len(selected)),
                       key=lambda k: rank.get(selected[k], len(rank)))
+    results, raised = [], []
     with context.Pool(workers) as pool:
         pending = {k: pool.apply_async(_timed, (selected[k],))
                    for k in dispatch}
-        # get() raises a worker's exception; reading in criterion order makes
-        # the lowest raising number win, as in the in-process loop
-        results = [pending[k].get() for k in range(len(selected))]
+        # get() raises a worker's exception.  Every result is collected and
+        # the pool closed and joined before one is raised: leaving the block
+        # on an exception terminates the pool, which can hang while its task
+        # thread is still handing out work.  Reading in criterion order
+        # makes the lowest raising number win, as in the in-process loop.
+        for k in range(len(selected)):
+            try:
+                results.append(pending[k].get())
+            except Exception as exc:
+                raised.append(exc)
         pool.close()
         pool.join()
+    if raised:
+        raise raised[0]
     return results

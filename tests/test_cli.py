@@ -166,6 +166,17 @@ class TestOperatorCommands:
         assert (code, out) == (3, "")
         assert err == "error: no operator given: pass --op\n"
 
+    @pytest.mark.parametrize("command", [
+        ["lfi-report"], ["dat"], ["propagation", "--connective", "&"],
+        ["propagation", "--connective", "0"], ["pdat", "--goal", "p -> q"]],
+        ids=lambda c: "-".join(c[:1] + c[2:3]))
+    def test_operator_commands_without_an_operator(self, capsys, command):
+        # these used to report the semantics' "an operator binding is
+        # required", which does not name the option
+        code, out, err = run(capsys, *command, "--chain", "L3")
+        assert (code, out) == (3, "")
+        assert err == "error: no operator given: pass --op\n"
+
     def test_validate_op_auto_on_w15(self, capsys):
         code, out, _ = run(capsys, "validate-op", "--chain", "W15", "--op", "auto")
         assert code == 0 and "equational verdict: valid" in out

@@ -425,6 +425,13 @@ def test_validate_algebraic_equals_the_cubic_reference(chains):
     assert tables == 9689
 
 
+def _ladder(chain):
+    """The indices of the zero-negation region N, then the top: where an
+    operator must rise (c3) and its dual fall (b3)."""
+    top = chain.size - 1
+    return [i for i in range(1, top) if chain._neg_i[i] == 0] + [top]
+
+
 def _fraction_validate_c(chain, op):
     """validate_c on a finite chain before the element-index table: the
     postulates compared on op.values."""
@@ -436,7 +443,7 @@ def _fraction_validate_c(chain, op):
     if vals[0] != 1 or vals[top] != 1:
         w = chain.elements[0] if vals[0] != 1 else chain.elements[top]
         return operators.ValidationReport(False, "c2", (w,))
-    ladder = operators._ladder(chain)
+    ladder = _ladder(chain)
     for a, b in zip(ladder, ladder[1:]):
         if vals[a] > vals[b]:
             return operators.ValidationReport(
@@ -455,7 +462,7 @@ def _fraction_validate_bullet(chain, bop):
     for i in (0, -1):
         if vals[i] != 0:
             return operators.ValidationReport(False, "b2", (els[i],))
-    ladder = operators._ladder(chain)
+    ladder = _ladder(chain)
     for a, b in zip(ladder, ladder[1:]):
         if vals[a] < vals[b]:
             return operators.ValidationReport(False, "b3", (els[a], els[b]))
@@ -519,6 +526,202 @@ def _moved(indices, moves):
     for i, v in moves:
         out[i] = v
     return out
+
+
+# -- the finite constructors before value_pair became the rule of every kind
+
+def _old_min_indices(chain):
+    top = chain.size - 1
+    return tuple(top if i in (0, top) else 0 for i in range(chain.size))
+
+
+def _old_max_indices(chain):
+    top, neg = chain.size - 1, chain._neg_i
+    return tuple(top if (i == 0 or neg[i] == 0) else 0 for i in range(chain.size))
+
+
+def _old_crisp_values(chain, t, closed):
+    """crisp_op's threshold check and value closure on a finite chain."""
+    nset = chain.n_set()
+    if not (0 <= t <= 1):
+        raise ThresholdOutsideN(f"threshold {t} is outside [0,1]")
+    for x in chain.elements:
+        hit = x >= t if closed else x > t
+        if 0 < x < 1 and hit and x not in nset:
+            raise ThresholdOutsideN(f"threshold {t} turns on at {x}")
+
+    def fn(x):
+        if x == 0 or x == 1:
+            return F(1)
+        if x not in nset:
+            return F(0)
+        return F(1) if (x >= t if closed else x > t) else F(0)
+
+    return tuple(fn(x) for x in chain.elements)
+
+
+def _old_piecewise_values(chain, bps, interpolation):
+    """piecewise_op's value closure on a finite chain, for sorted, checked
+    breakpoints."""
+    nset = chain.n_set()
+
+    def fn(x):
+        if x == 0 or x == 1:
+            return F(1)
+        if x not in nset:
+            return F(0)
+        if not bps or x < bps[0][0]:
+            return F(0)
+        for (x0, v0), (x1, v1) in zip(bps, bps[1:]):
+            if x0 <= x < x1:
+                if interpolation == "step":
+                    return v0
+                return v0 + (v1 - v0) * (x - x0) / (x1 - x0)
+        return bps[-1][1]
+
+    vals = tuple(fn(x) for x in chain.elements)
+    for v in vals:
+        if v not in chain.index:
+            raise OutOfCarrier(f"interpolated value {v} is not a chain element")
+    return vals
+
+
+def _outcome(build):
+    """The values of the operator build() makes, or the class it raised."""
+    try:
+        return build()
+    except (ThresholdOutsideN, OutOfCarrier) as exc:
+        return type(exc)
+
+
+def _profiles(chain):
+    """Every profile with one or two breakpoints on N + {1} and
+    non-decreasing element values, the value at 1 being 1."""
+    xs = sorted(chain.n_set().elements) + [F(1)]
+    for size in (1, 2):
+        for at in itertools.combinations(xs, size):
+            for vs in itertools.combinations_with_replacement(chain.elements, size):
+                if at[-1] == 1 and vs[-1] != 1:
+                    continue
+                yield list(zip(at, vs))
+
+
+def _assert_value_rule_matches_old_constructors(chain):
+    assert min_op(chain).indices == _old_min_indices(chain)
+    assert max_op(chain).indices == _old_max_indices(chain)
+    els = chain.elements
+    thresholds = list(els) + [(a + b) / 2 for a, b in zip(els, els[1:])]
+    raised = {ThresholdOutsideN: 0, OutOfCarrier: 0}
+    for t in thresholds:
+        for closed in (True, False):
+            new = _outcome(lambda: crisp_op(chain, t, closed).values)
+            assert new == _outcome(lambda: _old_crisp_values(chain, t, closed)), (t, closed)
+            raised[new] = raised.get(new, 0) + 1
+    for bps in _profiles(chain):
+        for interpolation in ("step", "linear"):
+            new = _outcome(lambda: piecewise_op(chain, bps, interpolation).values)
+            old = _outcome(lambda: _old_piecewise_values(chain, bps, interpolation))
+            assert new == old, (bps, interpolation)
+            raised[new] = raised.get(new, 0) + 1
+    return raised
+
+
+def test_value_rule_matches_the_old_finite_constructors(chains):
+    finite = [c for c in chains.values() if c.is_finite]
+    assert {c.name for c in finite} >= {"B2", "L3", "L4", "L5", "G3", "G5",
+                                        "NM6", "W15", "L3G3"}
+    raised = {ThresholdOutsideN: 0, OutOfCarrier: 0}
+    for chain in finite:
+        for key, count in _assert_value_rule_matches_old_constructors(chain).items():
+            raised[key] = raised.get(key, 0) + count
+    # both refusals are reached, not only the agreeing tables
+    assert raised[ThresholdOutsideN] > 0 and raised[OutOfCarrier] > 0
+
+
+@given(chain=small_ordinal_sums())
+@settings(max_examples=25, deadline=None)
+def test_value_rule_matches_the_old_finite_constructors_on_ordinal_sums(chain):
+    _assert_value_rule_matches_old_constructors(chain)
+
+
+def test_finite_piecewise_value_off_the_carrier(chains):
+    # 1/4 -> 0 and 1 -> 1, linear: 1/3 at 1/2, which G5 lacks
+    g5 = chains["G5"]
+    bps = [(F(1, 4), F(0)), (F(1), F(1))]
+    with pytest.raises(OutOfCarrier, match="operator value 1/3 is not a chain element"):
+        piecewise_op(g5, bps, "linear")
+    with pytest.raises(OutOfCarrier):
+        _old_piecewise_values(g5, bps, "linear")
+
+
+def test_finite_crisp_keeps_its_threshold(chains):
+    op = crisp_op(chains["L3G3"], F(3, 4), closed=False)
+    assert (op.threshold, op.closed) == (F(3, 4), False)
+    assert op.values == (1, 0, 0, 0, 1)
+
+
+# -- the standard-chain postulate loops before the shared scan
+
+def _old_standard_validate_c(chain, op, grid):
+    nset = chain.n_set()
+    pts = chain.sample_points(grid, extra=op.critical_points())
+    if op.value(0) != 1:
+        return operators.ValidationReport(False, "c2", (F(0),))
+    if op.value(1) != 1:
+        return operators.ValidationReport(False, "c2", (F(1),))
+    prev = None
+    for x in pts:
+        v = op.value(x)
+        if x not in nset and 0 < x < 1 and v != 0:
+            return operators.ValidationReport(False, "c1", (x,))
+        if x in nset:
+            if prev is not None and v < prev[1]:
+                return operators.ValidationReport(False, "c3", (prev[0], x))
+            prev = (x, v)
+    return operators.ValidationReport(True)
+
+
+def _old_standard_validate_bullet(chain, bop, grid):
+    nset = chain.n_set()
+    pts = chain.sample_points(grid, extra=bop.critical_points())
+    if bop.value(0) != 0:
+        return operators.ValidationReport(False, "b2", (F(0),))
+    if bop.value(1) != 0:
+        return operators.ValidationReport(False, "b2", (F(1),))
+    prev = None
+    for x in pts:
+        v = bop.value(x)
+        if 0 < x < 1 and x not in nset and v != 1:
+            return operators.ValidationReport(False, "b1", (x,))
+        if x in nset:
+            if prev is not None and v > prev[1]:
+                return operators.ValidationReport(False, "b3", (prev[0], x))
+            prev = (x, v)
+    return operators.ValidationReport(True)
+
+
+@pytest.mark.parametrize("grid", [7, 12, 60, 1000])
+@pytest.mark.parametrize("name", ["LG", "LP", "LL"])
+def test_standard_postulates_match_the_old_loops(chains, name, grid):
+    chain = chains[name]
+    # drops from 1 to 0 at 3/4 inside N = [1/2, 1): not a valid operator
+    decreasing = ConsistencyOp(chain, "piecewise", interpolation="step",
+                               breakpoints=((F(1, 2), F(1)), (F(3, 4), F(0))),
+                               name="decreasing")
+    ops = [min_op(chain), max_op(chain), crisp_op(chain, F(3, 4)),
+           crisp_op(chain, F(3, 4), closed=False), crisp_op(chain, F(1, 2)),
+           piecewise_op(chain, [(F(1, 2), F(1, 2)), (1, 1)], "linear"),
+           piecewise_op(chain, [(F(1, 2), F(1, 4)), (F(3, 4), F(1, 2))], "step"),
+           decreasing]
+    for op in ops:
+        report = validate_c(chain, op, grid)
+        assert report == _old_standard_validate_c(chain, op, grid), op.name
+        bop = dual(op)
+        bullet = validate_bullet(chain, bop, grid)
+        assert bullet == _old_standard_validate_bullet(chain, bop, grid), op.name
+        assert report.valid == bullet.valid == (op is not decreasing)
+    assert validate_c(chain, decreasing, grid).clause == "c3"
+    assert validate_bullet(chain, dual(decreasing), grid).clause == "b3"
 
 
 def test_operator_values_must_be_chain_elements(chains):
