@@ -16,17 +16,21 @@ chains evaluate the closed form of each component family on a component
 where the residua are those for x > y (x -> y = 1 when x <= y), and two
 arguments that share no component combine as min(x, y) and y.
 
-The pair kernel.  Standard-chain arithmetic runs on integer pairs (n, d)
-standing for n/d with d > 0; a pair need not be reduced.  Comparing a/b
-with c/d is the integer comparison of a*d with c*b, and each closed form
-above is one integer numerator over one integer denominator.
-StandardChain.tnorm_pair and residuum_pair are that kernel;
-StandardChain.tnorm and residuum check their arguments against the carrier,
-call it, and build one normalized Fraction from the result.  Loops over
-many points (standard_law_violations here, the propagation scan of the
-suite) read the points from a table of pairs, converted and checked once,
-and take index tuples into it, so they pay for no Fraction until they
-report a witness, and the witness is the caller's own value.
+The pair kernel.  Both kinds of chain do their arithmetic on integer pairs
+(n, d) standing for n/d with d > 0; a pair need not be reduced.  Comparing
+a/b with c/d is the integer comparison of a*d with c*b.  A standard chain
+computes each closed form above as one integer numerator over one integer
+denominator.  A finite chain of size k reads its index tables at the grid
+indices of the two pairs (a/b is the element i/(k-1) when a*(k-1) = i*b
+for an index i) and raises OutOfCarrier for any other pair.  tnorm_pair
+and residuum_pair are that kernel, and pair(x) checks a value against the
+carrier and gives its pair.  StandardChain.tnorm and residuum check their
+arguments, call the kernel, and build one normalized Fraction from the
+result.  Loops over many points (law_violations here, on both kinds, and
+the propagation scan of the suite) read the points from a table of pairs,
+converted and checked once, and take index tuples into it, so they pay for
+no Fraction until they report a witness, and the witness is the caller's
+own value.
 """
 
 from __future__ import annotations
@@ -45,7 +49,7 @@ __all__ = [
     "NonRationalEndpoint", "NotAFilter", "ChainSpecError",
     "BadGridDenominator", "LUKASIEWICZ", "GODEL", "PRODUCT",
     "Component", "NSet", "FiniteChain", "StandardChain", "Chain",
-    "validate_mtl_laws", "standard_law_violations", "is_filter",
+    "validate_mtl_laws", "law_violations", "is_filter",
     "upward_filter", "quotient_by_filter", "parse_chain_file",
     "builtin_chains",
 ]
@@ -249,6 +253,30 @@ def _family_table(family: str, n: int) -> list:
     raise ChainSpecError(f"no finite table family {family!r}")
 
 
+def _check_size(n: int) -> None:
+    if n < 2:
+        raise SizeMismatch("a chain needs at least two elements")
+
+
+def _grid_index(n: int, d: int, top: int) -> Optional[int]:
+    """The index i with n/d = i/top (d > 0), or None when n/d is not on the
+    grid {i/top}: the carrier rule of every finite chain."""
+    i, r = divmod(n * top, d)
+    return i if not r and 0 <= i <= top else None
+
+
+def _grid_indices(values: Sequence, top: int, what: str) -> list:
+    """The grid index of each of values, a table or negation row."""
+    out = []
+    for v in values:
+        v = rat(v)
+        i = _grid_index(v.numerator, v.denominator, top)
+        if i is None:
+            raise OutOfCarrier(f"{what} value {v} is not a grid point")
+        out.append(i)
+    return out
+
+
 class FiniteChain:
     """A finite residuated chain on the canonical grid {i/(n-1)}."""
 
@@ -257,13 +285,13 @@ class FiniteChain:
     def __init__(self, table: Sequence[Sequence[int]], name: str = "",
                  source: str = "table"):
         n = len(table)
-        if n < 2:
-            raise SizeMismatch("a chain needs at least two elements")
+        _check_size(n)
         for row in table:
             if len(row) != n:
                 raise SizeMismatch(f"table is not {n}x{n}")
         _validate_tnorm_table(table, n)
         self.size = n
+        self._top = n - 1
         self.name = name or f"chain{n}"
         self.source = source
         self.elements = tuple(Fraction(i, n - 1) for i in range(n))
@@ -294,16 +322,12 @@ class FiniteChain:
                           name: str = "") -> "FiniteChain":
         """Build from an n x n table of rational values on the canonical grid."""
         n = len(rows)
-        grid = [Fraction(i, n - 1) for i in range(n)]
-        pos = {x: i for i, x in enumerate(grid)}
+        _check_size(n)
         table = []
         for row in rows:
             if len(row) != n:
                 raise SizeMismatch(f"table is not {n}x{n}")
-            try:
-                table.append([pos[rat(v)] for v in row])
-            except KeyError as exc:
-                raise OutOfCarrier(f"table value {exc.args[0]} is not a grid point")
+            table.append(_grid_indices(row, n - 1, "table"))
         return cls(table, name=name, source="table")
 
     @classmethod
@@ -311,12 +335,8 @@ class FiniteChain:
         """Weak nilpotent minimum table from a negation: x*y = 0 if y <= n(x),
         else min(x, y)."""
         n = len(neg_values)
-        grid = [Fraction(i, n - 1) for i in range(n)]
-        pos = {x: i for i, x in enumerate(grid)}
-        try:
-            neg = [pos[rat(v)] for v in neg_values]
-        except KeyError as exc:
-            raise OutOfCarrier(f"negation value {exc.args[0]} is not a grid point")
+        _check_size(n)
+        neg = _grid_indices(neg_values, n - 1, "negation")
         if neg[0] != n - 1 or neg[n - 1] != 0:
             raise NegationNotDecreasing("negation must send 0 to 1 and 1 to 0")
         for i in range(1, n):
@@ -352,11 +372,34 @@ class FiniteChain:
 
     # -- operations ---------------------------------------------------------
 
+    def _pair_idx(self, n: int, d: int) -> int:
+        """The index of the element n/d (d > 0, not necessarily reduced)."""
+        i = _grid_index(n, d, self._top)
+        if i is None:
+            raise OutOfCarrier(
+                f"{Fraction(n, d)} is not an element of {self.name}")
+        return i
+
     def _idx(self, x) -> int:
-        try:
-            return self.index[rat(x)]
-        except KeyError:
-            raise OutOfCarrier(f"{x} is not an element of {self.name}")
+        """The index of the element x; an error names x in lowest terms."""
+        v = rat(x)
+        return self._pair_idx(v.numerator, v.denominator)
+
+    def pair(self, x) -> tuple:
+        """x as (numerator, denominator), checked against the carrier."""
+        v = rat(x)
+        self._pair_idx(v.numerator, v.denominator)
+        return v.numerator, v.denominator
+
+    def tnorm_pair(self, a: int, b: int, c: int, d: int) -> tuple:
+        """x & y for elements x = a/b and y = c/d (b, d > 0), as a pair."""
+        idx = self._pair_idx
+        return self._tnorm_i[idx(a, b)][idx(c, d)], self._top
+
+    def residuum_pair(self, a: int, b: int, c: int, d: int) -> tuple:
+        """x -> y for elements x = a/b and y = c/d (b, d > 0), as a pair."""
+        idx = self._pair_idx
+        return self._res_i[idx(a, b)][idx(c, d)], self._top
 
     def tnorm(self, x, y) -> Fraction:
         return self.elements[self._tnorm_i[self._idx(x)][self._idx(y)]]
@@ -378,7 +421,8 @@ class FiniteChain:
 
     def contains(self, x) -> bool:
         try:
-            return rat(x) in self.index
+            self._idx(x)
+            return True
         except ChainError:
             return False
 
@@ -575,35 +619,36 @@ Chain = (FiniteChain, StandardChain)
 
 def validate_mtl_laws(chain, triples: Optional[Iterable] = None) -> list:
     """Check associativity, commutativity, unit, monotonicity, adjointness
-    and prelinearity.
+    and prelinearity on triples (x, y, z) of chain elements.
 
-    Finite chains are checked exhaustively over all triples, in index space;
-    witnesses are reported as elements.  For standard chains the caller
-    supplies rational triples; each check is exact, so a pass certifies the
-    law for those triples.  Returns a list of (law, witness) violations,
+    triples defaults to every element triple of a finite chain, in
+    itertools.product order, and is required on a standard chain.  Each
+    check is exact, so a pass certifies the laws for those triples.
+    Returns a list of (law, witness) violations, with the points as given,
     empty when everything holds.
     """
-    if chain.is_finite:
-        return _finite_law_violations(chain)
     if triples is None:
-        raise ValueError("standard chains need explicit triples")
-    points = []
-    for x, y, z in triples:
-        points += (x, y, z)
-    pairs = [chain.pair(x) for x in points]
-    n = len(points)
-    return standard_law_violations(
-        chain, pairs, zip(range(0, n, 3), range(1, n, 3), range(2, n, 3)),
-        points)
+        if not chain.is_finite:
+            raise ValueError("standard chains need explicit triples")
+        points = chain.elements
+        indexed = itertools.product(range(len(points)), repeat=3)
+    else:
+        points = []
+        for x, y, z in triples:
+            points += (x, y, z)
+        n = len(points)
+        indexed = zip(range(0, n, 3), range(1, n, 3), range(2, n, 3))
+    return law_violations(chain, [chain.pair(x) for x in points], indexed,
+                          points)
 
 
-def standard_law_violations(chain: StandardChain, pairs: Sequence,
-                            triples: Iterable, values: Sequence) -> list:
-    """validate_mtl_laws on a standard chain, over index triples (i, j, k)
-    into a table of points.
+def law_violations(chain, pairs: Sequence, triples: Iterable,
+                   values: Sequence) -> list:
+    """validate_mtl_laws over index triples (i, j, k) into a table of
+    points, on either kind of chain.
 
-    pairs[i] is point i as a pair (numerator, denominator) in [0,1], not
-    necessarily reduced, and values[i] is the same point as the caller's
+    pairs[i] is point i as a pair (numerator, denominator) on the carrier,
+    not necessarily reduced, and values[i] is the same point as the caller's
     own value, reported in witnesses.  Rationals are compared by
     cross-multiplication.  The unit law concerns one point, so it is
     checked once per point of the table.
@@ -648,33 +693,6 @@ def standard_law_violations(chain: StandardChain, pairs: Sequence,
             un, ud = vn, vd
         if un != ud:  # max(x -> y, y -> x) is not 1
             bad.append(("prelinearity", (values[i], values[j])))
-    return bad
-
-
-def _finite_law_violations(chain: FiniteChain) -> list:
-    """validate_mtl_laws over all index triples; indices order like elements."""
-    bad = []
-    els, tn, rs = chain.elements, chain._tnorm_i, chain._res_i
-    top = chain.size - 1
-    for i, j, k in itertools.product(range(chain.size), repeat=3):
-        ij = tn[i][j]
-        if ij != tn[j][i]:
-            bad.append(("commutativity", (els[i], els[j])))
-            continue
-        if tn[ij][k] != tn[i][tn[j][k]]:
-            bad.append(("associativity", (els[i], els[j], els[k])))
-            continue
-        if tn[i][top] != i:
-            bad.append(("unit", (els[i],)))
-            continue
-        if j <= k and ij > tn[i][k]:
-            bad.append(("monotonicity", (els[i], els[j], els[k])))
-            continue
-        if (ij <= k) != (i <= rs[j][k]):
-            bad.append(("adjointness", (els[i], els[j], els[k])))
-            continue
-        if max(rs[i][j], rs[j][i]) != top:
-            bad.append(("prelinearity", (els[i], els[j])))
     return bad
 
 

@@ -16,7 +16,7 @@ import argparse
 import sys
 
 from . import InputError
-from .chain import (NotAFilter, OutOfCarrier, builtin_chains, parse_chain_file,
+from .chain import (NotAFilter, builtin_chains, parse_chain_file,
                     quotient_by_filter, rat, upward_filter)
 
 # Only the chain module loads with this one, since every Workspace holds the
@@ -153,11 +153,7 @@ def _cmd_parse(ws, args) -> int:
 def _element(chain, text: str):
     """The value text names, checked against the chain's carrier."""
     value = rat(text)
-    if chain.is_finite:
-        if value not in chain.index:
-            raise OutOfCarrier(f"{value} is not an element of {chain.name}")
-    else:
-        chain.pair(value)
+    chain.pair(value)
     return value
 
 
@@ -238,6 +234,8 @@ def _cmd_quotient(ws, args) -> int:
     try:
         quotient, projection = quotient_by_filter(chain, elements)
     except NotAFilter as exc:
+        if not chain.is_finite:  # a usage error, not a refutation
+            raise
         print(f"not a filter: {exc}")
         return 1
     print(f"quotient size: {quotient.size}")

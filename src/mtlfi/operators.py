@@ -142,7 +142,7 @@ class ConsistencyOp:
     def value(self, x) -> Fraction:
         chain = self.chain
         if chain.is_finite:
-            return chain.elements[self.indices[_index_of(chain, x)]]
+            return chain.elements[self.indices[chain._idx(x)]]
         x = chain._check(x)
         n, d = self.value_pair(x.numerator, x.denominator)
         return _ONE if n == d else _ZERO if n == 0 else Fraction(n, d)
@@ -207,7 +207,7 @@ class InconsistencyOp:
     def value(self, x) -> Fraction:
         chain = self.chain
         if self.indices is not None:
-            return chain.elements[self.indices[_index_of(chain, x)]]
+            return chain.elements[self.indices[chain._idx(x)]]
         return chain.negation(self.base.value(x))
 
     def critical_points(self) -> list:
@@ -216,14 +216,6 @@ class InconsistencyOp:
 
     def __repr__(self) -> str:
         return f"InconsistencyOp({self.name} on {self.chain.name})"
-
-
-def _index_of(chain: FiniteChain, x) -> int:
-    x = rat(x)
-    try:
-        return chain.index[x]
-    except KeyError:
-        raise OutOfCarrier(f"{x} is not an element of {chain.name}") from None
 
 
 def _element_values(chain, indices: Optional[tuple]) -> Optional[tuple]:

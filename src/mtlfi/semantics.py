@@ -488,9 +488,7 @@ def check_lfi(model: ChainModel, grid_denominator: int = 60) -> LfiReport:
     law O p, p, ~p |=_<= 0, scanned over the operator's points.
     """
     p, q = Var("p"), Var("q")
-    op = model.consistency
-    if op is None:
-        raise OperatorNotBound("an operator binding is required")
+    op = _operator(model, Circ)
     report = LfiReport()
     groups = {
         "i": [p, Not(p)],
@@ -538,9 +536,7 @@ def check_propagation(model: ChainModel, connective: str,
     the implication and negation for validated operators, the strong
     conjunction for the min and max kinds).
     """
-    op = model.consistency
-    if op is None:
-        raise OperatorNotBound("an operator binding is required")
+    op = _operator(model, Circ)
     chain = model.chain
     if connective not in CONNECTIVE_TOKENS:
         raise ValueError(f"connective must be one of {CONNECTIVE_TOKENS}")
@@ -596,9 +592,7 @@ class DatResult:
 
 def check_dat_axiom(model: ChainModel, grid_denominator: int = 60) -> DatResult:
     """O p |=_<= p \\/ ~p, the pointwise bound O(x) <= x \\/ ~x."""
-    op = model.consistency
-    if op is None:
-        raise OperatorNotBound("an operator binding is required")
+    op = _operator(model, Circ)
     chain = model.chain
     if chain.is_finite:
         points = chain.elements

@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .chain import (GODEL, LUKASIEWICZ, FiniteChain, builtin_chains,
-                    quotient_by_filter, standard_law_violations,
-                    upward_filter, validate_mtl_laws)
+                    law_violations, quotient_by_filter, upward_filter,
+                    validate_mtl_laws)
 from .formula import And, Const, Formula, Fuse, Imp, Not, Or, Var, parse
 from .hilbert import parse_proof, soundness_bridge, verify_proof
 from .operators import (ConsistencyOp, crisp_op, dual, enumerate_ops, max_op,
@@ -93,11 +93,6 @@ def _grid_indices(rng: random.Random, count: int) -> list:
             i = bits(width)
         append(offset + i)
     return out
-
-
-def _random_rational(rng: random.Random) -> Fraction:
-    """i/den for a random den of _DENOMS and a random 0 <= i <= den."""
-    return _GRID_VALUES[_grid_indices(rng, 1)[0]]
 
 
 def random_formula(rng: random.Random, names, depth: int,
@@ -189,8 +184,7 @@ def criterion_1() -> CriterionResult:
     for name in ("LG", "LP", "LL"):
         drawn = _grid_indices(rng, 30000)
         triples = zip(drawn[0::3], drawn[1::3], drawn[2::3])
-        bad = standard_law_violations(chains[name], _GRID, triples,
-                                      _GRID_VALUES)
+        bad = law_violations(chains[name], _GRID, triples, _GRID_VALUES)
         if bad:
             return CriterionResult(1, title, False, f"{name}: {bad[0]}")
     return CriterionResult(1, title, True, "7 finite chains + 3x10^4 triples")
@@ -447,10 +441,10 @@ CRITERIA = {
 
 
 # The order in which the worker pool is handed the criteria: longest first
-# (in one interpreter, pinned to one CPU, criterion 1 takes about 0.21 s,
-# 11 about 0.17 s, 5 about 0.15 s, 12 about 0.07 s, 2 about 0.07 s, 9 about
-# 0.04 s, the rest under 0.01 s), so the short ones fill in behind the long
-# ones and the workers finish close together.
+# (in one interpreter, pinned to one CPU of a 2 vCPU machine, criterion 1
+# takes about 0.13 s, 11 about 0.10 s, 5 about 0.08 s, 12 and 2 about
+# 0.04 s each, 9 about 0.01 s, the rest less), so the short ones fill in
+# behind the long ones and the workers finish close together.
 _LONGEST_FIRST = (1, 11, 5, 12, 2, 9, 6, 7, 4, 8, 10, 3)
 
 

@@ -1,3 +1,4 @@
+import itertools
 import pickle
 import re
 from fractions import Fraction as F
@@ -10,8 +11,8 @@ from mtlfi.chain import (GODEL, LUKASIEWICZ, PRODUCT, BadGridDenominator,
                          NegationNotDecreasing, NonRationalEndpoint,
                          NotAFilter, OutOfCarrier, SizeMismatch,
                          StandardChain, TableNotTnorm, builtin_chains,
-                         is_filter, parse_chain_file, quotient_by_filter,
-                         standard_law_violations, upward_filter,
+                         is_filter, law_violations, parse_chain_file,
+                         quotient_by_filter, upward_filter,
                          validate_mtl_laws)
 
 
@@ -101,6 +102,28 @@ class TestTableValidation:
     def test_size_mismatch(self):
         with pytest.raises(SizeMismatch):
             FiniteChain([[0, 0], [0]])
+
+    @pytest.mark.parametrize("build", [
+        lambda: FiniteChain.from_negation([1]),
+        lambda: FiniteChain.from_negation([]),
+        lambda: FiniteChain.from_values_table([[1]]),
+        lambda: FiniteChain.from_values_table([[0, 0]]),
+        lambda: FiniteChain.from_values_table([])])
+    def test_fewer_than_two_values(self, build):
+        # these used to divide by zero or index an empty list
+        with pytest.raises(SizeMismatch,
+                           match="^a chain needs at least two elements$"):
+            build()
+
+    def test_values_off_the_grid(self):
+        with pytest.raises(OutOfCarrier,
+                           match="^table value 1/3 is not a grid point$"):
+            FiniteChain.from_values_table([[0, "2/6"], [0, 1]])
+        with pytest.raises(OutOfCarrier,
+                           match="^negation value 3/2 is not a grid point$"):
+            FiniteChain.from_negation([1, F(3, 2), 0])
+        assert FiniteChain.from_values_table(
+            [[0, 0, 0], [0, "2/4", "2/4"], [0, "2/4", 1]]).size == 3
 
     def test_bad_negation_endpoints(self):
         with pytest.raises(NegationNotDecreasing):
@@ -362,8 +385,8 @@ def test_pair_law_check_matches_fraction_loop(data):
 @given(data=st.data())
 @settings(max_examples=100, deadline=None)
 def test_indexed_law_check_matches_the_per_point_loop(data):
-    """standard_law_violations over index triples into a table of
-    unreduced pairs, against the per-point loop on the same values."""
+    """law_violations over index triples into a table of unreduced pairs,
+    against the per-point loop on the same values."""
     chain = data.draw(ordinal_sums())
     breakage = data.draw(st.sampled_from([None, "inside", "ordered"]))
     if breakage is not None:
@@ -385,7 +408,7 @@ def test_indexed_law_check_matches_the_per_point_loop(data):
     index = st.integers(0, len(values) - 1)
     triples = data.draw(st.lists(st.tuples(index, index, index),
                                  min_size=1, max_size=40))
-    got = standard_law_violations(chain, pairs, triples, values)
+    got = law_violations(chain, pairs, triples, values)
     expected = _pair_law_violations(
         chain, [(values[i], values[j], values[k]) for i, j, k in triples])
     assert got == expected
@@ -470,9 +493,134 @@ def test_sample_points_need_a_positive_denominator(chains, denominator):
     assert issubclass(BadGridDenominator, ChainError)
 
 
-@pytest.mark.parametrize("name", ["B2", "L3", "L5", "G3", "G5", "NM6", "L3G3"])
+
+
+def _finite_law_violations(chain):
+    """validate_mtl_laws on a finite chain before the one law loop: all
+    index triples in itertools.product order, on the index tables;
+    indices order like elements."""
+    bad = []
+    els, tn, rs = chain.elements, chain._tnorm_i, chain._res_i
+    top = chain.size - 1
+    for i, j, k in itertools.product(range(chain.size), repeat=3):
+        ij = tn[i][j]
+        if ij != tn[j][i]:
+            bad.append(("commutativity", (els[i], els[j])))
+            continue
+        if tn[ij][k] != tn[i][tn[j][k]]:
+            bad.append(("associativity", (els[i], els[j], els[k])))
+            continue
+        if tn[i][top] != i:
+            bad.append(("unit", (els[i],)))
+            continue
+        if j <= k and ij > tn[i][k]:
+            bad.append(("monotonicity", (els[i], els[j], els[k])))
+            continue
+        if (ij <= k) != (i <= rs[j][k]):
+            bad.append(("adjointness", (els[i], els[j], els[k])))
+            continue
+        if max(rs[i][j], rs[j][i]) != top:
+            bad.append(("prelinearity", (els[i], els[j])))
+    return bad
+
+
+def _w15_quotient():
+    w15 = builtin_chains()["W15"]
+    return quotient_by_filter(w15, upward_filter(w15, F(12, 15)))[0]
+
+
+@pytest.mark.parametrize("name", ["B2", "L3", "L5", "G3", "G5", "NM6", "L3G3",
+                                  "W15", "L4", "W15/F"])
 def test_finite_laws_exhaustive(chains, name):
-    assert validate_mtl_laws(chains[name]) == []
+    chain = _w15_quotient() if name == "W15/F" else chains[name]
+    assert validate_mtl_laws(chain) == _finite_law_violations(chain) == []
+
+
+def _tampered(family, n, changes):
+    """A fresh chain of the family with entries of its index tables
+    replaced: changes maps (table attribute, i, j) to the new index."""
+    chain = FiniteChain.from_family(family, n)
+    for attr in ("_tnorm_i", "_res_i"):
+        table = [list(row) for row in getattr(chain, attr)]
+        for (name, i, j), v in changes.items():
+            if name == attr:
+                table[i][j] = v
+        setattr(chain, attr, tuple(tuple(row) for row in table))
+    return chain
+
+
+def _tampered_chains():
+    """L3, G3 and L4 with one entry of the conjunction or residuum table
+    changed, or a symmetric pair of conjunction entries, to every index."""
+    for family, n in ((LUKASIEWICZ, 3), (GODEL, 3), (LUKASIEWICZ, 4)):
+        for attr, symmetric in (("_tnorm_i", False), ("_tnorm_i", True),
+                                ("_res_i", False)):
+            for i, j, v in itertools.product(range(n), repeat=3):
+                changes = {(attr, i, j): v}
+                if symmetric:
+                    changes[attr, j, i] = v
+                yield _tampered(family, n, changes)
+    # monotonicity fires first only where the residuum follows the broken
+    # row: on L4, 1/3 & 1/3 = 1/3 > 1/3 & 2/3 = 0, and 1/3 -> 0 = 0
+    yield _tampered(LUKASIEWICZ, 4, {("_tnorm_i", 1, 1): 1,
+                                     ("_res_i", 1, 0): 0})
+
+
+def test_tampered_tables_fail_the_same_laws_both_ways():
+    first = set()
+    for chain in _tampered_chains():
+        got = validate_mtl_laws(chain)
+        assert got == _finite_law_violations(chain)
+        if got:
+            first.add(got[0][0])
+    assert first == {"commutativity", "associativity", "unit",
+                     "monotonicity", "adjointness", "prelinearity"}
+
+
+@pytest.mark.parametrize("name", ["B2", "L3", "L5", "G3", "G5", "NM6", "W15",
+                                  "L4", "L3G3"])
+def test_finite_pair_kernel_reads_the_tables(chains, name):
+    chain = chains[name]
+    top = chain.size - 1
+    for i, j in itertools.product(range(chain.size), repeat=2):
+        x, y = chain.elements[i], chain.elements[j]
+        tnorm = chain.elements[chain._tnorm_i[i][j]]
+        residuum = chain.elements[chain._res_i[i][j]]
+        for a, b, c, d in ((x.numerator, x.denominator,
+                            y.numerator, y.denominator),
+                           (i, top, j, top), (3 * i, 3 * top, 7 * j, 7 * top)):
+            assert F(*chain.tnorm_pair(a, b, c, d)) == tnorm
+            assert F(*chain.residuum_pair(a, b, c, d)) == residuum
+        assert chain.pair(x) == (x.numerator, x.denominator)
+
+
+@pytest.mark.parametrize("off", [(1, 3), (2, 6), (-1, 2), (3, 2), (2, 1),
+                                 (1, 5)])
+def test_finite_pair_kernel_rejects_pairs_off_the_carrier(chains, off):
+    chain = chains["L3"]  # {0, 1/2, 1}
+    message = f"^{F(*off)} is not an element of L3$"
+    for kernel in (chain.tnorm_pair, chain.residuum_pair):
+        with pytest.raises(OutOfCarrier, match=message):
+            kernel(*off, 1, 2)
+        with pytest.raises(OutOfCarrier, match=message):
+            kernel(2, 4, *off)
+    with pytest.raises(OutOfCarrier, match=message):
+        chain.pair(F(*off))
+
+
+def test_finite_law_check_takes_the_given_triples():
+    # the default triples used to be checked whatever triples were given
+    chain = _tampered(LUKASIEWICZ, 3, {("_res_i", 0, 0): 1})  # 0 -> 0 = 1/2
+    half = F(1, 2)
+    assert validate_mtl_laws(chain)[0] == ("prelinearity", (0, 0))
+    assert validate_mtl_laws(chain, [(half, half, 1), (1, 1, half),
+                                     (half, 1, 0)]) == []
+    assert validate_mtl_laws(chain, [(1, 0, 0), (0, 0, half)]) == [
+        ("adjointness", (1, 0, 0)), ("prelinearity", (0, 0))]
+    triples = list(itertools.product(chain.elements, repeat=3))
+    assert validate_mtl_laws(chain, triples) == validate_mtl_laws(chain)
+    with pytest.raises(OutOfCarrier, match="^1/3 is not an element"):
+        validate_mtl_laws(chain, [(0, half, 1), (0, F(2, 6), 1)])
 
 
 def test_residuum_is_maximal_on_samples(chains):

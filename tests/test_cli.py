@@ -191,6 +191,22 @@ class TestOperatorCommands:
                            "--filter", "3/4,1")
         assert code == 1 and "not a filter" in out
 
+    def test_quotient_of_a_real_non_filter_is_a_refutation(self, capsys):
+        code, out, err = run(capsys, "quotient", "--chain", "L3",
+                             "--filter", "1/3")
+        assert (code, err) == (1, "")
+        assert out == ("not a filter: not closed under the strong "
+                       "conjunction: 1/2*1/2 = 0\n")
+
+    @pytest.mark.parametrize("spec", ["1/2", "1/2,1"])
+    def test_quotient_of_a_standard_chain_is_a_usage_error(self, capsys,
+                                                           spec):
+        # the comma form used to print "not a filter: ..." and exit 1
+        code, out, err = run(capsys, "quotient", "--chain", "LG",
+                             "--filter", spec)
+        assert (code, out) == (3, "")
+        assert err == "error: filters are only supported on finite chains\n"
+
 
 class TestReports:
     def test_lfi_report(self, capsys):
@@ -399,6 +415,19 @@ class TestLoading:
         code, out, err = run(capsys, "enum-ops", "--chain", "L3",
                              "--load", str(path))
         assert (code, out) == (3, "") and message in err
+
+    @pytest.mark.parametrize("spec", ["negation: 1", "negation:", "table: 1",
+                                      "table: 0 0"])
+    def test_chain_file_with_fewer_than_two_values(self, capsys, tmp_path,
+                                                   spec):
+        # these used to crash in the grid construction: ZeroDivisionError
+        # or IndexError, exit 4
+        path = tmp_path / "bad.chain"
+        path.write_text(f"chain bad\nkind: finite\n{spec}\n")
+        code, out, err = run(capsys, "taut", "--load", str(path),
+                             "--chain", "bad", "p -> p")
+        assert (code, out) == (3, "")
+        assert err == "error: a chain needs at least two elements\n"
 
 
 class TestSuiteCommand:

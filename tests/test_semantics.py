@@ -836,6 +836,18 @@ class TestStandardScan:
 class TestUnboundOperator:
     """An unbound O or # raises whether or not the scan would reach it."""
 
+    @pytest.mark.parametrize("check", [
+        check_lfi, check_dat_axiom,
+        lambda model: check_propagation(model, "&")],
+        ids=["check_lfi", "check_dat_axiom", "check_propagation"])
+    @pytest.mark.parametrize("name", ["L3", "LG"])
+    def test_operator_checks_share_the_unbound_message(self, chains,
+                                                       check, name):
+        model = ChainModel(name, chains[name])
+        with pytest.raises(OperatorNotBound) as exc:
+            check(model)
+        assert str(exc.value) == "the formula uses O but no operator is bound"
+
     @pytest.mark.parametrize("check", [truth_consequence, degree_consequence])
     def test_standard_chain(self, chains, check):
         model = ChainModel("LG", chains["LG"])

@@ -19,9 +19,8 @@ from mtlfi.formula import FormulaSyntaxError
 from mtlfi.operators import ConsistencyOp, ValidationReport
 from mtlfi.semantics import SemanticsError
 from mtlfi.suite import (_DENOMS, _GRID, _GRID_VALUES, CriterionResult,
-                         _example_standard_ops, _grid_indices,
-                         _random_rational, criterion_1, criterion_5,
-                         run_suite)
+                         _example_standard_ops, _grid_indices, criterion_1,
+                         criterion_5, run_suite)
 from test_chain import _pair_law_violations
 
 
@@ -52,13 +51,6 @@ def test_sampler_replays_choice_then_randint(seed):
 @settings(max_examples=40, deadline=None)
 def test_sampler_replays_choice_then_randint_on_any_seed(seed, count):
     _assert_same_stream(seed, count)
-
-
-def test_random_rational_is_one_draw():
-    ours, theirs = random.Random(5), random.Random(5)
-    for _ in range(1000):
-        assert _random_rational(ours) == F(*_stdlib_point(theirs))
-    assert ours.getstate() == theirs.getstate()
 
 
 # ---------------------------------------------------------------------------
