@@ -22,11 +22,12 @@ a/b with c/d is the integer comparison of a*d with c*b.  A standard chain
 computes each closed form above as one integer numerator over one integer
 denominator.  A finite chain of size k reads its index tables at the grid
 indices of the two pairs (a/b is the element i/(k-1) when a*(k-1) = i*b
-for an index i) and raises OutOfCarrier for any other pair.  tnorm_pair
-and residuum_pair are that kernel, and pair(x) checks a value against the
-carrier and gives its pair.  StandardChain.tnorm and residuum check their
-arguments, call the kernel, and build one normalized Fraction from the
-result.  Loops over many points (law_violations here, on both kinds, and
+for an index i; two pairs (i, k-1), the form in which validate_mtl_laws
+passes a finite chain's elements, index the tables directly) and raises
+OutOfCarrier for any other pair.  tnorm_pair and residuum_pair are that
+kernel, and pair(x) checks a value against the carrier and gives its pair.
+StandardChain.tnorm and residuum check their arguments, call the kernel,
+and build one normalized Fraction from the result.  Loops over many points (law_violations here, on both kinds, and
 the propagation scan of the suite) read the points from a table of pairs,
 converted and checked once, and take index tuples into it, so they pay for
 no Fraction until they report a witness, and the witness is the caller's
@@ -60,10 +61,10 @@ _ONE = Fraction(1)
 
 
 def rat(x) -> Fraction:
-    """Coerce ints and 'p/q' strings to an exact rational."""
+    """Coerce ints (not bools) and 'p/q' strings to an exact rational."""
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, (int, str)):
+    if isinstance(x, (int, str)) and not isinstance(x, bool):
         try:
             return Fraction(x)
         except (ValueError, ZeroDivisionError):  # a malformed or n/0 string
@@ -282,8 +283,7 @@ class FiniteChain:
 
     is_finite = True
 
-    def __init__(self, table: Sequence[Sequence[int]], name: str = "",
-                 source: str = "table"):
+    def __init__(self, table: Sequence[Sequence[int]], name: str = ""):
         n = len(table)
         _check_size(n)
         for row in table:
@@ -293,9 +293,7 @@ class FiniteChain:
         self.size = n
         self._top = n - 1
         self.name = name or f"chain{n}"
-        self.source = source
         self.elements = tuple(Fraction(i, n - 1) for i in range(n))
-        self.index = {x: i for i, x in enumerate(self.elements)}
         self._tnorm_i = tuple(tuple(row) for row in table)
         self._res_i = tuple(tuple(row) for row in _residuum_from_table(table, n))
         self._neg_i = tuple(self._res_i[i][0] for i in range(n))
@@ -314,8 +312,7 @@ class FiniteChain:
 
     @classmethod
     def from_family(cls, family: str, n: int, name: str = "") -> "FiniteChain":
-        return cls(_family_table(family, n), name=name or f"{family[0].upper()}{n}",
-                   source=family)
+        return cls(_family_table(family, n), name=name or f"{family[0].upper()}{n}")
 
     @classmethod
     def from_values_table(cls, rows: Sequence[Sequence[Fraction]],
@@ -328,7 +325,7 @@ class FiniteChain:
             if len(row) != n:
                 raise SizeMismatch(f"table is not {n}x{n}")
             table.append(_grid_indices(row, n - 1, "table"))
-        return cls(table, name=name, source="table")
+        return cls(table, name=name)
 
     @classmethod
     def from_negation(cls, neg_values: Sequence[Fraction], name: str = "") -> "FiniteChain":
@@ -343,7 +340,7 @@ class FiniteChain:
             if neg[i] > neg[i - 1]:
                 raise NegationNotDecreasing(f"negation increases at index {i}")
         table = [[0 if j <= neg[i] else min(i, j) for j in range(n)] for i in range(n)]
-        return cls(table, name=name, source="wnm")
+        return cls(table, name=name)
 
     @classmethod
     def ordinal_sum(cls, components: Sequence[tuple], name: str = "") -> "FiniteChain":
@@ -368,7 +365,7 @@ class FiniteChain:
             for i in range(lo, hi + 1):
                 for j in range(lo, hi + 1):
                     table[i][j] = lo + local[i - lo][j - lo]
-        return cls(table, name=name, source="ordinal_sum")
+        return cls(table, name=name)
 
     # -- operations ---------------------------------------------------------
 
@@ -393,13 +390,17 @@ class FiniteChain:
 
     def tnorm_pair(self, a: int, b: int, c: int, d: int) -> tuple:
         """x & y for elements x = a/b and y = c/d (b, d > 0), as a pair."""
-        idx = self._pair_idx
-        return self._tnorm_i[idx(a, b)][idx(c, d)], self._top
+        top = self._top
+        if b == d == top and 0 <= a <= top and 0 <= c <= top:
+            return self._tnorm_i[a][c], top  # two grid pairs (i, k-1)
+        return self._tnorm_i[self._pair_idx(a, b)][self._pair_idx(c, d)], top
 
     def residuum_pair(self, a: int, b: int, c: int, d: int) -> tuple:
         """x -> y for elements x = a/b and y = c/d (b, d > 0), as a pair."""
-        idx = self._pair_idx
-        return self._res_i[idx(a, b)][idx(c, d)], self._top
+        top = self._top
+        if b == d == top and 0 <= a <= top and 0 <= c <= top:
+            return self._res_i[a][c], top
+        return self._res_i[self._pair_idx(a, b)][self._pair_idx(c, d)], top
 
     def tnorm(self, x, y) -> Fraction:
         return self.elements[self._tnorm_i[self._idx(x)][self._idx(y)]]
@@ -631,15 +632,16 @@ def validate_mtl_laws(chain, triples: Optional[Iterable] = None) -> list:
         if not chain.is_finite:
             raise ValueError("standard chains need explicit triples")
         points = chain.elements
-        indexed = itertools.product(range(len(points)), repeat=3)
+        pairs = [(i, chain.size - 1) for i in range(chain.size)]
+        indexed = itertools.product(range(chain.size), repeat=3)
     else:
         points = []
         for x, y, z in triples:
             points += (x, y, z)
+        pairs = [chain.pair(x) for x in points]
         n = len(points)
         indexed = zip(range(0, n, 3), range(1, n, 3), range(2, n, 3))
-    return law_violations(chain, [chain.pair(x) for x in points], indexed,
-                          points)
+    return law_violations(chain, pairs, indexed, points)
 
 
 def law_violations(chain, pairs: Sequence, triples: Iterable,
@@ -760,7 +762,7 @@ def quotient_by_filter(chain: FiniteChain, filter_elements: Iterable):
     reps = [members[0] for members in classes]
     table = [[class_of[chain.tnorm(reps[i], reps[j])] for j in range(m)]
              for i in range(m)]
-    quotient = FiniteChain(table, name=f"{chain.name}/F", source="quotient")
+    quotient = FiniteChain(table, name=f"{chain.name}/F")
     projection = {x: quotient.elements[class_of[x]] for x in chain.elements}
     return quotient, projection
 

@@ -1,5 +1,9 @@
 """Batch front-end.
 
+Each command takes only the flags it reads, and any other flag is a usage
+error.  A flag left out reads None and is resolved where it is used:
+--chain to L3, --grid-denominator to 60, --format to text.
+
 Exit codes: 0 holds/valid, 1 refuted (countermodel printed), 2 unknown
 (search or enumeration budget exhausted), 3 usage or I/O error, 4 internal
 error.  main() returns the first four: an input error (mtlfi.InputError,
@@ -30,6 +34,14 @@ class UsageError(InputError):
     pass
 
 
+def _read(path: str) -> str:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise UsageError(f"cannot read {path}: {exc}")
+
+
 class Workspace:
     """Named chains, operators and proof scripts, built-ins plus loaded files."""
 
@@ -39,11 +51,7 @@ class Workspace:
         self.scripts: dict = {}
 
     def load(self, path: str) -> None:
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                text = fh.read()
-        except OSError as exc:
-            raise UsageError(f"cannot read {path}: {exc}")
+        text = _read(path)
         head = text.lstrip().split(None, 1)
         kind = head[0] if head else ""
         if kind == "chain":
@@ -60,7 +68,9 @@ class Workspace:
         else:
             raise UsageError(f"{path}: unknown file kind {kind!r}")
 
-    def chain(self, name: str):
+    def chain(self, name):
+        """The chain of --chain, L3 when it is not given."""
+        name = "L3" if name is None else name
         try:
             return self.chains[name]
         except KeyError:
@@ -68,10 +78,9 @@ class Workspace:
                              + ", ".join(sorted(self.chains)))
 
     def op(self, chain, spec: str):
-        """Resolve an operator spec: auto, min, max, delta, crisp:t[:open]
-        or the name of a loaded operator."""
-        from .operators import (crisp_op, enumerate_ops, max_op, min_op,
-                                op_from_delta)
+        """The operator of --op: a loaded operator's name, or else a name
+        that operators.op_from_spec resolves."""
+        from .operators import op_from_spec
         if spec is None:
             raise UsageError("no operator given: pass --op")
         if spec in self.ops:
@@ -79,25 +88,7 @@ class Workspace:
             if op.chain is not chain:
                 raise UsageError(f"operator {spec!r} lives on {op.chain.name}")
             return op
-        if spec == "min":
-            return min_op(chain)
-        if spec == "max":
-            return max_op(chain)
-        if spec == "delta":
-            return op_from_delta(chain)
-        if spec.startswith("crisp:"):
-            parts = spec.split(":")
-            closed = not (len(parts) > 2 and parts[2] == "open")
-            return crisp_op(chain, rat(parts[1]), closed)
-        if spec == "auto":
-            if not chain.is_finite:
-                raise UsageError("--op auto needs a finite chain")
-            ops = enumerate_ops(chain)
-            if len(ops) != 1:
-                raise UsageError(f"{chain.name} admits {len(ops)} operators; "
-                                 "pick one explicitly")
-            return ops[0]
-        raise UsageError(f"unknown operator spec {spec!r}")
+        return op_from_spec(chain, spec)
 
 
 def _parse_formula(text: str):
@@ -106,10 +97,6 @@ def _parse_formula(text: str):
         return parse(text)
     except FormulaSyntaxError as exc:
         raise UsageError(f"syntax error: {exc}")
-
-
-def _split_premises(text: str) -> list:
-    return [_parse_formula(part) for part in text.split(",") if part.strip()]
 
 
 def _model(ws: Workspace, args, needs_op: bool = False):
@@ -125,7 +112,11 @@ def _model(ws: Workspace, args, needs_op: bool = False):
     return ChainModel(chain.name, chain, cop, bop)
 
 
-def _emit_consequence(res, fmt: str) -> int:
+def _grid(args) -> int:
+    return 60 if args.grid_denominator is None else args.grid_denominator
+
+
+def _emit_consequence(res, fmt) -> int:
     if fmt == "records":
         for line in res.records():
             print(line)
@@ -150,24 +141,15 @@ def _cmd_parse(ws, args) -> int:
     return 0
 
 
-def _element(chain, text: str):
-    """The value text names, checked against the chain's carrier."""
-    value = rat(text)
-    chain.pair(value)
-    return value
-
-
 def _cmd_eval(ws, args) -> int:
     from .semantics import Evaluation, evaluate
     model = _model(ws, args)
     assignment = {}
-    if args.assign:
-        for part in args.assign.split(","):
-            part = part.strip()
-            if not part:
-                continue
+    for part in args.assign.split(","):
+        if part.strip():
             name, _, value = part.partition("=")
-            assignment[name.strip()] = _element(model.chain, value.strip())
+            assignment[name.strip()] = value = rat(value.strip())
+            model.chain.pair(value)  # an element of the chain, or an error
     f = _parse_formula(args.formula)
     ev = Evaluation(model.chain, assignment, model.consistency,
                     model.inconsistency)
@@ -179,21 +161,28 @@ def _cmd_taut(ws, args) -> int:
     from .semantics import classical_taut, truth_consequence
     f = _parse_formula(args.formula)
     if args.classical:
+        given = [name for name in ("load", "chain", "op", "grid_denominator",
+                                   "format") if getattr(args, name) is not None]
+        if given:
+            raise UsageError("--classical is a two-valued check and takes no "
+                             + ", ".join("--" + name.replace("_", "-")
+                                         for name in given))
         ok = classical_taut(f)
         print("tautology" if ok else "not a tautology")
         return 0 if ok else 1
     model = _model(ws, args)
-    res = truth_consequence([model], [], f, args.grid_denominator)
+    res = truth_consequence([model], [], f, _grid(args))
     return _emit_consequence(res, args.format)
 
 
 def _cmd_conseq(ws, args) -> int:
     from .semantics import degree_consequence, truth_consequence
     model = _model(ws, args)
-    premises = _split_premises(args.premises) if args.premises else []
+    premises = [_parse_formula(part) for part in args.premises.split(",")
+                if part.strip()]
     goal = _parse_formula(args.goal)
     fn = truth_consequence if args.mode == "truth" else degree_consequence
-    res = fn([model], premises, goal, args.grid_denominator)
+    res = fn([model], premises, goal, _grid(args))
     return _emit_consequence(res, args.format)
 
 
@@ -247,7 +236,7 @@ def _cmd_quotient(ws, args) -> int:
 def _cmd_lfi_report(ws, args) -> int:
     from .semantics import check_lfi
     model = _model(ws, args, needs_op=True)
-    report = check_lfi(model, args.grid_denominator)
+    report = check_lfi(model, _grid(args))
     status = {True: "pass", False: "fail", None: "unknown"}
     for key in ("i", "ii", "iii", "iv"):
         clause = report.clauses[key]
@@ -258,15 +247,13 @@ def _cmd_lfi_report(ws, args) -> int:
         if clause.witness is not None:
             extra += f"  witness={clause.witness}"
         print(f"clause ({key}): {status[clause.passed]}{extra}")
-    if report.is_lfi is True:
-        return 0
-    return 2 if report.is_lfi is None else 1
+    return {True: 0, False: 1, None: 2}[report.is_lfi]
 
 
 def _cmd_propagation(ws, args) -> int:
     from .semantics import check_propagation
     model = _model(ws, args, needs_op=True)
-    res = check_propagation(model, args.connective, args.grid_denominator)
+    res = check_propagation(model, args.connective, _grid(args))
     if res.holds is True:
         print(f"propagates ({res.checked} checks)")
         return 0
@@ -281,7 +268,7 @@ def _cmd_propagation(ws, args) -> int:
 def _cmd_dat(ws, args) -> int:
     from .semantics import check_dat_axiom
     model = _model(ws, args, needs_op=True)
-    res = check_dat_axiom(model, args.grid_denominator)
+    res = check_dat_axiom(model, _grid(args))
     if res.holds:
         print(f"holds ({res.checked} points)")
         return 0
@@ -293,7 +280,7 @@ def _cmd_pdat(ws, args) -> int:
     from .semantics import pdat_search
     model = _model(ws, args, needs_op=True)
     goal = _parse_formula(args.goal)
-    res = pdat_search(model, goal, args.kmax, args.grid_denominator)
+    res = pdat_search(model, goal, args.kmax, _grid(args))
     if res.k is not None:
         print(f"k = {res.k} ({res.certainty})")
         return 0
@@ -316,15 +303,10 @@ def _cmd_prove(ws, args) -> int:
             raise UsageError(f"unknown fixture {args.fixture!r}; known: "
                              + ", ".join(sorted(FIXTURES)))
         script = parse_proof(text)
+    elif args.path in ws.scripts:
+        script = ws.scripts[args.path]
     elif args.path:
-        if args.path in ws.scripts:
-            script = ws.scripts[args.path]
-        else:
-            try:
-                with open(args.path, "r", encoding="utf-8") as fh:
-                    script = parse_proof(fh.read())
-            except OSError as exc:
-                raise UsageError(f"cannot read {args.path}: {exc}")
+        script = parse_proof(_read(args.path))
     else:
         raise UsageError("prove needs a script path or --fixture")
     profile = load_profile(args.profile) if args.profile else None
@@ -374,77 +356,82 @@ def _cmd_suite(ws, args) -> int:
 # Argument wiring
 
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--chain", default="L3", help="chain alias or loaded name")
-    common.add_argument("--op", default=None,
-                        help="operator: auto|min|max|delta|crisp:T[:open]|<name>")
-    common.add_argument("--profile", default=None, help="logic profile name")
-    common.add_argument("--grid-denominator", type=int, default=60)
-    common.add_argument("--kmax", type=int, default=8)
-    common.add_argument("--format", choices=("text", "records"), default="text")
-    common.add_argument("--load", action="append", default=[],
-                        help="chain/op/proof file to load (repeatable)")
+    def flag(*names, **kwargs):
+        """A parent parser holding one flag, for each command that reads it."""
+        parent = argparse.ArgumentParser(add_help=False)
+        parent.add_argument(*names, **kwargs)
+        return parent
+
+    load = flag("--load", action="append",
+                help="chain/op/proof file to load (repeatable)")
+    chain = flag("--chain", help="chain alias or loaded name (default L3)")
+    model = [load, chain, flag("--op", help="auto|min|max|delta|crisp:T[:open]"
+                                            "|<loaded name>")]
+    query = model + [flag("--grid-denominator", type=int, help="default 60")]
+    fmt = flag("--format", choices=("text", "records"), help="default text")
 
     parser = argparse.ArgumentParser(prog="mtlfi",
                                      description="workbench for residuated "
                                                  "chains with consistency operators")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("parse", parents=[common])
+    p = sub.add_parser("parse")
     p.add_argument("formula")
     p.add_argument("--unicode", action="store_true")
     p.set_defaults(fn=_cmd_parse)
 
-    p = sub.add_parser("eval", parents=[common])
+    p = sub.add_parser("eval", parents=model)
     p.add_argument("formula")
     p.add_argument("--assign", default="", help="comma list p=1/2,q=3/4")
     p.set_defaults(fn=_cmd_eval)
 
-    p = sub.add_parser("taut", parents=[common])
+    p = sub.add_parser("taut", parents=query + [fmt])
     p.add_argument("formula")
     p.add_argument("--classical", action="store_true",
                    help="two-valued check instead of the chain")
     p.set_defaults(fn=_cmd_taut)
 
-    p = sub.add_parser("conseq", parents=[common])
+    p = sub.add_parser("conseq", parents=query + [fmt])
     p.add_argument("--mode", choices=("truth", "degree"), default="truth")
     p.add_argument("--premises", default="")
     p.add_argument("--goal", required=True)
     p.set_defaults(fn=_cmd_conseq)
 
-    p = sub.add_parser("validate-op", parents=[common])
+    p = sub.add_parser("validate-op", parents=model)
     p.set_defaults(fn=_cmd_validate_op)
 
-    p = sub.add_parser("enum-ops", parents=[common])
+    p = sub.add_parser("enum-ops", parents=[load, chain])
     p.set_defaults(fn=_cmd_enum_ops)
 
-    p = sub.add_parser("quotient", parents=[common])
+    p = sub.add_parser("quotient", parents=[load, chain])
     p.add_argument("--filter", required=True,
                    help="lower bound of an up-set, or a comma list of elements")
     p.set_defaults(fn=_cmd_quotient)
 
-    p = sub.add_parser("lfi-report", parents=[common])
+    p = sub.add_parser("lfi-report", parents=query)
     p.set_defaults(fn=_cmd_lfi_report)
 
-    p = sub.add_parser("propagation", parents=[common])
+    p = sub.add_parser("propagation", parents=query)
     p.add_argument("--connective", required=True,
                    choices=("/\\", "&", "->", "~", "0"),
                    help="write -> as --connective=->")
     p.set_defaults(fn=_cmd_propagation)
 
-    p = sub.add_parser("dat", parents=[common])
+    p = sub.add_parser("dat", parents=query)
     p.set_defaults(fn=_cmd_dat)
 
-    p = sub.add_parser("pdat", parents=[common])
+    p = sub.add_parser("pdat", parents=query)
     p.add_argument("--goal", required=True)
+    p.add_argument("--kmax", type=int, default=8)
     p.set_defaults(fn=_cmd_pdat)
 
-    p = sub.add_parser("prove", parents=[common])
+    p = sub.add_parser("prove", parents=[load])
     p.add_argument("path", nargs="?", default=None)
     p.add_argument("--fixture", default=None)
+    p.add_argument("--profile", default=None, help="logic profile name")
     p.set_defaults(fn=_cmd_prove)
 
-    p = sub.add_parser("suite", parents=[common])
+    p = sub.add_parser("suite")
     p.add_argument("which")
     p.add_argument("--criteria", default="",
                    help="comma list of criterion numbers (default: all)")
@@ -464,7 +451,7 @@ def main(argv=None) -> int:
         return 3 if exc.code not in (0, None) else 0
     ws = Workspace()
     try:
-        for path in args.load:
+        for path in getattr(args, "load", None) or ():
             ws.load(path)
         return args.fn(ws, args)
     except InputError as exc:

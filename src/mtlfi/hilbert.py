@@ -300,24 +300,21 @@ class SoundnessReport:
     detail: Optional[str] = None
 
 
-def soundness_bridge(result: VerificationResult, models: Sequence[ChainModel],
-                     grid_denominator: int = 60) -> SoundnessReport:
+def soundness_bridge(result: VerificationResult,
+                     models: Sequence[ChainModel]) -> SoundnessReport:
     """Confirm each verified line semantically: its recorded premises must
     entail it on every supplied model, in the profile's own mode."""
     if not result.ok:
         raise ValueError("soundness_bridge needs a verified proof")
     profile = result.profile
+    consequence = (degree_consequence if profile.mode == "degree"
+                   else truth_consequence)
     entries = []
     for model in models:
         validate_pairing(profile, model)
         for line in result.script.lines:
             prems = [result.premises[k] for k in sorted(result.deps[line.number])]
-            if profile.mode == "degree":
-                res = degree_consequence([model], prems, line.formula,
-                                         grid_denominator)
-            else:
-                res = truth_consequence([model], prems, line.formula,
-                                        grid_denominator)
+            res = consequence([model], prems, line.formula)
             entries.append((line.number, model.name, res.verdict))
     ok = all(v == "holds" for _, _, v in entries)
     detail = None

@@ -23,7 +23,7 @@ from math import comb
 from typing import Optional, Sequence
 
 from . import InputError
-from .chain import FiniteChain, OutOfCarrier, rat
+from .chain import FiniteChain, OutOfCarrier, _grid_index, rat
 
 __all__ = [
     "OperatorError", "HostMismatch", "ThresholdOutsideN", "BreakpointOutsideN",
@@ -33,7 +33,7 @@ __all__ = [
     "table_op", "min_op", "max_op", "crisp_op", "piecewise_op",
     "enumerate_ops", "validate_c", "validate_algebraic", "dual",
     "bullet_table_op", "validate_bullet", "op_from_delta", "delta_from_op",
-    "parse_op_file",
+    "op_from_spec", "parse_op_file",
 ]
 
 _ZERO = Fraction(0)
@@ -88,14 +88,26 @@ class ValidationReport:
         return f"ValidationReport(invalid, clause={self.clause}, witness=({w}))"
 
 
-def _element_indices(chain: FiniteChain, values) -> tuple:
-    """The index in chain.elements of each of values."""
-    index = chain.index
-    try:
-        return tuple([index[v] for v in values])
-    except KeyError as exc:
+def _element_indices(chain: FiniteChain, pairs) -> tuple:
+    """The index in chain.elements of each value, given as a pair (n, d),
+    by the chain's carrier rule."""
+    indices = tuple([_grid_index(n, d, chain.size - 1) for n, d in pairs])
+    if None in indices:
+        n, d = pairs[indices.index(None)]
         raise OutOfCarrier(
-            f"operator value {exc.args[0]} is not a chain element") from None
+            f"operator value {Fraction(n, d)} is not a chain element")
+    return indices
+
+
+def _table_indices(chain, values) -> tuple:
+    """The index table of a value vector, an exact rational for each
+    element of a finite chain."""
+    if not chain.is_finite:
+        raise StandardChainUnsupported("value tables need a finite chain")
+    vals = [rat(v) for v in values]
+    if len(vals) != chain.size:
+        raise OperatorError(f"expected {chain.size} values, got {len(vals)}")
+    return _element_indices(chain, [(v.numerator, v.denominator) for v in vals])
 
 
 class ConsistencyOp:
@@ -126,11 +138,11 @@ class ConsistencyOp:
             t = rat(threshold)
             self._threshold_nd = (t.numerator, t.denominator)
         if values is not None:
-            indices = _element_indices(chain, values)
+            indices = _table_indices(chain, values)
         elif indices is None and chain.is_finite:
-            indices = _element_indices(chain, [
-                Fraction(*self.value_pair(x.numerator, x.denominator))
-                for x in chain.elements])
+            top = chain.size - 1
+            indices = _element_indices(
+                chain, [self.value_pair(i, top) for i in range(chain.size)])
         self.indices = indices
 
     @property
@@ -193,7 +205,7 @@ class InconsistencyOp:
         self.name = name or (f"dual({base.name})" if base else "table")
         self.indices = None
         if values is not None:
-            self.indices = _element_indices(chain, values)
+            self.indices = _table_indices(chain, values)
         elif chain.is_finite:
             neg = chain._neg_i
             self.indices = tuple([neg[i] for i in base.indices])
@@ -233,12 +245,7 @@ def table_op(chain: FiniteChain, values: Sequence, name: str = "") -> Consistenc
 
     Not validated here; feed it to validate_c or validate_algebraic.
     """
-    if not chain.is_finite:
-        raise StandardChainUnsupported("value tables need a finite chain")
-    vals = tuple(rat(v) for v in values)
-    if len(vals) != chain.size:
-        raise OperatorError(f"expected {chain.size} values, got {len(vals)}")
-    return ConsistencyOp(chain, "table", values=vals, name=name or "table")
+    return ConsistencyOp(chain, "table", values=values, name=name or "table")
 
 
 def _interpolate(bps, interpolation: str, x: Fraction) -> Fraction:
@@ -464,12 +471,7 @@ def dual(op: ConsistencyOp) -> InconsistencyOp:
 
 
 def bullet_table_op(chain: FiniteChain, values: Sequence, name: str = "") -> InconsistencyOp:
-    if not chain.is_finite:
-        raise StandardChainUnsupported("value tables need a finite chain")
-    vals = tuple(rat(v) for v in values)
-    if len(vals) != chain.size:
-        raise OperatorError(f"expected {chain.size} values, got {len(vals)}")
-    return InconsistencyOp(chain, values=vals, name=name or "table")
+    return InconsistencyOp(chain, values=values, name=name)
 
 
 def validate_bullet(chain, bop: InconsistencyOp, grid: int = 1000) -> ValidationReport:
@@ -503,7 +505,28 @@ def delta_from_op(chain, op: ConsistencyOp, x) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# Operator spec files
+# Operator names and spec files
+
+def op_from_spec(chain, spec: str) -> ConsistencyOp:
+    """The operator a name gives: min, max, delta, crisp:T[:open], or auto,
+    the unique valid operator of a finite chain."""
+    named = {"min": min_op, "max": max_op, "delta": op_from_delta}
+    if spec in named:
+        return named[spec](chain)
+    if spec.startswith("crisp:"):
+        parts = spec.split(":")
+        closed = not (len(parts) > 2 and parts[2] == "open")
+        return crisp_op(chain, rat(parts[1]), closed)
+    if spec == "auto":
+        if not chain.is_finite:
+            raise StandardChainUnsupported("--op auto needs a finite chain")
+        ops = enumerate_ops(chain)
+        if len(ops) != 1:
+            raise OperatorSpecError(f"{chain.name} admits {len(ops)} operators; "
+                                    "pick one explicitly")
+        return ops[0]
+    raise OperatorSpecError(f"unknown operator spec {spec!r}")
+
 
 _FLAGS = {"true": True, "yes": True, "1": True,
           "false": False, "no": False, "0": False}

@@ -9,12 +9,10 @@ records the line where verification must stop.
 from __future__ import annotations
 
 from .chain import GODEL, LUKASIEWICZ, FiniteChain, builtin_chains
-from .hilbert import parse_proof
-from .operators import dual, max_op, min_op
+from .operators import dual, op_from_spec
 from .semantics import ChainModel
 
-__all__ = ["FIXTURES", "MUTANTS", "fixture_scripts", "fixture_chains",
-           "fixture_models"]
+__all__ = ["FIXTURES", "MUTANTS", "fixture_chains", "fixture_models"]
 
 
 FIXTURES = {
@@ -320,10 +318,6 @@ proof mut-cong-admissible in MTL-o-nn+
 ]
 
 
-def fixture_scripts() -> dict:
-    return {name: parse_proof(spec["text"]) for name, spec in FIXTURES.items()}
-
-
 def fixture_chains() -> dict:
     """Built-in chains plus the five-element two-component sum used in
     several pairings."""
@@ -334,17 +328,13 @@ def fixture_chains() -> dict:
 
 
 def _op_for(chain, spec):
+    """(consistency, inconsistency) operators of a pairing: an operator name
+    of op_from_spec, or dual-<name> for the dual of one."""
     if spec is None:
         return None, None
-    if spec == "min":
-        return min_op(chain), None
-    if spec == "max":
-        return max_op(chain), None
-    if spec == "dual-min":
-        return None, dual(min_op(chain))
-    if spec == "dual-max":
-        return None, dual(max_op(chain))
-    raise ValueError(f"unknown op spec {spec!r}")
+    if spec.startswith("dual-"):
+        return None, dual(op_from_spec(chain, spec[len("dual-"):]))
+    return op_from_spec(chain, spec), None
 
 
 def fixture_models(name: str, chains: dict = None) -> list:

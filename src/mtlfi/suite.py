@@ -440,11 +440,11 @@ CRITERIA = {
 }
 
 
-# The order in which the worker pool is handed the criteria: longest first
-# (in one interpreter, pinned to one CPU of a 2 vCPU machine, criterion 1
-# takes about 0.13 s, 11 about 0.10 s, 5 about 0.08 s, 12 and 2 about
-# 0.04 s each, 9 about 0.01 s, the rest less), so the short ones fill in
-# behind the long ones and the workers finish close together.
+# The order in which the worker pool is handed the criteria: longest first,
+# so the short ones fill in behind the long ones and the workers finish close
+# together.  Pinned to one CPU of a shared 2 vCPU machine, criterion 1 takes
+# about 0.20 s, 11 0.17 s, 5 0.13 s, 12 and 2 0.07 s each, 9 0.02 s and the
+# rest less; at times the machine runs all of them about 40% faster.
 _LONGEST_FIRST = (1, 11, 5, 12, 2, 9, 6, 7, 4, 8, 10, 3)
 
 

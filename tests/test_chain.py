@@ -608,6 +608,17 @@ def test_finite_pair_kernel_rejects_pairs_off_the_carrier(chains, off):
         chain.pair(F(*off))
 
 
+@pytest.mark.parametrize("off", [(-1, 2), (3, 2), (-2, 2), (4, 2)])
+def test_finite_pair_kernel_over_the_top_index_keeps_the_carrier(chains, off):
+    # pairs (i, k-1) index the tables directly, but only for 0 <= i < k
+    chain = chains["L3"]
+    message = f"^{F(*off)} is not an element of L3$"
+    for kernel in (chain.tnorm_pair, chain.residuum_pair):
+        for args in (off + (1, 2), (1, 2) + off):
+            with pytest.raises(OutOfCarrier, match=message):
+                kernel(*args)
+
+
 def test_finite_law_check_takes_the_given_triples():
     # the default triples used to be checked whatever triples were given
     chain = _tampered(LUKASIEWICZ, 3, {("_res_i", 0, 0): 1})  # 0 -> 0 = 1/2

@@ -1,3 +1,4 @@
+import argparse
 import os
 import subprocess
 import sys
@@ -5,7 +6,7 @@ import sys
 import pytest
 
 import mtlfi
-from mtlfi.cli import main
+from mtlfi.cli import _build_parser, main
 from mtlfi.formula import MAX_DEPTH
 
 
@@ -531,3 +532,101 @@ class TestDeterminism:
         code1, out1, _ = run(capsys, *args)
         code2, out2, _ = run(capsys, *args)
         assert (code1, out1) == (code2, out2)
+
+
+# The flags each command reads; every other flag is a usage error.
+MODEL_FLAGS = {"--load", "--chain", "--op"}
+QUERY_FLAGS = MODEL_FLAGS | {"--grid-denominator"}
+COMMAND_OPTIONS = {
+    "parse": {"formula", "--unicode"},
+    "eval": MODEL_FLAGS | {"formula", "--assign"},
+    "taut": QUERY_FLAGS | {"--format", "formula", "--classical"},
+    "conseq": QUERY_FLAGS | {"--format", "--mode", "--premises", "--goal"},
+    "validate-op": MODEL_FLAGS,
+    "enum-ops": {"--load", "--chain"},
+    "quotient": {"--load", "--chain", "--filter"},
+    "lfi-report": QUERY_FLAGS,
+    "propagation": QUERY_FLAGS | {"--connective"},
+    "dat": QUERY_FLAGS,
+    "pdat": QUERY_FLAGS | {"--goal", "--kmax"},
+    "prove": {"--load", "path", "--fixture", "--profile"},
+    "suite": {"which", "--criteria", "--timings"},
+}
+
+# A valid call of each command, and a value for each flag some command reads.
+BASE_ARGV = {
+    "parse": ["parse", "p"],
+    "eval": ["eval", "p"],
+    "taut": ["taut", "p -> p"],
+    "conseq": ["conseq", "--goal", "p"],
+    "validate-op": ["validate-op", "--op", "min"],
+    "enum-ops": ["enum-ops"],
+    "quotient": ["quotient", "--filter", "1"],
+    "lfi-report": ["lfi-report", "--op", "min"],
+    "propagation": ["propagation", "--op", "min", "--connective", "&"],
+    "dat": ["dat", "--op", "min"],
+    "pdat": ["pdat", "--op", "min", "--goal", "p"],
+    "prove": ["prove", "--fixture", "b1-to-a1"],
+    "suite": ["suite", "paper", "--criteria", "3"],
+}
+FLAG_VALUES = {"--load": "demo.chain", "--chain": "L3", "--op": "min",
+               "--profile": "MTL", "--grid-denominator": "60", "--kmax": "8",
+               "--format": "text"}
+
+# the (command, flag) pairs that every command used to accept, read or not
+UNREAD_FLAGS = [(command, flag) for command in COMMAND_OPTIONS
+                for flag in FLAG_VALUES if flag not in COMMAND_OPTIONS[command]]
+
+
+class TestOptionSurface:
+    def test_each_command_declares_exactly_the_flags_it_reads(self):
+        parser = _build_parser()
+        sub = next(action for action in parser._actions
+                   if isinstance(action, argparse._SubParsersAction))
+        options = {name: {(action.option_strings or [action.dest])[0]
+                          for action in command._actions
+                          if not isinstance(action, argparse._HelpAction)}
+                   for name, command in sub.choices.items()}
+        assert options == COMMAND_OPTIONS
+        assert sum(map(len, options.values())) == 56
+
+    def test_the_unread_flags_are_the_ones_removed(self):
+        assert len(UNREAD_FLAGS) == 52
+
+    @pytest.mark.parametrize("command, flag", UNREAD_FLAGS)
+    def test_a_flag_the_command_does_not_read_is_a_usage_error(
+            self, capsys, command, flag):
+        argv = BASE_ARGV[command]
+        _build_parser().parse_args(argv)  # valid without the flag
+        code, out, err = run(capsys, *argv, flag, FLAG_VALUES[flag])
+        assert (code, out) == (3, "")
+        assert f"error: unrecognized arguments: {flag}" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("flag", ["--load", "--chain", "--op",
+                                      "--grid-denominator", "--format"])
+    def test_classical_taut_refuses_the_model_flags(self, capsys, tmp_path,
+                                                    flag):
+        value = FLAG_VALUES[flag]
+        if flag == "--load":
+            path = tmp_path / "demo.chain"
+            path.write_text("chain demo\nkind: finite\nfamily: godel\n"
+                            "size: 3\n")
+            value = str(path)
+        code, out, err = run(capsys, "taut", "--classical", flag, value,
+                             "p -> p")
+        assert (code, out) == (3, "")
+        assert err == ("error: --classical is a two-valued check and takes "
+                       f"no {flag}\n")
+        code, out, _ = run(capsys, "taut", "--classical", "p -> p")
+        assert (code, out) == (0, "tautology\n")
+
+    def test_defaults_of_the_flags_left_out(self, capsys):
+        given = run(capsys, "taut", "--chain", "L3", "--grid-denominator",
+                    "60", "--format", "text", "p \\/ ~p")
+        assert run(capsys, "taut", "p \\/ ~p") == given
+        given = run(capsys, "taut", "--chain", "LG", "--grid-denominator",
+                    "60", "--format", "records", "p -> q")
+        assert run(capsys, "taut", "--chain", "LG", "--format", "records",
+                   "p -> q") == given
+        assert "grid_denominator=60" in given[1]

@@ -10,10 +10,12 @@ from mtlfi import operators
 from mtlfi.chain import (GODEL, LUKASIEWICZ, PRODUCT, FiniteChain,
                          NonRationalEndpoint, OutOfCarrier, StandardChain)
 from mtlfi.operators import (BreakpointOutsideN, ConsistencyOp, HostMismatch,
-                             NotNondecreasing, StandardChainUnsupported,
+                             InconsistencyOp, NotNondecreasing,
+                             OperatorSpecError, StandardChainUnsupported,
                              ThresholdOutsideN, TooLarge, bullet_table_op,
                              crisp_op, delta_from_op, dual, enumerate_ops,
-                             max_op, min_op, op_from_delta, parse_op_file,
+                             max_op, min_op, op_from_delta, op_from_spec,
+                             parse_op_file,
                              piecewise_op, table_op, validate_algebraic,
                              validate_bullet, validate_c)
 from mtlfi.suite import (_GRID_VALUES, _example_standard_ops, _grid_indices,
@@ -395,7 +397,7 @@ def _cubic_validate_algebraic(chain, op):
     tried at every triple (x, y, z)."""
     els, n = chain.elements, chain.size
     top, neg, res = n - 1, chain._neg_i, chain._res_i
-    vi = tuple(chain.index[v] for v in op.values)
+    vi = tuple(chain._idx(v) for v in op.values)
     for i in range(n):
         if min(i, neg[i], vi[i]) != 0:
             return operators.ValidationReport(False, "o1", (els[i],))
@@ -581,8 +583,7 @@ def _old_piecewise_values(chain, bps, interpolation):
 
     vals = tuple(fn(x) for x in chain.elements)
     for v in vals:
-        if v not in chain.index:
-            raise OutOfCarrier(f"interpolated value {v} is not a chain element")
+        chain._idx(v)  # OutOfCarrier for an interpolated value off the grid
     return vals
 
 
@@ -722,6 +723,51 @@ def test_standard_postulates_match_the_old_loops(chains, name, grid):
         assert report.valid == bullet.valid == (op is not decreasing)
     assert validate_c(chain, decreasing, grid).clause == "c3"
     assert validate_bullet(chain, dual(decreasing), grid).clause == "b3"
+
+
+@pytest.mark.parametrize("bad", [0.5, 1.0, True, False])
+def test_operator_values_must_be_exact_rationals(chains, bad):
+    # a float or bool used to be looked up in a dict by hash, where 0.5 is
+    # 1/2 and True is 1
+    l3 = chains["L3"]
+    for build in (lambda: ConsistencyOp(l3, "table", values=(1, bad, 1)),
+                  lambda: InconsistencyOp(l3, values=(0, bad, 0)),
+                  lambda: table_op(l3, [1, bad, 1]),
+                  lambda: bullet_table_op(l3, [0, bad, 0])):
+        with pytest.raises(NonRationalEndpoint, match="not an exact rational"):
+            build()
+
+
+def test_op_from_spec_names_each_operator(chains):
+    l3, lp, w15 = chains["L3"], chains["LP"], chains["W15"]
+    assert op_from_spec(l3, "min").values == min_op(l3).values
+    assert op_from_spec(l3, "max").values == max_op(l3).values
+    assert op_from_spec(l3, "delta").values == op_from_delta(l3).values
+    assert op_from_spec(w15, "auto").values == enumerate_ops(w15)[0].values
+    for spec, closed in (("crisp:3/4", True), ("crisp:3/4:open", False)):
+        op = op_from_spec(lp, spec)
+        assert (op.kind, op.threshold, op.closed) == ("crisp", F(3, 4), closed)
+    with pytest.raises(StandardChainUnsupported,
+                       match="^--op auto needs a finite chain$"):
+        op_from_spec(lp, "auto")
+    with pytest.raises(OperatorSpecError,
+                       match="^G3 admits 3 operators; pick one explicitly$"):
+        op_from_spec(chains["G3"], "auto")
+    with pytest.raises(OperatorSpecError,
+                       match="^unknown operator spec 'mid'$"):
+        op_from_spec(l3, "mid")
+
+
+def test_fixture_pairings_resolve_through_op_from_spec(chains):
+    from mtlfi.proofs import _op_for
+    nm6 = chains["NM6"]
+    assert _op_for(nm6, None) == (None, None)
+    cop, bop = _op_for(nm6, "max")
+    assert (cop.values, bop) == (max_op(nm6).values, None)
+    cop, bop = _op_for(nm6, "dual-min")
+    assert (cop, bop.values) == (None, dual(min_op(nm6)).values)
+    with pytest.raises(ValueError, match="unknown operator spec 'dual-mid'"):
+        _op_for(nm6, "dual-dual-mid")
 
 
 def test_operator_values_must_be_chain_elements(chains):

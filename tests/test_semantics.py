@@ -611,7 +611,7 @@ class TestCompiledEvaluation:
             ev = Evaluation(chain, {v: chain.elements[i]
                                     for v, i in zip(names, env)},
                             model.consistency, model.inconsistency)
-            assert fn(env) == chain.index[evaluate(ev, f)]
+            assert fn(env) == chain._idx(evaluate(ev, f))
 
     @pytest.mark.parametrize("chain_name",
                              ["B2", "L3", "G5", "NM6", "W15", "L3G3"])
@@ -632,7 +632,7 @@ class TestCompiledEvaluation:
                 ev = Evaluation(chain, {"p": chain.elements[env[0]],
                                         "q": chain.elements[env[1]]},
                                 model.consistency, model.inconsistency)
-                assert fn(env) == chain.index[evaluate(ev, f)], (f, env)
+                assert fn(env) == chain._idx(evaluate(ev, f)), (f, env)
 
     @given(premises=st.lists(_formulas, max_size=3), conclusion=_formulas,
            chain_name=st.sampled_from(["B2", "L3", "G5", "NM6", "L3G3"]),
