@@ -25,13 +25,17 @@ indices of the two pairs (a/b is the element i/(k-1) when a*(k-1) = i*b
 for an index i; two pairs (i, k-1), the form in which validate_mtl_laws
 passes a finite chain's elements, index the tables directly) and raises
 OutOfCarrier for any other pair.  tnorm_pair and residuum_pair are that
-kernel, and pair(x) checks a value against the carrier and gives its pair.
-StandardChain.tnorm and residuum check their arguments, call the kernel,
-and build one normalized Fraction from the result.  Loops over many points (law_violations here, on both kinds, and
-the propagation scan of the suite) read the points from a table of pairs,
-converted and checked once, and take index tuples into it, so they pay for
-no Fraction until they report a witness, and the witness is the caller's
-own value.
+kernel.  StandardChain.tnorm and residuum check their arguments, call the
+kernel, and build one normalized Fraction from the result.  Loops over many
+points (law_violations here, on both kinds, and the propagation scan of the
+suite) read the points from a table of pairs, converted and checked once,
+and take index tuples into it, so they pay for no Fraction until they
+report a witness, and the witness is the caller's own value.
+
+The value API.  Chain, the base class of both kinds, writes pair, contains,
+negation (x -> 0), delta, meet, join and n_set once, on top of the carrier
+check _check(x) that each kind supplies.  A kind keeps only its carrier
+rule, its pair kernel, tnorm and residuum.
 """
 
 from __future__ import annotations
@@ -209,6 +213,47 @@ class NSet:
 
 
 # ---------------------------------------------------------------------------
+# The value API of both kinds
+
+class Chain:
+    """What both kinds of chain share: the value API over the carrier.
+
+    Each kind supplies its carrier rule as _check(x), which gives x as a
+    Fraction or raises (NonRationalEndpoint, OutOfCarrier) when x is off
+    the carrier; its pair kernel, tnorm and residuum; and its N-set as
+    _nset.  Every other operation is written here once.
+    """
+
+    def pair(self, x) -> tuple:
+        """x as (numerator, denominator), checked against the carrier."""
+        v = self._check(x)
+        return v.numerator, v.denominator
+
+    def contains(self, x) -> bool:
+        try:
+            self._check(x)
+            return True
+        except ChainError:
+            return False
+
+    def negation(self, x) -> Fraction:
+        return self.residuum(x, _ZERO)
+
+    def delta(self, x) -> Fraction:
+        v = self._check(x)
+        return _ONE if v.numerator == v.denominator else _ZERO
+
+    def meet(self, x, y) -> Fraction:
+        return min(self._check(x), self._check(y))
+
+    def join(self, x, y) -> Fraction:
+        return max(self._check(x), self._check(y))
+
+    def n_set(self) -> NSet:
+        return self._nset
+
+
+# ---------------------------------------------------------------------------
 # Finite chains
 
 def _validate_tnorm_table(table: Sequence[Sequence[int]], n: int) -> None:
@@ -278,7 +323,7 @@ def _grid_indices(values: Sequence, top: int, what: str) -> list:
     return out
 
 
-class FiniteChain:
+class FiniteChain(Chain):
     """A finite residuated chain on the canonical grid {i/(n-1)}."""
 
     is_finite = True
@@ -382,11 +427,10 @@ class FiniteChain:
         v = rat(x)
         return self._pair_idx(v.numerator, v.denominator)
 
-    def pair(self, x) -> tuple:
-        """x as (numerator, denominator), checked against the carrier."""
+    def _check(self, x) -> Fraction:
         v = rat(x)
         self._pair_idx(v.numerator, v.denominator)
-        return v.numerator, v.denominator
+        return v
 
     def tnorm_pair(self, a: int, b: int, c: int, d: int) -> tuple:
         """x & y for elements x = a/b and y = c/d (b, d > 0), as a pair."""
@@ -408,28 +452,6 @@ class FiniteChain:
     def residuum(self, x, y) -> Fraction:
         return self.elements[self._res_i[self._idx(x)][self._idx(y)]]
 
-    def negation(self, x) -> Fraction:
-        return self.elements[self._neg_i[self._idx(x)]]
-
-    def delta(self, x) -> Fraction:
-        return _ONE if self._idx(x) == self.size - 1 else _ZERO
-
-    def meet(self, x, y) -> Fraction:
-        return self.elements[min(self._idx(x), self._idx(y))]
-
-    def join(self, x, y) -> Fraction:
-        return self.elements[max(self._idx(x), self._idx(y))]
-
-    def contains(self, x) -> bool:
-        try:
-            self._idx(x)
-            return True
-        except ChainError:
-            return False
-
-    def n_set(self) -> NSet:
-        return self._nset
-
     def is_smtl(self):
         """True when x /\\ ~x = 0 everywhere, else (False, witness)."""
         for i, x in enumerate(self.elements):
@@ -444,7 +466,7 @@ class FiniteChain:
 # ---------------------------------------------------------------------------
 # Standard chains
 
-class StandardChain:
+class StandardChain(Chain):
     """An ordinal sum of Lukasiewicz / Godel / product components on [0,1].
 
     The strong conjunction and the residuum use the per-family closed forms
@@ -494,18 +516,6 @@ class StandardChain:
         if not 0 <= v.numerator <= v.denominator:
             raise OutOfCarrier(f"{x} is outside [0,1]")
         return v
-
-    def pair(self, x) -> tuple:
-        """x as the pair (numerator, denominator), checked against [0,1]."""
-        v = self._check(x)
-        return v.numerator, v.denominator
-
-    def contains(self, x) -> bool:
-        try:
-            self._check(x)
-            return True
-        except ChainError:
-            return False
 
     def tnorm_pair(self, a: int, b: int, c: int, d: int) -> tuple:
         """x & y for x = a/b and y = c/d in [0,1] (b, d > 0), as a pair."""
@@ -562,22 +572,6 @@ class StandardChain:
             return y
         return Fraction(n, m)
 
-    def negation(self, x) -> Fraction:
-        return self.residuum(x, _ZERO)
-
-    def delta(self, x) -> Fraction:
-        v = self._check(x)
-        return _ONE if v.numerator == v.denominator else _ZERO
-
-    def meet(self, x, y) -> Fraction:
-        return min(self._check(x), self._check(y))
-
-    def join(self, x, y) -> Fraction:
-        return max(self._check(x), self._check(y))
-
-    def n_set(self) -> NSet:
-        return self._nset
-
     def is_smtl(self):
         first = self.components[0]
         if first.family == LUKASIEWICZ:
@@ -610,9 +604,6 @@ class StandardChain:
     def __repr__(self) -> str:
         comps = ", ".join(f"{c.family}[{c.lo},{c.hi}]" for c in self.components)
         return f"StandardChain({self.name}: {comps})"
-
-
-Chain = (FiniteChain, StandardChain)
 
 
 # ---------------------------------------------------------------------------

@@ -451,8 +451,10 @@ def main(argv=None) -> int:
         return 3 if exc.code not in (0, None) else 0
     ws = Workspace()
     try:
-        for path in getattr(args, "load", None) or ():
-            ws.load(path)
+        # taut --classical reads no file: _cmd_taut refuses a given --load
+        if not getattr(args, "classical", False):
+            for path in getattr(args, "load", None) or ():
+                ws.load(path)
         return args.fn(ws, args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -19,8 +19,6 @@ from .profiles import (LogicProfile, REGISTERED_THEOREMS, Rule, load_profile)
 from .semantics import (ChainModel, OperatorNotBound, degree_consequence,
                         finite_scan, truth_consequence)
 
-import itertools
-
 __all__ = [
     "ProofLine", "ProofScript", "VerificationResult", "parse_proof",
     "verify_proof", "HilbertError", "ProofSyntaxError", "ChainProfileMismatch",
@@ -260,10 +258,8 @@ def rule_sound_on(rule: Rule, model: ChainModel) -> Optional[tuple]:
 
 def _exhaustive_witness(model: ChainModel, premises, conclusion,
                         names) -> Optional[tuple]:
-    chain = model.chain
-    envs = itertools.product(range(chain.size), repeat=len(names))
-    env = finite_scan(model, premises, conclusion, "truth", names, envs)[0]
-    return None if env is None else tuple(chain.elements[i] for i in env)
+    env = finite_scan(model, premises, conclusion, "truth", names)[0]
+    return None if env is None else tuple(model.chain.elements[i] for i in env)
 
 
 def validate_pairing(profile: LogicProfile, model: ChainModel) -> None:

@@ -9,10 +9,14 @@ search uses.
 
 Every search runs one loop, finite_scan, over index tuples: into a finite
 chain's elements, or into a standard chain's sorted rational grid points.
-The formulas are compiled once (compile_finite, compile_standard), and an
-unbound O or # raises before any tuple is checked.  The tuples are every
-combination up to FINITE_VAR_CAP (finite) or STANDARD_VAR_CAP (standard)
-variables, and above the cap SAMPLING_BUDGET draws from one seeded sampler.
+It is also the one place that builds the full product of those indices,
+when it is given no tuples; the Hilbert checks and classical_taut call it
+so.  The formulas are compiled once (compile_finite, compile_standard), a
+constant to a closure as any other node, with no folding, and an unbound O
+or # raises before any tuple is checked.  The tuples are every combination
+up to the variable cap of the chain's kind (FINITE_VAR_CAP or
+STANDARD_VAR_CAP), and above the cap SAMPLING_BUDGET draws from one seeded
+sampler.
 Finite exhaustive verdicts are exact.  A countermodel is always a certified
 failure (all arithmetic is exact); any other clean scan is unknown, except
 a standard-chain query without variables, which holds.  The pointwise
@@ -157,26 +161,22 @@ def compile_finite(model: ChainModel, f: Formula, var_order: Sequence[str]):
     """Compile a formula into a closure mapping an index tuple to an index.
 
     Every connective is one lookup in an index table of the chain, or in
-    the element-index table (indices) of the bound O or # operator.  A
+    the element-index table (indices) of the bound O or # operator, and a
+    constant is a closure like any other node: no subformula is folded.  A
     parent reads a Var child inline as env[k] instead of calling a closure
-    for it, and a constant subformula is folded: a binary node with one
-    constant side becomes a lookup in that table's row or column.  An
-    unbound O or # raises OperatorNotBound here, also inside a constant
-    subformula.
+    for it.  An unbound O or # raises OperatorNotBound here, also inside a
+    constant subformula.
     """
     chain: FiniteChain = model.chain
     tables = {And: chain._meet_i, Or: chain._join_i, Fuse: chain._tnorm_i,
               Imp: chain._res_i, Iff: chain._iff_i,
               Not: chain._neg_i, Delta: chain._delta_i}
     pos = {name: i for i, name in enumerate(var_order)}
-    out = _finite_node(model, tables, pos, f)
-    if type(out) is int:
-        return lambda env: out
-    return out
+    return _finite_node(model, tables, pos, f)
 
 
 def _finite_node(model, tables, pos, node):
-    """The constant index of node, or a closure from env to its index.
+    """The closure from env to node's index.
 
     A module-level function, so that a compiled formula holds no reference
     cycle, and one call per level of the formula: a Var child is read
@@ -187,7 +187,8 @@ def _finite_node(model, tables, pos, node):
         k = pos[node.name]
         return lambda env: env[k]
     if t is Const:
-        return model.chain.size - 1 if node.value else 0
+        v = model.chain.size - 1 if node.value else 0
+        return lambda env: v
     tab = tables.get(t)
     if tab is None:
         if t is not Circ and t is not Bullet:
@@ -197,36 +198,20 @@ def _finite_node(model, tables, pos, node):
         if type(node.arg) is Var:
             k = pos[node.arg.name]
             return lambda env: tab[env[k]]
-        return _lookup(tab, _finite_node(model, tables, pos, node.arg))
+        g = _finite_node(model, tables, pos, node.arg)
+        return lambda env: tab[g(env)]
     left, right = node.left, node.right
     a = pos[left.name] if type(left) is Var else None
     b = pos[right.name] if type(right) is Var else None
-    if a is not None and b is not None:
-        return lambda env: tab[env[a]][env[b]]
     l = _finite_node(model, tables, pos, left) if a is None else None
     r = _finite_node(model, tables, pos, right) if b is None else None
-    if type(r) is int:
-        col = tuple(row[r] for row in tab)
-        if a is not None:
-            return lambda env: col[env[a]]
-        return _lookup(col, l)
-    if type(l) is int:
-        row = tab[l]
-        if b is not None:
-            return lambda env: row[env[b]]
-        return _lookup(row, r)
-    if a is not None:
-        return lambda env: tab[env[a]][r(env)]
-    if b is not None:
+    if a is None:
+        if b is None:
+            return lambda env: tab[l(env)][r(env)]
         return lambda env: tab[l(env)][env[b]]
-    return lambda env: tab[l(env)][r(env)]
-
-
-def _lookup(vec, g):
-    """vec[g], or the closure reading vec at g's index."""
-    if type(g) is int:
-        return vec[g]
-    return lambda env: vec[g(env)]
+    if b is None:
+        return lambda env: tab[env[a]][r(env)]
+    return lambda env: tab[env[a]][env[b]]
 
 
 def compile_standard(model: ChainModel, f: Formula, var_order: Sequence[str],
@@ -306,15 +291,16 @@ class ConsequenceResult:
 
 
 def finite_scan(model: ChainModel, premises, conclusion, mode: str,
-                vars_: Sequence[str], envs, points=None):
+                vars_: Sequence[str], envs=None, points=None):
     """Walk the index tuples envs (positions as in vars_) in order and stop
     at the first countermodel; the one loop of every countermodel search.
 
     An index names an element of a finite chain (compile_finite) or one of
-    points on a standard chain (compile_standard).  Returns (env, checked,
-    witness): the first failing tuple or None, the number of tuples looked
-    at, and in degree mode the least premise value at env, as an element
-    index or a value (else None).  Every formula is compiled first, so an
+    points on a standard chain (compile_standard); envs defaults to every
+    tuple of those indices, in itertools.product order.  Returns (env,
+    checked, witness): the first failing tuple or None, the number of tuples
+    looked at, and in degree mode the least premise value at env, as an
+    element index or a value (else None).  Every formula is compiled first, so an
     unbound O or # raises whatever envs holds.  The premises are compiled
     as one lattice conjunction, their least value: truth mode tests it
     against the top, degree mode (above the bottom) against the conclusion.
@@ -326,6 +312,9 @@ def finite_scan(model: ChainModel, premises, conclusion, mode: str,
     prem = (compile_(model, reduce(And, premises), vars_, *extra)
             if premises else None)
     concl_fn = compile_(model, conclusion, vars_, *extra)
+    if envs is None:
+        n = model.chain.size if points is None else len(points)
+        envs = itertools.product(range(n), repeat=len(vars_))
     checked = 0
     if prem is None:
         # both modes fail exactly where the conclusion is below the top,
@@ -377,24 +366,28 @@ def _scan_result(model: ChainModel, premises, conclusion, mode: str, vars_,
                              witness, grid_denominator, checked)
 
 
+def _var_cap(chain) -> int:
+    """The most variables a search on chain's kind scans exhaustively."""
+    return FINITE_VAR_CAP if chain.is_finite else STANDARD_VAR_CAP
+
+
 def _product_search(model: ChainModel, premises, conclusion, mode: str,
-                    points, cap: int, grid_denominator):
-    """Every tuple of points up to cap variables, _sampled_search above it.
-    A clean scan holds on a finite chain or without variables, and is
-    unknown on a standard chain's grid otherwise."""
+                    points, grid_denominator):
+    """Every tuple of points up to the chain kind's variable cap,
+    _sampled_search above it.  A clean scan holds on a finite chain or
+    without variables, and is unknown on a standard chain's grid otherwise."""
     vars_ = _search_vars(premises, conclusion)
-    if len(vars_) > cap:
+    if len(vars_) > _var_cap(model.chain):
         return _sampled_search(model, premises, conclusion, mode, points,
                                grid_denominator)
-    envs = itertools.product(range(len(points)), repeat=len(vars_))
     clean = "holds" if model.chain.is_finite or not vars_ else "unknown"
     return _scan_result(model, premises, conclusion, mode, vars_, points,
-                        envs, clean, grid_denominator)
+                        None, clean, grid_denominator)
 
 
 def _finite_search(model: ChainModel, premises, conclusion, mode: str):
     return _product_search(model, premises, conclusion, mode,
-                           model.chain.elements, FINITE_VAR_CAP, None)
+                           model.chain.elements, None)
 
 
 def _standard_search(model: ChainModel, premises, conclusion, mode: str,
@@ -402,7 +395,7 @@ def _standard_search(model: ChainModel, premises, conclusion, mode: str,
     points = _points(model.chain, (model.consistency, model.inconsistency),
                      grid_denominator)
     return _product_search(model, premises, conclusion, mode, points,
-                           STANDARD_VAR_CAP, grid_denominator)
+                           grid_denominator)
 
 
 def _sampled_search(model: ChainModel, premises, conclusion, mode: str,
@@ -502,7 +495,7 @@ def check_lfi(model: ChainModel, grid_denominator: int = 60) -> LfiReport:
         report.clauses[key] = LfiClause(passed, res.assignment, res.witness)
     chain = model.chain
     res = _product_search(model, [Circ(p), p, Not(p)], ZERO, "degree",
-                          _points(chain, (op,), grid_denominator), 1, None)
+                          _points(chain, (op,), grid_denominator), None)
     passed = res.verdict != "fails"
     if res.verdict == "unknown" and not validate_c(chain, op).valid:
         passed = None  # a clean grid proves the law only for a valid operator
@@ -550,7 +543,7 @@ def check_propagation(model: ChainModel, connective: str,
         node = {"/\\": And, "&": Fuse, "->": Imp}[connective]
         premises, law = [Circ(p), Circ(q)], Circ(node(p, q))
     res = _product_search(model, premises, law, "degree",
-                          _points(chain, (op,), grid_denominator), 2, None)
+                          _points(chain, (op,), grid_denominator), None)
     if res.verdict == "fails":
         at = res.assignment
         rhs = evaluate(Evaluation(chain, at, op), law)
@@ -610,7 +603,7 @@ def check_dat_axiom(model: ChainModel, grid_denominator: int = 60) -> DatResult:
         points = chain.sample_points(grid_denominator, extra=extra)
     p = Var("p")
     res = _product_search(model, [Circ(p)], Or(p, Not(p)), "degree", points,
-                          1, None)
+                          None)
     at = res.assignment
     return DatResult(at is None, at and at["p"], res.checked)
 
@@ -628,7 +621,7 @@ def _classical_language(f: Formula) -> bool:
 @dataclass
 class PdatResult:
     k: Optional[int]
-    certainty: Optional[str] = None   # exhaustive | grid
+    certainty: Optional[str] = None   # exhaustive | grid | sampled
     refuted: tuple = ()
     reason: Optional[str] = None      # refuted | budget
     checked: int = 0
@@ -641,11 +634,12 @@ def pdat_search(model: ChainModel, phi: Formula, k_max: int = 8,
 
     phi must be in the classical fragment and the excluded-middle bound
     O(x) <= x \\/ ~x must hold for the bound operator.  Refutations are
-    certified countermodels; on standard chains a clean grid pass reports
-    certainty 'grid'.  A k_max below 1 raises BadPowerBound: no power would
-    be checked, so no refutation could be certified.  So does a k_max whose
-    implication would be deeper than MAX_DEPTH, which evaluation could not
-    recurse through.
+    certified countermodels.  A clean scan that proves nothing reports
+    certainty 'sampled' above the variable cap of the chain's kind, and
+    'grid' on a standard chain's full grid.  A k_max below 1 raises
+    BadPowerBound: no power would be checked, so no refutation could be
+    certified.  So does a k_max whose implication would be deeper than
+    MAX_DEPTH, which evaluation could not recurse through.
     """
     if k_max < 1:
         raise BadPowerBound(f"k_max must be at least 1, not {k_max}")
@@ -670,7 +664,8 @@ def pdat_search(model: ChainModel, phi: Formula, k_max: int = 8,
         if res.verdict == "holds":
             return PdatResult(k, "exhaustive", tuple(refuted), checked=total)
         if res.verdict == "unknown":
-            return PdatResult(k, "grid", tuple(refuted), checked=total)
+            how = "sampled" if len(names) > _var_cap(model.chain) else "grid"
+            return PdatResult(k, how, tuple(refuted), checked=total)
         refuted.append(k)
     return PdatResult(None, None, tuple(refuted), reason="refuted", checked=total)
 
@@ -683,8 +678,7 @@ def classical_taut(phi: Formula) -> bool:
     if len(names) > 20:
         raise TooManyVariables(f"{len(names)} variables exceed the cap of 20")
     model = ChainModel("B2", FiniteChain.from_family(GODEL, 2, name="B2"))
-    envs = itertools.product(range(2), repeat=len(names))
-    return finite_scan(model, [], phi, "truth", names, envs)[0] is None
+    return finite_scan(model, [], phi, "truth", names)[0] is None
 
 
 # ---------------------------------------------------------------------------
@@ -707,9 +701,15 @@ def bridge_check(model: ChainModel, premises: Sequence[Formula],
 def deduction_power_bound(model: ChainModel, sigma: Sequence[Formula],
                           phi: Formula, psi: Formula) -> Optional[int]:
     """Smallest n, at most the chain size, with sigma forcing phi^n -> psi
-    in the truth-preserving sense; None when no such n exists."""
+    in the truth-preserving sense; None when no such n exists.  Every check
+    is exhaustive: more than FINITE_VAR_CAP variables raise
+    TooManyVariables before any search."""
     if not model.chain.is_finite:
         raise ValueError("the bounded deduction check needs a finite chain")
+    count = len(variables(phi, psi, *sigma))
+    if count > FINITE_VAR_CAP:
+        raise TooManyVariables(f"{count} variables exceed the cap of "
+                               f"{FINITE_VAR_CAP}")
     for n in range(model.chain.size + 1):
         res = truth_consequence([model], list(sigma), Imp(power(phi, n), psi))
         if res.verdict == "holds":

@@ -7,12 +7,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mtlfi.chain import (GODEL, LUKASIEWICZ, PRODUCT, BadGridDenominator,
-                         ChainError, FiniteChain, GapOrOverlap,
+                         Chain, ChainError, FiniteChain, GapOrOverlap,
                          NegationNotDecreasing, NonRationalEndpoint,
                          NotAFilter, OutOfCarrier, SizeMismatch,
                          StandardChain, TableNotTnorm, builtin_chains,
                          is_filter, law_violations, parse_chain_file,
-                         quotient_by_filter, upward_filter,
+                         quotient_by_filter, rat, upward_filter,
                          validate_mtl_laws)
 
 
@@ -768,3 +768,110 @@ class TestChainFiles:
     def test_malformed_file(self):
         with pytest.raises(ValueError):
             parse_chain_file("kind: finite\n")
+
+
+# ---------------------------------------------------------------------------
+# The value API of Chain against the per-kind methods it replaced
+
+def _old_finite_ops(chain):
+    """FiniteChain's own pair, contains, negation, delta, meet, join and
+    n_set, before Chain wrote them once: each reads element indices."""
+    def contains(x):
+        try:
+            chain._idx(x)
+            return True
+        except ChainError:
+            return False
+
+    def pair(x):
+        v = rat(x)
+        chain._pair_idx(v.numerator, v.denominator)
+        return v.numerator, v.denominator
+
+    return {
+        "pair": pair, "contains": contains,
+        "negation": lambda x: chain.elements[chain._neg_i[chain._idx(x)]],
+        "delta": lambda x: F(1) if chain._idx(x) == chain.size - 1 else F(0),
+        "meet": lambda x, y: chain.elements[min(chain._idx(x), chain._idx(y))],
+        "join": lambda x, y: chain.elements[max(chain._idx(x), chain._idx(y))],
+        "n_set": lambda: chain._nset,
+    }
+
+
+def _old_standard_ops(chain):
+    """StandardChain's own pair, contains, negation, delta, meet, join and
+    n_set, before Chain wrote them once, with its carrier check inlined."""
+    def check(x):
+        v = x if type(x) is F else rat(x)
+        if not 0 <= v.numerator <= v.denominator:
+            raise OutOfCarrier(f"{x} is outside [0,1]")
+        return v
+
+    def contains(x):
+        try:
+            check(x)
+            return True
+        except ChainError:
+            return False
+
+    def delta(x):
+        v = check(x)
+        return F(1) if v.numerator == v.denominator else F(0)
+
+    return {
+        "pair": lambda x: (check(x).numerator, check(x).denominator),
+        "contains": contains,
+        "negation": lambda x: chain.residuum(x, F(0)),
+        "delta": delta,
+        "meet": lambda x, y: min(check(x), check(y)),
+        "join": lambda x, y: max(check(x), check(y)),
+        "n_set": lambda: chain._nset,
+    }
+
+
+def _outcome(fn, *args):
+    """What fn(*args) gives: its value and type, or its error and message."""
+    try:
+        v = fn(*args)
+    except Exception as exc:
+        return "raises", type(exc), str(exc)
+    return "gives", type(v), v
+
+
+_VALUE_API = ("pair", "contains", "negation", "delta", "meet", "join",
+              "n_set")
+# off every carrier, or not exact rationals
+_OFF_CARRIER = [F(-1, 2), F(3, 2), 2, -1, 0.5, True, "x", "1/0"]
+
+
+def _assert_same_value_api(chain, old, points):
+    assert _outcome(chain.n_set) == _outcome(old["n_set"])
+    for name in ("pair", "contains", "negation", "delta"):
+        for x in points:
+            assert _outcome(getattr(chain, name), x) == \
+                _outcome(old[name], x), (name, x)
+    for name in ("meet", "join"):
+        for x, y in itertools.product(points, repeat=2):
+            assert _outcome(getattr(chain, name), x, y) == \
+                _outcome(old[name], x, y), (name, x, y)
+
+
+def test_both_kinds_take_the_value_api_from_chain():
+    for kind in (FiniteChain, StandardChain):
+        assert issubclass(kind, Chain)
+        assert not set(_VALUE_API) & set(vars(kind)), kind
+
+
+@pytest.mark.parametrize("name", ["B2", "L3", "L5", "G3", "G5", "NM6", "W15"])
+def test_finite_value_api_matches_the_per_kind_methods(chains, name):
+    chain = chains[name]
+    # every element and element pair, a value off the grid, and the rest
+    points = list(chain.elements) + [F(1, 7), "1/2", 1, 0] + _OFF_CARRIER
+    _assert_same_value_api(chain, _old_finite_ops(chain), points)
+
+
+@pytest.mark.parametrize("name", ["LG", "LP", "LL"])
+def test_standard_value_api_matches_the_per_kind_methods(chains, name):
+    chain = chains[name]
+    points = chain.sample_points(12) + [F(1, 7), "2/3", 1, 0] + _OFF_CARRIER
+    _assert_same_value_api(chain, _old_standard_ops(chain), points)

@@ -122,6 +122,19 @@ class TestConsequence:
         code, _, _ = run(capsys, "taut", "--classical", "p -> q")
         assert code == 1
 
+    @pytest.mark.parametrize("spec", ["negation: 1", "family: godel\nsize: 3",
+                                      None])
+    def test_classical_reads_no_file(self, capsys, tmp_path, spec):
+        # a malformed or missing file used to be read, and its error shown
+        path = tmp_path / "x.chain"
+        if spec is not None:
+            path.write_text(f"chain x\nkind: finite\n{spec}\n")
+        code, out, err = run(capsys, "taut", "--classical", "--load",
+                             str(path), "p -> p")
+        assert (code, out) == (3, "")
+        assert err == ("error: --classical is a two-valued check and takes "
+                       "no --load\n")
+
 
 class TestOperatorCommands:
     def test_validate_op_valid(self, capsys):
@@ -269,6 +282,13 @@ class TestReports:
         code, out, _ = run(capsys, "pdat", "--chain", "B2", "--op", "min",
                            "--goal", "p -> q", "--kmax", "3")
         assert code == 1 and "refuted" in out
+
+    def test_pdat_labels_a_sampled_search(self, capsys):
+        # L3 has no grid: seven variables are sampled, not scanned
+        goal = "p1 -> (p2 -> (p3 -> (p4 -> (p5 -> (p6 -> (p7 -> p1))))))"
+        code, out, _ = run(capsys, "pdat", "--chain", "L3", "--op", "min",
+                           "--goal", goal)
+        assert (code, out) == (0, "k = 1 (sampled)\n")
 
     @pytest.mark.parametrize("kmax", ["0", "-2"])
     def test_pdat_without_a_power_is_a_usage_error(self, capsys, kmax):

@@ -24,6 +24,14 @@ from mtlfi.semantics import (BadPowerBound, ChainModel, DatAxiomFails,
 from mtlfi.suite import random_formula
 
 
+def _weakening(n):
+    """p1 -> (p2 -> ... -> (pn -> p1)), an MTL theorem over n variables."""
+    f = Var("p1")
+    for i in range(n, 0, -1):
+        f = Imp(Var(f"p{i}"), f)
+    return f
+
+
 @pytest.fixture()
 def lp_crisp(chains):
     lp = chains["LP"]
@@ -269,6 +277,20 @@ class TestDatAndPdat:
         res = pdat_search(model, parse("p -> q"))
         assert res.k is None and res.reason == "refuted"
 
+    def test_pdat_names_how_a_clean_scan_was_made(self, chains, ll_identity):
+        # above the variable cap of the chain's kind the scan is sampled;
+        # only a full scan of a standard chain's grid is 'grid'
+        l3 = chains["L3"]
+        model = ChainModel("L3", l3, min_op(l3))
+        res = pdat_search(model, _weakening(6))
+        assert (res.k, res.certainty) == (1, "exhaustive")
+        res = pdat_search(model, _weakening(7))
+        assert (res.k, res.certainty, res.checked) == (1, "sampled", 20000)
+        res = pdat_search(ll_identity, parse("p \\/ ~p"))
+        assert (res.k, res.certainty) == (1, "grid")
+        res = pdat_search(ll_identity, _weakening(5))
+        assert (res.k, res.certainty, res.checked) == (1, "sampled", 20000)
+
     def test_pdat_requires_the_bound(self, chains):
         lg = chains["LG"]
         model = ChainModel("LG", lg, max_op(lg))
@@ -354,6 +376,17 @@ class TestBridgeAndDeduction:
         # squaring is needed on the involutive three-element chain
         phi, psi = parse("p /\\ ~p"), parse("0")
         assert deduction_power_bound(l3, [], phi, psi) == 2
+
+    def test_deduction_bound_refuses_more_variables_than_the_cap(self, chains):
+        # the bound is defined by exhaustive checks, and a clean sampled
+        # run is no proof that no n exists: it used to return None here
+        l3 = ChainModel("L3", chains["L3"])
+        assert deduction_power_bound(l3, [], Var("p1"), _weakening(6)) == 0
+        with pytest.raises(TooManyVariables,
+                           match="^7 variables exceed the cap of 6$"):
+            deduction_power_bound(l3, [], Var("p1"), _weakening(7))
+        with pytest.raises(TooManyVariables, match="^7 variables"):
+            deduction_power_bound(l3, [Var("p7")], Var("p1"), _weakening(6))
 
     def test_randomized_bounded_deduction(self, chains):
         rng = random.Random(13)
@@ -529,6 +562,30 @@ class TestFiniteScan:
         assert finite_scan(model, [], goal, "truth", ["p", "q"], envs[:1]) == \
             (None, 1, None)
 
+    @pytest.mark.parametrize("chain_name", ["B2", "L3", "L5", "G3", "G5",
+                                            "NM6", "W15", "LG", "LP", "LL"])
+    def test_default_envs_are_the_full_product(self, chains, chain_name):
+        chain = chains[chain_name]
+        model = ChainModel(chain_name, chain, max_op(chain))
+        points = chain.elements if chain.is_finite else chain.sample_points(6)
+        queries = [([], "p -> (q -> p)"), ([], "q -> p"), ([], "0"),
+                   (["p"], "q"), (["O p", "p -> q"], "q \\/ ~p"),
+                   (["p", "q -> r"], "(p & q) -> r")]
+        for premises, conclusion in queries:
+            premises = [parse(t) for t in premises]
+            conclusion = parse(conclusion)
+            names = sorted(variables(conclusion, *premises))
+            envs = list(itertools.product(range(len(points)),
+                                          repeat=len(names)))
+            for mode in ("truth", "degree"):
+                expected = finite_scan(model, premises, conclusion, mode,
+                                       names, envs, points)
+                assert finite_scan(model, premises, conclusion, mode, names,
+                                   points=points) == expected
+                if chain.is_finite:
+                    assert finite_scan(model, premises, conclusion, mode,
+                                       names) == expected
+
     def test_every_formula_is_compiled_before_the_scan(self, chains):
         model = ChainModel("L3", chains["L3"])
         with pytest.raises(OperatorNotBound):
@@ -633,6 +690,37 @@ class TestCompiledEvaluation:
                                         "q": chain.elements[env[1]]},
                                 model.consistency, model.inconsistency)
                 assert fn(env) == chain._idx(evaluate(ev, f)), (f, env)
+
+    @pytest.mark.parametrize("chain_name", ["B2", "L3", "L5", "G3", "G5",
+                                            "NM6", "W15"])
+    def test_constant_subterms_match_the_fraction_walk(self, chains,
+                                                       chain_name):
+        # a constant compiles to a closure like any other node, alone, as
+        # a side of a binary node, and under a unary one
+        model = _bound_model(chains, chain_name, 0)
+        chain = model.chain
+        texts = ["0", "1", "O 0", "# 1", "~1", "0 -> p", "p & 1",
+                 "~(p -> 0)", "O (1 & q)", "D (q \\/ 0)", "# (0 <-> p)",
+                 "O ~(1 -> 0)", "(~1 -> p) /\\ (q & O 0)",
+                 "(0 & 1) -> (1 \\/ q)", "D 1 <-> # (q -> 1)"]
+        for text in texts:
+            f = parse(text)
+            fn = compile_finite(model, f, ["p", "q"])
+            for env in itertools.product(range(chain.size), repeat=2):
+                ev = Evaluation(chain, {"p": chain.elements[env[0]],
+                                        "q": chain.elements[env[1]]},
+                                model.consistency, model.inconsistency)
+                assert fn(env) == chain._idx(evaluate(ev, f)), (text, env)
+
+    def test_an_unbound_operator_in_a_constant_raises_at_compile_time(
+            self, chains):
+        l3 = chains["L3"]
+        bare, with_o = ChainModel("L3", l3), ChainModel("L3", l3, max_op(l3))
+        for model, text in [(bare, "O 0"), (bare, "p & O 1"),
+                            (bare, "~(# 0) -> p"), (with_o, "O p /\\ # 1"),
+                            (with_o, "D (1 -> # 0)")]:
+            with pytest.raises(OperatorNotBound, match="no operator is bound"):
+                compile_finite(model, parse(text), ["p"])
 
     @given(premises=st.lists(_formulas, max_size=3), conclusion=_formulas,
            chain_name=st.sampled_from(["B2", "L3", "G5", "NM6", "L3G3"]),
