@@ -155,12 +155,14 @@ def parse(text: str) -> Formula:
 
     One operator-precedence loop over the tokens: every prefix and infix
     connective waits on one stack until a looser connective, or the end of
-    its group, reduces it.  A text with more tokens than MAX_DEPTH is also
+    its group, reduces it.  Each name gets one Var, shared by all its
+    occurrences in the text.  A text with more tokens than MAX_DEPTH is also
     measured, since only such a text can be deeper than that.
     """
     toks = _TOKEN.findall(text)
     toks.append("")                         # end of input
     stack = []      # None for an open "(", else (power, constructor, left, i)
+    atoms = dict(_CONST)    # and one Var per name, shared by its occurrences
     i = 0
     while True:
         # an operand: prefixes and open groups, then an atom
@@ -169,14 +171,14 @@ def parse(text: str) -> Formula:
             stack.append(_PREFIX[tok])
             i += 1
             tok = toks[i]
-        node = _CONST.get(tok)
+        node = atoms.get(tok)
         if node is None:
             if not "a" <= tok[:1] <= "z":
                 raise _syntax_error(
                     text, toks, i,
                     f"unexpected token {tok or 'end of input'!r}",
                     _ATOM_EXPECTED)
-            node = Var(tok)
+            node = atoms[tok] = Var(tok)
         i += 1
         while True:
             # an infix token, or the end of the innermost group

@@ -519,7 +519,8 @@ def op_from_spec(chain, spec: str) -> ConsistencyOp:
         return crisp_op(chain, rat(parts[1]), closed)
     if spec == "auto":
         if not chain.is_finite:
-            raise StandardChainUnsupported("--op auto needs a finite chain")
+            raise StandardChainUnsupported(
+                "operator spec 'auto' needs a finite chain")
         ops = enumerate_ops(chain)
         if len(ops) != 1:
             raise OperatorSpecError(f"{chain.name} admits {len(ops)} operators; "

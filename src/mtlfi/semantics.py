@@ -157,6 +157,10 @@ def evaluate(ev: Evaluation, f: Formula) -> Fraction:
 # ---------------------------------------------------------------------------
 # Compiled evaluation over index tuples (for the search loop)
 
+# the binary connectives; one on two Vars is a pair
+_PAIRS = frozenset((And, Or, Fuse, Imp, Iff))
+
+
 def compile_finite(model: ChainModel, f: Formula, var_order: Sequence[str]):
     """Compile a formula into a closure mapping an index tuple to an index.
 
@@ -164,8 +168,11 @@ def compile_finite(model: ChainModel, f: Formula, var_order: Sequence[str]):
     the element-index table (indices) of the bound O or # operator, and a
     constant is a closure like any other node: no subformula is folded.  A
     parent reads a Var child inline as env[k] instead of calling a closure
-    for it.  An unbound O or # raises OperatorNotBound here, also inside a
-    constant subformula.
+    for it.  A binary parent also reads a pair child, a binary connective on
+    two Vars, inline as T[env[i]][env[j]] when its other child is a Var or
+    a pair too, so that (p & q) -> (r & s) is one closure with three
+    lookups; no deeper subformula is read inline.  An unbound O or # raises
+    OperatorNotBound here, also inside a constant subformula.
     """
     chain: FiniteChain = model.chain
     tables = {And: chain._meet_i, Or: chain._join_i, Fuse: chain._tnorm_i,
@@ -180,7 +187,9 @@ def _finite_node(model, tables, pos, node):
 
     A module-level function, so that a compiled formula holds no reference
     cycle, and one call per level of the formula: a Var child is read
-    inline and never compiled on its own.
+    inline and never compiled on its own, and so is a pair child of a
+    binary node whose other child is a Var or a pair (_pair_node).  Each
+    child is classified by type checks in line, not by a call.
     """
     t = type(node)
     if t is Var:
@@ -201,8 +210,13 @@ def _finite_node(model, tables, pos, node):
         g = _finite_node(model, tables, pos, node.arg)
         return lambda env: tab[g(env)]
     left, right = node.left, node.right
-    a = pos[left.name] if type(left) is Var else None
-    b = pos[right.name] if type(right) is Var else None
+    tl, tr = type(left), type(right)
+    lpair = tl in _PAIRS and type(left.left) is Var and type(left.right) is Var
+    rpair = tr in _PAIRS and type(right.left) is Var and type(right.right) is Var
+    if (lpair or rpair) and (lpair or tl is Var) and (rpair or tr is Var):
+        return _pair_node(tab, tables, pos, left, right, lpair, rpair)
+    a = pos[left.name] if tl is Var else None
+    b = pos[right.name] if tr is Var else None
     l = _finite_node(model, tables, pos, left) if a is None else None
     r = _finite_node(model, tables, pos, right) if b is None else None
     if a is None:
@@ -212,6 +226,24 @@ def _finite_node(model, tables, pos, node):
     if b is None:
         return lambda env: tab[env[a]][r(env)]
     return lambda env: tab[env[a]][env[b]]
+
+
+def _pair_node(tab, tables, pos, left, right, lpair, rpair):
+    """The closure of a binary node with table tab whose sides are each a
+    Var or a pair, and at least one a pair: a pair is read as
+    T[env[i]][env[j]], a Var as env[k].  A function apart from _finite_node,
+    so that the cells these closures need cost nothing where no pair is."""
+    if lpair:
+        lt, i, j = tables[type(left)], pos[left.left.name], pos[left.right.name]
+    if rpair:
+        rt, m, n = tables[type(right)], pos[right.left.name], pos[right.right.name]
+    if lpair and rpair:
+        return lambda env: tab[lt[env[i]][env[j]]][rt[env[m]][env[n]]]
+    if lpair:
+        b = pos[right.name]
+        return lambda env: tab[lt[env[i]][env[j]]][env[b]]
+    a = pos[left.name]
+    return lambda env: tab[env[a]][rt[env[m]][env[n]]]
 
 
 def compile_standard(model: ChainModel, f: Formula, var_order: Sequence[str],

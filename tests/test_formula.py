@@ -48,6 +48,16 @@ class TestParse:
         assert parse("x_1") == Var("x_1")
         assert parse("ab2c") == Var("ab2c")
 
+    def test_each_name_is_one_leaf_per_text(self):
+        f = parse("(p -> q) & (q -> p)")
+        assert f.left.left is f.right.right
+        assert f.left.right is f.right.left
+        # texts parsed separately share nothing, yet compare and hash equal
+        g = parse("(p -> q) & (q -> p)")
+        assert g.left.left is not f.left.left
+        assert g == f and hash(g) == hash(f)
+        assert render(g) == render(f) == "(p -> q) & (q -> p)"
+
     def test_error_carries_offset_and_expectations(self):
         with pytest.raises(FormulaSyntaxError) as exc:
             parse("p -> ")

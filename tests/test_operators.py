@@ -748,7 +748,7 @@ def test_op_from_spec_names_each_operator(chains):
         op = op_from_spec(lp, spec)
         assert (op.kind, op.threshold, op.closed) == ("crisp", F(3, 4), closed)
     with pytest.raises(StandardChainUnsupported,
-                       match="^--op auto needs a finite chain$"):
+                       match="^operator spec 'auto' needs a finite chain$"):
         op_from_spec(lp, "auto")
     with pytest.raises(OperatorSpecError,
                        match="^G3 admits 3 operators; pick one explicitly$"):

@@ -673,12 +673,14 @@ class TestCompiledEvaluation:
     @pytest.mark.parametrize("chain_name",
                              ["B2", "L3", "G5", "NM6", "W15", "L3G3"])
     def test_every_child_shape(self, chains, chain_name):
-        # each connective over each pair of a variable, a constant and a
-        # compound child, with q at a position other than 0
+        # each connective over each pair of a variable, a constant, a
+        # connective on two variables and a compound child, with q at a
+        # position other than 0
         model = _bound_model(chains, chain_name, 1)
         chain = model.chain
         kids = [Var("p"), Var("q"), ZERO, ONE, parse("~q"), parse("# p"),
-                parse("D (p & q)"), parse("O (q -> p)")]
+                parse("D (p & q)"), parse("O (q -> p)"), parse("q -> p"),
+                parse("p & q"), parse("p <-> q")]
         shapes = [node(a) for node in (Not, Circ, Bullet, Delta) for a in kids]
         shapes += [node(a, b) for node in (And, Or, Fuse, Imp, Iff)
                    for a in kids for b in kids]
