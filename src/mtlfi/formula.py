@@ -104,6 +104,7 @@ class Iff(Formula):
 ZERO = Const(0)
 ONE = Const(1)
 
+_LEAVES = (Var, Const)
 _UNARY = (Not, Circ, Bullet, Delta)
 _BINARY = (And, Fuse, Or, Imp, Iff)
 
@@ -142,6 +143,12 @@ _PREFIX = {"~": (4, Not, None, 0), "O": (4, Circ, None, 0),
 _INFIX = {"&": (3, Fuse), "/\\": (2, And), "\\/": (1, Or),
           "->": (0, Imp), "<->": (0, Iff)}
 _KNOWN = {*_CONST, *_PREFIX, *_INFIX, ")"}
+# every atom parse has read, by its token: the constants and one Var per
+# distinct name, shared by every text; and every connective node parse has
+# built on atoms alone, by _node's key, shared by every text too (at most
+# 5 a**2 + 4 a nodes for a atoms, and no atom's id is ever reused)
+_ATOMS = dict(_CONST)
+_ON_ATOMS = {}
 _ATOM_EXPECTED = ("variable", "0", "1", "~", "O", "#", "D", "(")
 
 # The most nodes on any root-to-leaf path of a parsed formula.  Rendering,
@@ -155,14 +162,16 @@ def parse(text: str) -> Formula:
 
     One operator-precedence loop over the tokens: every prefix and infix
     connective waits on one stack until a looser connective, or the end of
-    its group, reduces it.  Each name gets one Var, shared by all its
-    occurrences in the text.  A text with more tokens than MAX_DEPTH is also
-    measured, since only such a text can be deeper than that.
+    its group, reduces it.  Each name has one Var, shared by all its
+    occurrences in every text, and within one text equal subformulas are
+    one node (_node); a connective on atoms alone is one node in every
+    text.  A text with more tokens than MAX_DEPTH is also measured, since
+    only such a text can be deeper than that.
     """
     toks = _TOKEN.findall(text)
     toks.append("")                         # end of input
     stack = []      # None for an open "(", else (power, constructor, left, i)
-    atoms = dict(_CONST)    # and one Var per name, shared by its occurrences
+    nodes = {}      # the text's connective nodes, by _node's key
     i = 0
     while True:
         # an operand: prefixes and open groups, then an atom
@@ -171,14 +180,14 @@ def parse(text: str) -> Formula:
             stack.append(_PREFIX[tok])
             i += 1
             tok = toks[i]
-        node = atoms.get(tok)
+        node = _ATOMS.get(tok)
         if node is None:
             if not "a" <= tok[:1] <= "z":
                 raise _syntax_error(
                     text, toks, i,
                     f"unexpected token {tok or 'end of input'!r}",
                     _ATOM_EXPECTED)
-            node = atoms[tok] = Var(tok)
+            node = _ATOMS[tok] = Var(tok)
         i += 1
         while True:
             # an infix token, or the end of the innermost group
@@ -190,13 +199,13 @@ def parse(text: str) -> Formula:
                 if top is None or top[0] < floor:
                     break
                 del stack[-1]
-                node = top[1](node) if top[2] is None else top[1](top[2], node)
+                node = _node(nodes, top[1], top[2], node)
             if infix:
                 stack.append((infix[0], infix[1], node, i))
                 i += 1
                 break
             if stack and stack[-1] is not None:
-                node = _fold_arrows(text, toks, stack, node)
+                node = _fold_arrows(text, toks, stack, nodes, node)
             if stack:
                 if tok != ")":
                     raise _syntax_error(
@@ -214,12 +223,28 @@ def parse(text: str) -> Formula:
             return node
 
 
-def _fold_arrows(text, toks, stack, node):
+def _node(nodes, ctor, left, arg):
+    """The text's one node for ctor over left (None for a prefix) and arg,
+    which is every text's one node when its children are atoms.
+
+    Keyed by the children's ids: they are shared bottom-up already, and
+    nodes keeps each of them alive until the parse ends, so no id is reused
+    and no recursive hash runs."""
+    key = (ctor, id(left), id(arg))
+    if type(arg) in _LEAVES and (left is None or type(left) in _LEAVES):
+        nodes = _ON_ATOMS
+    node = nodes.get(key)
+    if node is None:
+        node = nodes[key] = ctor(arg) if left is None else ctor(left, arg)
+    return node
+
+
+def _fold_arrows(text, toks, stack, nodes, node):
     """Fold the arrows that end the innermost group, to the right."""
     ops = []
     while stack and stack[-1] is not None:
         _, ctor, left, i = stack.pop()
-        node = ctor(left, node)
+        node = _node(nodes, ctor, left, node)
         ops.append((ctor, i))
     if len(ops) > 1 and any(ctor is not ops[0][0] for ctor, _ in ops):
         # reported at the group's second arrow, as the text reads

@@ -515,8 +515,10 @@ def op_from_spec(chain, spec: str) -> ConsistencyOp:
         return named[spec](chain)
     if spec.startswith("crisp:"):
         parts = spec.split(":")
-        closed = not (len(parts) > 2 and parts[2] == "open")
-        return crisp_op(chain, rat(parts[1]), closed)
+        if parts[2:] not in ([], ["open"]):
+            raise OperatorSpecError(f"operator spec {spec!r}: a crisp operator "
+                                    "is crisp:T or crisp:T:open")
+        return crisp_op(chain, rat(parts[1]), len(parts) == 2)
     if spec == "auto":
         if not chain.is_finite:
             raise StandardChainUnsupported(

@@ -52,11 +52,30 @@ class TestParse:
         f = parse("(p -> q) & (q -> p)")
         assert f.left.left is f.right.right
         assert f.left.right is f.right.left
-        # texts parsed separately share nothing, yet compare and hash equal
+        # texts parsed separately share their Vars, and compare and hash
+        # equal
         g = parse("(p -> q) & (q -> p)")
-        assert g.left.left is not f.left.left
+        assert g.left.left is f.left.left
         assert g == f and hash(g) == hash(f)
         assert render(g) == render(f) == "(p -> q) & (q -> p)"
+
+    def test_equal_subformulas_are_one_node_per_text(self):
+        f = parse("(p -> q) -> (p -> q)")
+        assert f.left is f.right
+        g = parse("~(p & 0) \\/ (~(p & 0) /\\ O ~(p & 0))")
+        assert g.left is g.right.left is g.right.right.arg
+        assert render(g) == "~(p & 0) \\/ ~(p & 0) /\\ O ~(p & 0)"
+        # nodes that differ only in their constructor stay apart
+        h = parse("(p & q) /\\ (p /\\ q) -> ~p /\\ O p")
+        assert h.left.left != h.left.right and h.right.left != h.right.right
+
+    def test_connectives_on_atoms_are_one_node_across_texts(self):
+        f, g = parse("(p -> q) & ~1"), parse("~1 \\/ (r -> (p -> q))")
+        assert f.left is g.right.right
+        assert f.right is g.left
+        # a node with a compound child belongs to its text
+        assert parse("(p -> q) & r") is not parse("(p -> q) & r")
+        assert parse("(p -> q) & r") == parse("(p -> q) & r")
 
     def test_error_carries_offset_and_expectations(self):
         with pytest.raises(FormulaSyntaxError) as exc:

@@ -756,6 +756,13 @@ def test_op_from_spec_names_each_operator(chains):
     with pytest.raises(OperatorSpecError,
                        match="^unknown operator spec 'mid'$"):
         op_from_spec(l3, "mid")
+    # only an exact third field "open" opens the threshold; any other, or a
+    # fourth field, is an error, not the closed operator
+    for spec in ("crisp:3/4:opn", "crisp:3/4:open:x"):
+        with pytest.raises(OperatorSpecError,
+                           match=f"^operator spec '{spec}': a crisp operator "
+                                 "is crisp:T or crisp:T:open$"):
+            op_from_spec(lp, spec)
 
 
 def test_fixture_pairings_resolve_through_op_from_spec(chains):

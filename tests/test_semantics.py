@@ -20,7 +20,7 @@ from mtlfi.semantics import (BadPowerBound, ChainModel, DatAxiomFails,
                              classical_taut, deduction_power_bound,
                              compile_finite, compile_standard,
                              degree_consequence, evaluate, finite_scan,
-                             pdat_search, truth_consequence)
+                             generate_finite, pdat_search, truth_consequence)
 from mtlfi.suite import random_formula
 
 
@@ -130,6 +130,21 @@ class TestTruthConsequence:
         for check in (truth_consequence, degree_consequence):
             with pytest.raises(SemanticsError, match="at least one model"):
                 check([], [parse("p")], parse("p"))
+
+
+def test_a_result_is_slotted_and_reads_as_before(chains):
+    # a benchmark run keeps every result, so a result has no __dict__
+    model = ChainModel("L3", chains["L3"])
+    res = degree_consequence([model], [parse("p"), parse("q -> p")],
+                             parse("p & q"))
+    assert not hasattr(res, "__dict__")
+    assert res == semantics.ConsequenceResult(
+        "fails", "degree", "L3", {"p": F(1, 2), "q": F(0)}, F(1, 2), None, 4)
+    assert res.records() == ["verdict=fails", "mode=degree", "chain=L3",
+                             "assignment=p=1/2 q=0", "witness_a=1/2",
+                             "checked_count=4"]
+    both = degree_consequence([model, model], [], parse("p -> p"))
+    assert (both.verdict, both.checked) == ("holds", 6)
 
 
 class TestDegreeConsequence:
@@ -586,6 +601,43 @@ class TestFiniteScan:
                     assert finite_scan(model, premises, conclusion, mode,
                                        names) == expected
 
+    @pytest.mark.parametrize("chain_name", ["NM6", "W15"])
+    def test_generated_scans_match_the_closure_scans(self, chains,
+                                                     monkeypatch, chain_name):
+        # the full product from _GENERATE_FROM tuples up is scanned with
+        # generate_finite: every query, compiled either way, stops at the
+        # same tuple with the same count and witness
+        chain = chains[chain_name]
+        model = ChainModel(chain_name, chain, max_op(chain),
+                           dual(max_op(chain)))
+        queries = [([], "(p -> q) -> ((q -> r) -> (p -> r))"),
+                   ([], "((p & q) -> r) -> (p -> (q -> (r & (s \\/ t))))"),
+                   ([], "D (p <-> q) & O r -> ((p -> q) /\\ (~0 \\/ # r))"),
+                   (["q \\/ ~r", "D r -> p"],
+                    "(O p & q) \\/ (r <-> 1) \\/ (# q /\\ 0) \\/ (p -> r)"),
+                   (["O p", "p -> q", "~r \\/ q"], "(q & r) \\/ ~p"),
+                   (["p & q", "# s"], "(p & q) -> (r & s)"),
+                   (["p"], "q -> p")]
+        generated = []
+        monkeypatch.setattr(semantics, "generate_finite",
+                            lambda *args: generated.append(args)
+                            or generate_finite(*args))
+        for premises, conclusion in queries:
+            premises = [parse(t) for t in premises]
+            conclusion = parse(conclusion)
+            names = sorted(variables(conclusion, *premises))
+            for mode in ("truth", "degree"):
+                results = []
+                for threshold in (1, chain.size ** len(names) + 1):
+                    monkeypatch.setattr(semantics, "_GENERATE_FROM",
+                                        threshold)
+                    generated.clear()
+                    results.append(finite_scan(model, premises, conclusion,
+                                               mode, names))
+                    assert len(generated) == (threshold == 1) * (
+                        1 + bool(premises))
+                assert results[0] == results[1], (premises, conclusion, mode)
+
     def test_every_formula_is_compiled_before_the_scan(self, chains):
         model = ChainModel("L3", chains["L3"])
         with pytest.raises(OperatorNotBound):
@@ -652,6 +704,10 @@ def _reference_finite_scan(model, premises, conclusion, mode, vars_, envs):
     return None, checked, None
 
 
+# both compilers of a formula over a finite chain's index tuples
+_COMPILERS = (compile_finite, generate_finite)
+
+
 class TestCompiledEvaluation:
     @given(f=_formulas,
            chain_name=st.sampled_from(["B2", "L3", "G5", "NM6", "W15", "L3G3"]),
@@ -663,12 +719,13 @@ class TestCompiledEvaluation:
         model = _bound_model(chains, chain_name, op_pick)
         chain = model.chain
         names = data.draw(st.permutations(sorted(variables(f))))
-        fn = compile_finite(model, f, names)
+        fns = [compile_(model, f, names) for compile_ in _COMPILERS]
         for env in itertools.product(range(chain.size), repeat=len(names)):
             ev = Evaluation(chain, {v: chain.elements[i]
                                     for v, i in zip(names, env)},
                             model.consistency, model.inconsistency)
-            assert fn(env) == chain._idx(evaluate(ev, f))
+            expected = chain._idx(evaluate(ev, f))
+            assert [fn(env) for fn in fns] == [expected] * len(fns)
 
     @pytest.mark.parametrize("chain_name",
                              ["B2", "L3", "G5", "NM6", "W15", "L3G3"])
@@ -685,8 +742,8 @@ class TestCompiledEvaluation:
         shapes += [node(a, b) for node in (And, Or, Fuse, Imp, Iff)
                    for a in kids for b in kids]
         envs = list(itertools.product(range(chain.size), repeat=2))
-        for f in shapes:
-            fn = compile_finite(model, f, ["p", "q"])
+        for f, compile_ in itertools.product(shapes, _COMPILERS):
+            fn = compile_(model, f, ["p", "q"])
             for env in envs:
                 ev = Evaluation(chain, {"p": chain.elements[env[0]],
                                         "q": chain.elements[env[1]]},
@@ -721,8 +778,28 @@ class TestCompiledEvaluation:
         for model, text in [(bare, "O 0"), (bare, "p & O 1"),
                             (bare, "~(# 0) -> p"), (with_o, "O p /\\ # 1"),
                             (with_o, "D (1 -> # 0)")]:
-            with pytest.raises(OperatorNotBound, match="no operator is bound"):
-                compile_finite(model, parse(text), ["p"])
+            for compile_ in _COMPILERS:
+                with pytest.raises(OperatorNotBound,
+                                   match="no operator is bound"):
+                    compile_(model, parse(text), ["p"])
+
+    @pytest.mark.parametrize("chain_name", ["B2", "L3", "NM6"])
+    def test_names_of_the_generated_source_are_plain_variables(
+            self, chains, chain_name):
+        # variables named as the generated function's own identifiers read
+        # their own values: no name reaches the source
+        model = _bound_model(chains, chain_name, 1)
+        chain = model.chain
+        e, f, v0, t0, res, top = map(Var, ["e", "f", "v0", "t0", "RES", "TOP"])
+        formula = Imp(Fuse(Imp(e, f), Iff(v0, t0)),
+                      Or(Circ(res), And(Not(top), Bullet(Imp(t0, ONE)))))
+        names = ["TOP", "t0", "RES", "f", "v0", "e"]
+        fn = generate_finite(model, formula, names)
+        for env in itertools.product(range(chain.size), repeat=len(names)):
+            ev = Evaluation(chain, {v: chain.elements[i]
+                                    for v, i in zip(names, env)},
+                            model.consistency, model.inconsistency)
+            assert fn(env) == chain._idx(evaluate(ev, formula)), env
 
     @given(premises=st.lists(_formulas, max_size=3), conclusion=_formulas,
            chain_name=st.sampled_from(["B2", "L3", "G5", "NM6", "L3G3"]),
@@ -971,9 +1048,13 @@ class TestDeterminism:
         assert (a.verdict, a.assignment, a.checked) == (b.verdict, b.assignment, b.checked)
 
 
-@pytest.mark.parametrize("name", ["L5", "LG"])
-def test_compiling_leaves_no_reference_cycle(chains, name):
-    # every compiled closure is freed by reference counting alone
+@pytest.mark.parametrize("name, compile_",
+                         [("L5", compile_finite), ("LG", compile_standard),
+                          ("L5", generate_finite)],
+                         ids=["L5", "LG", "L5-generated"])
+def test_compiling_leaves_no_reference_cycle(chains, name, compile_):
+    # every compiled closure or generated function is freed by reference
+    # counting alone
     chain = chains[name]
     op = max_op(chain)
     model = ChainModel(name, chain, op, dual(op))
@@ -984,9 +1065,9 @@ def test_compiling_leaves_no_reference_cycle(chains, name):
     try:
         for _ in range(100):
             if chain.is_finite:
-                fn = compile_finite(model, f, ["p", "q"])
+                fn = compile_(model, f, ["p", "q"])
             else:
-                fn = compile_standard(model, f, ["p", "q"], points)
+                fn = compile_(model, f, ["p", "q"], points)
             fn((1, 2))
         del fn
         assert gc.collect() == 0
