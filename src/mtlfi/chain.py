@@ -770,7 +770,8 @@ def parse_chain_file(text: str):
 
     Keys: 'chain <name>', 'kind: finite|standard', then one of
     'family:'+'size:', 'table:' followed by n rows, 'negation: <rationals>'
-    or 'components: <family> <lo> <hi>; ...'.
+    or 'components: <family> <lo> <hi>; ...'.  A repeated key, or one the
+    chosen form does not read, is an error.
     """
     name = ""
     kind = ""
@@ -779,6 +780,7 @@ def parse_chain_file(text: str):
     negation = None
     components = None
     table_rows = None
+    seen = set()
     lines = [ln.strip() for ln in text.splitlines()]
     i = 0
     while i < len(lines):
@@ -787,13 +789,18 @@ def parse_chain_file(text: str):
         if not ln or ln.startswith("#"):
             continue
         if ln.startswith("chain "):
-            name = ln[len("chain "):].strip()
-            continue
-        if ":" not in ln:
+            key, value = "chain", ln[len("chain "):].strip()
+        elif ":" not in ln:
             raise ChainSpecError(f"malformed chain file line: {ln!r}")
-        key, _, value = ln.partition(":")
-        key, value = key.strip(), value.strip()
-        if key == "kind":
+        else:
+            key, _, value = ln.partition(":")
+            key, value = key.strip(), value.strip()
+        if key in seen:
+            raise ChainSpecError(f"repeated chain file key {key!r}")
+        seen.add(key)
+        if key == "chain":
+            name = value
+        elif key == "kind":
             kind = value
         elif key == "family":
             family = value
@@ -829,16 +836,22 @@ def parse_chain_file(text: str):
     if kind == "standard":
         if not components:
             raise ChainSpecError("standard chains need a components line")
-        return name, StandardChain(components, name=name)
-    if kind != "finite":
+        form, chain = ("components",), StandardChain(components, name=name)
+    elif kind != "finite":
         raise ChainSpecError("kind must be finite or standard")
-    if negation is not None:
-        return name, FiniteChain.from_negation(negation, name=name)
-    if table_rows is not None:
-        return name, FiniteChain.from_values_table(table_rows, name=name)
-    if family and size:
-        return name, FiniteChain.from_family(family, size, name=name)
-    raise ChainSpecError("finite chains need family+size, a table or a negation")
+    elif negation is not None:
+        form, chain = ("negation",), FiniteChain.from_negation(negation, name=name)
+    elif table_rows is not None:
+        form, chain = ("table",), FiniteChain.from_values_table(table_rows, name=name)
+    elif family and size:
+        form, chain = ("family", "size"), FiniteChain.from_family(family, size, name=name)
+    else:
+        raise ChainSpecError("finite chains need family+size, a table or a negation")
+    unread = sorted(seen - {"chain", "kind", *form})
+    if unread:
+        raise ChainSpecError(f"chain file key {unread[0]!r} is not read "
+                             f"beside {' and '.join(map(repr, form))}")
+    return name, chain
 
 
 # ---------------------------------------------------------------------------

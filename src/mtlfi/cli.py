@@ -17,6 +17,7 @@ traceback on stderr and exit code 4.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 
 from . import InputError
@@ -148,7 +149,13 @@ def _cmd_eval(ws, args) -> int:
     for part in args.assign.split(","):
         if part.strip():
             name, _, value = part.partition("=")
-            assignment[name.strip()] = value = rat(value.strip())
+            name = name.strip()
+            if not re.fullmatch(r"[a-z][a-z0-9_]*", name):
+                raise UsageError(f"--assign names a variable before '=', "
+                                 f"not {name!r}")
+            if name in assignment:
+                raise UsageError(f"--assign gives {name} twice")
+            assignment[name] = value = rat(value.strip())
             model.chain.pair(value)  # an element of the chain, or an error
     f = _parse_formula(args.formula)
     ev = Evaluation(model.chain, assignment, model.consistency,

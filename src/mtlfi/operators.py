@@ -539,27 +539,33 @@ def parse_op_file(text: str, chains: dict):
     """Parse 'op <name> on <chain>' followed by key: value lines.
 
     Kinds: min | max | crisp (threshold, closed) | piecewise (breakpoints,
-    interpolation) | table (values).  Returns (name, operator).
+    interpolation) | table (values).  A repeated key, or one the kind does
+    not read, is an error.  Returns (name, operator).
     """
     name = ""
     host = None
     kind = ""
     params: dict = {}
+    seen = set()
     for ln in text.splitlines():
         ln = ln.strip()
         if not ln or ln.startswith("#"):
             continue
         if ln.startswith("op "):
-            rest = ln[3:].strip()
-            name, _, chain_name = rest.partition(" on ")
+            key, value = "op", ln[3:].strip()
+        else:
+            key, _, value = ln.partition(":")
+            key, value = key.strip(), value.strip()
+        if key in seen:
+            raise OperatorSpecError(f"repeated operator file key {key!r}")
+        seen.add(key)
+        if key == "op":
+            name, _, chain_name = value.partition(" on ")
             name, chain_name = name.strip(), chain_name.strip()
             if chain_name not in chains:
                 raise OperatorSpecError(f"unknown chain {chain_name!r}")
             host = chains[chain_name]
-            continue
-        key, _, value = ln.partition(":")
-        key, value = key.strip(), value.strip()
-        if key == "kind":
+        elif key == "kind":
             kind = value
         elif key == "threshold":
             params["threshold"] = rat(value)
@@ -586,10 +592,18 @@ def parse_op_file(text: str, chains: dict):
             raise OperatorSpecError(f"unknown operator file key {key!r}")
     if host is None:
         raise OperatorSpecError("operator file must start with 'op <name> on <chain>'")
-    needs = {"crisp": "threshold", "piecewise": "breakpoints",
-             "table": "values"}.get(kind)
-    if needs is not None and needs not in params:
-        raise OperatorSpecError(f"{kind} operators need a {needs} line")
+    # the keys each kind reads, the one it needs first
+    reads = {"min": (), "max": (), "crisp": ("threshold", "closed"),
+             "piecewise": ("breakpoints", "interpolation"),
+             "table": ("values",)}.get(kind)
+    if reads is None:
+        raise OperatorSpecError(f"unknown operator kind {kind!r}")
+    if reads and reads[0] not in params:
+        raise OperatorSpecError(f"{kind} operators need a {reads[0]} line")
+    unread = sorted(set(params) - set(reads))
+    if unread:
+        raise OperatorSpecError(f"operator file key {unread[0]!r} is not "
+                                f"read by {kind} operators")
     if kind == "min":
         op = min_op(host)
     elif kind == "max":
@@ -599,9 +613,7 @@ def parse_op_file(text: str, chains: dict):
     elif kind == "piecewise":
         op = piecewise_op(host, params["breakpoints"],
                           params.get("interpolation", "linear"))
-    elif kind == "table":
-        op = table_op(host, params["values"])
     else:
-        raise OperatorSpecError(f"unknown operator kind {kind!r}")
+        op = table_op(host, params["values"])
     op.name = name or op.name
     return name, op

@@ -142,7 +142,7 @@ def evaluate(ev: Evaluation, f: Formula) -> Fraction:
         try:
             return rat(ev.assignment[f.name])
         except KeyError:
-            raise UnboundVariable(f.name) from None
+            raise UnboundVariable(f"variable {f.name} has no value") from None
     if isinstance(f, Const):
         return _ONE if f.value else _ZERO
     if isinstance(f, Not):
@@ -592,7 +592,8 @@ def check_lfi(model: ChainModel, grid_denominator: int = 60) -> LfiReport:
 
     The first three ask for non-derivations and pass when a countermodel
     with a fresh goal variable exists; the fourth (gentle explosion) is the
-    law O p, p, ~p |=_<= 0, scanned over the operator's points.
+    law O p, p, ~p |=_<= 0, scanned over the operator's points: a clean
+    standard grid passes it only if validate_c passes on that grid.
     """
     p, q = Var("p"), Var("q")
     op = _operator(model, Circ)
@@ -611,7 +612,8 @@ def check_lfi(model: ChainModel, grid_denominator: int = 60) -> LfiReport:
     res = _product_search(model, [Circ(p), p, Not(p)], ZERO, "degree",
                           _points(chain, (op,), grid_denominator), None)
     passed = res.verdict != "fails"
-    if res.verdict == "unknown" and not validate_c(chain, op).valid:
+    if (res.verdict == "unknown"
+            and not validate_c(chain, op, grid_denominator).valid):
         passed = None  # a clean grid proves the law only for a valid operator
     at = res.assignment
     report.clauses["iv"] = LfiClause(passed, witness=at and at["p"])
@@ -640,8 +642,8 @@ def check_propagation(model: ChainModel, connective: str,
     operator's points; 0 checks O(0) = 1.  Finite chains are exhaustive.  A
     clean scan of a standard chain's grid upgrades to a definite yes only
     where the structural argument applies (the lattice conjunction always,
-    the implication and negation for validated operators, the strong
-    conjunction for the min and max kinds).
+    the implication and negation for operators that validate_c passes on
+    the same grid, the strong conjunction for the min and max kinds).
     """
     op = _operator(model, Circ)
     chain = model.chain
@@ -666,7 +668,7 @@ def check_propagation(model: ChainModel, connective: str,
     if chain.is_finite or connective == "/\\":
         holds = True
     elif connective in ("->", "~"):
-        holds = validate_c(chain, op).valid or None
+        holds = validate_c(chain, op, grid_denominator).valid or None
     else:
         holds = (op.kind in ("min", "max")
                  or _is_effectively_max(chain, op) or None)

@@ -55,7 +55,7 @@ class CriterionResult:
 
 _DENOMS = [7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 53, 60, 97, 120]
 
-# The sampled criteria draw points i/den, den in _DENOMS and 0 <= i <= den.
+# Criterion 1 draws points i/den, den in _DENOMS and 0 <= i <= den.
 # _GRID holds those 616 points unreduced, as pairs (i, den), grid by grid,
 # and _GRID_VALUES holds the same points as Fractions; a sample is an index
 # into both.  _GRID_ROWS holds (den + 1, (den + 1).bit_length(), offset of
@@ -137,39 +137,6 @@ def _example_standard_ops(chains) -> list:
     return out
 
 
-def _propagation_failure(chain, op, pairs, fuse: bool):
-    """The first pair (i, j) of grid indices at which, for x = _GRID[i] and
-    y = _GRID[j], min(O(x), O(y)) exceeds O(x /\\ y) or O(x -> y), or,
-    when fuse is set, O(x & y).
-
-    Returns (connective, x, y), connective being "/\\ or ->" or "&" and
-    x, y Fractions, or None.  Runs in pair space on a standard chain.  O is
-    tabulated once over _GRID.  A pair with min(O(x), O(y)) = 0 cannot fail,
-    since no value is below 0, so it is skipped before any arithmetic.  The
-    /\\ comparison is not made, since it holds for every map:
-    O(x /\\ y) = O(min(x, y)) is O(x) or O(y), never below their minimum.
-    The -> and & comparisons are the ones that can fail.
-    """
-    table = [op.value_pair(n, d) for n, d in _GRID]
-    value, tnorm, residuum = op.value_pair, chain.tnorm_pair, chain.residuum_pair
-    for i, j in pairs:
-        on, od = table[i]
-        pn, pd = table[j]
-        ln, ld = (on, od) if on * pd <= pn * od else (pn, pd)  # the lhs
-        if ln == 0:
-            continue
-        xn, xd = _GRID[i]
-        yn, yd = _GRID[j]
-        vn, vd = value(*residuum(xn, xd, yn, yd))
-        if ln * vd > vn * ld:
-            return "/\\ or ->", _GRID_VALUES[i], _GRID_VALUES[j]
-        if fuse:
-            vn, vd = value(*tnorm(xn, xd, yn, yd))
-            if ln * vd > vn * ld:
-                return "&", _GRID_VALUES[i], _GRID_VALUES[j]
-    return None
-
-
 # ---------------------------------------------------------------------------
 # Criteria
 
@@ -238,19 +205,15 @@ def criterion_5() -> CriterionResult:
                 return CriterionResult(5, title, False,
                                        f"& fails for {op.name} on {chain.name}")
     chains = builtin_chains()
-    rng = random.Random(202)
     for name, chain, op in _example_standard_ops(chains):
-        drawn = _grid_indices(rng, 20000)
-        pairs = zip(drawn[0::2], drawn[1::2])
-        failure = _propagation_failure(chain, op, pairs,
-                                       op.kind in ("min", "max"))
-        if failure is not None:
-            connective, x, y = failure
-            if connective == "&":
+        model = ChainModel(name, chain, op)
+        for token in ("->", "&") if op.kind in ("min", "max") else ("->",):
+            res = check_propagation(model, token)
+            if res.holds is not True:
+                at = (" fails at (" + ", ".join(map(str, res.pair)) + ")"
+                      if res.holds is False else ": not certified")
                 return CriterionResult(5, title, False,
-                                       f"& fails for {op.name} on {name} at ({x},{y})")
-            return CriterionResult(5, title, False,
-                                   f"/\\ or -> fails on {name} at ({x},{y})")
+                                       f"{token} for {op.name} on {name}{at}")
     lp = chains["LP"]
     model = ChainModel("LP", lp, crisp_op(lp, Fraction(3, 4)))
     res = check_propagation(model, "&")

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mtlfi.chain import (GODEL, LUKASIEWICZ, PRODUCT, BadGridDenominator,
-                         Chain, ChainError, FiniteChain, GapOrOverlap,
+                         Chain, ChainError, ChainSpecError, FiniteChain,
+                         GapOrOverlap,
                          NegationNotDecreasing, NonRationalEndpoint,
                          NotAFilter, OutOfCarrier, SizeMismatch,
                          StandardChain, TableNotTnorm, builtin_chains,
@@ -768,6 +769,31 @@ class TestChainFiles:
     def test_malformed_file(self):
         with pytest.raises(ValueError):
             parse_chain_file("kind: finite\n")
+
+    @pytest.mark.parametrize("text, message", [
+        # a key the chosen form does not read
+        ("chain a\nkind: finite\nfamily: godel\nsize: 3\nnegation: 1 1/2 0\n",
+         "chain file key 'family' is not read beside 'negation'"),
+        ("chain s\nkind: standard\ncomponents: lukasiewicz 0 1\nsize: 9\n"
+         "family: lukasiewicz\n",
+         "chain file key 'family' is not read beside 'components'"),
+        ("chain b\nkind: finite\ntable:\n0 0\n0 1\nsize: 2\n",
+         "chain file key 'size' is not read beside 'table'"),
+        ("chain l\nkind: finite\nfamily: godel\nsize: 3\n"
+         "components: godel 0 1\n",
+         "chain file key 'components' is not read beside 'family' and 'size'"),
+        # a repeated key or header
+        ("chain a\nkind: finite\nfamily: godel\nsize: 4\nsize: 5\n",
+         "repeated chain file key 'size'"),
+        ("chain A\nchain B\nkind: finite\nfamily: godel\nsize: 4\n",
+         "repeated chain file key 'chain'"),
+        ("chain a\nkind: finite\nkind: standard\ncomponents: godel 0 1\n",
+         "repeated chain file key 'kind'"),
+    ])
+    def test_dropped_input_is_an_error(self, text, message):
+        with pytest.raises(ChainSpecError) as info:
+            parse_chain_file(text)
+        assert str(info.value) == message
 
 
 # ---------------------------------------------------------------------------

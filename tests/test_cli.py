@@ -56,6 +56,25 @@ class TestParseEval:
                            "p=1/2,q=1", "p /\\ q")
         assert code == 0 and out.strip() == "1/2"
 
+    @pytest.mark.parametrize("assign, message", [
+        ("p=1/2,p=1", "--assign gives p twice"),
+        ("p=1/2, p =1", "--assign gives p twice"),
+        ("=1", "--assign names a variable before '=', not ''"),
+        ("p=1/2,P=1", "--assign names a variable before '=', not 'P'"),
+        ("1p=1", "--assign names a variable before '=', not '1p'"),
+        ("p q=1", "--assign names a variable before '=', not 'p q'"),
+    ])
+    def test_eval_rejects_a_dropped_or_foreign_name(self, capsys, assign,
+                                                    message):
+        code, out, err = run(capsys, "eval", "--chain", "L3", "--assign",
+                             assign, "p")
+        assert (code, out, err) == (3, "", f"error: {message}\n")
+
+    def test_eval_names_a_variable_without_a_value(self, capsys):
+        code, out, err = run(capsys, "eval", "--chain", "L3", "--assign",
+                             "p=1,q_2=0", "p & q_2 -> r")
+        assert (code, out, err) == (3, "", "error: variable r has no value\n")
+
 
 class TestDeepAndForeignInput:
     AT_LIMIT = {"fold": "p" + " & p" * (MAX_DEPTH - 1),
@@ -436,6 +455,25 @@ class TestLoading:
         code, out, err = run(capsys, "enum-ops", "--chain", "L3",
                              "--load", str(path))
         assert (code, out) == (3, "") and message in err
+
+    @pytest.mark.parametrize("suffix, text, message", [
+        (".chain", "chain x\nkind: finite\nsize: 4\nfamily: godel\nsize: 5\n",
+         "repeated chain file key 'size'"),
+        (".chain", "chain x\nkind: finite\nfamily: godel\nsize: 3\n"
+         "negation: 1 1/2 0\n",
+         "chain file key 'family' is not read beside 'negation'"),
+        (".op", "op o on LP\nkind: crisp\nthreshold: 3/4\nkind: max\n",
+         "repeated operator file key 'kind'"),
+        (".op", "op o on LP\nkind: min\nthreshold: 1/2\n",
+         "operator file key 'threshold' is not read by min operators"),
+    ])
+    def test_repeated_and_unread_keys(self, capsys, tmp_path, suffix, text,
+                                      message):
+        path = tmp_path / ("bad" + suffix)
+        path.write_text(text)
+        code, out, err = run(capsys, "eval", "--load", str(path), "--chain",
+                             "LP", "--assign", "p=3/5", "p")
+        assert (code, out, err) == (3, "", f"error: {message}\n")
 
     @pytest.mark.parametrize("spec", ["negation: 1", "negation:", "table: 1",
                                       "table: 0 0"])

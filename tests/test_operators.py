@@ -1,5 +1,4 @@
 import itertools
-import random
 from fractions import Fraction as F
 from math import comb
 
@@ -18,8 +17,7 @@ from mtlfi.operators import (BreakpointOutsideN, ConsistencyOp, HostMismatch,
                              parse_op_file,
                              piecewise_op, table_op, validate_algebraic,
                              validate_bullet, validate_c)
-from mtlfi.suite import (_GRID_VALUES, _example_standard_ops, _grid_indices,
-                         _propagation_failure)
+from mtlfi.suite import _example_standard_ops
 
 
 class TestValidateC:
@@ -265,42 +263,19 @@ def test_critical_points_keep_the_sample_points(chains, grid):
     assert b3.critical_points() == []
 
 
-def _reference_propagation_failure(chain, op, pairs, fuse):
-    """The criterion-5 loop on Fractions through the public value, tnorm
-    and residuum, as the suite ran it before the pair kernel."""
-    for x, y in pairs:
-        lhs = min(op.value(x), op.value(y))
-        if lhs > op.value(min(x, y)) or lhs > op.value(chain.residuum(x, y)):
-            return "/\\ or ->", x, y
-        if fuse and lhs > op.value(chain.tnorm(x, y)):
-            return "&", x, y
-    return None
-
-
-def _seeded_pairs(seed, count):
-    drawn = _grid_indices(random.Random(seed), 2 * count)
-    return list(zip(drawn[0::2], drawn[1::2]))
-
-
-@pytest.mark.parametrize("seed", [202, 7])
-@pytest.mark.parametrize("fuse", [True, False])
-def test_propagation_scan_matches_fraction_loop(chains, seed, fuse):
-    pairs = _seeded_pairs(seed, 1500)
-    points = [(_GRID_VALUES[i], _GRID_VALUES[j]) for i, j in pairs]
-    ll = chains["LL"]
-    # not a valid operator: it drops from 1 to 0 at 3/4, so -> fails
-    decreasing = ConsistencyOp(ll, "piecewise", interpolation="step",
-                               breakpoints=((F(1, 2), F(1)), (F(3, 4), F(0))),
-                               name="decreasing")
-    for name, chain, op in _example_standard_ops(chains) + [("LL", ll, decreasing)]:
-        got = _propagation_failure(chain, op, pairs, fuse)
-        assert got == _reference_propagation_failure(chain, op, points, fuse), name
-        if (name, op.name, fuse) == ("LP", "crisp:3/4", True):
-            assert got is not None and got[0] == "&"
-        if (name, op.name) == ("LG", "min"):
-            assert got is None
-        if op is decreasing:
-            assert got is not None and got[0] == "/\\ or ->"
+@pytest.mark.parametrize("grid", [1, 7, 12, 60, 1000])
+def test_built_operators_are_valid_on_every_grid(chains, grid):
+    # check_propagation and check_lfi validate an operator on the query's own
+    # grid, so no verdict on an operator the constructors build moves with it
+    ops = [(chain, op) for _, chain, op in _example_standard_ops(chains)]
+    for name in ("LG", "LP", "LL"):
+        chain = chains[name]
+        ops.append((chain, crisp_op(chain, F(3, 4), closed=False)))
+        ops.append((chain, crisp_op(chain, F(1, 2), closed=False)))
+        ops.append((chain, piecewise_op(
+            chain, [(F(1, 2), F(1, 4)), (F(5, 7), F(2, 3)), (1, 1)], "step")))
+    for chain, op in ops:
+        assert validate_c(chain, op, grid).valid, (chain.name, op.name)
 
 
 @given(data=st.data(),
@@ -921,3 +896,24 @@ class TestOpFiles:
     def test_unknown_chain(self, chains):
         with pytest.raises(ValueError):
             parse_op_file("op x on NOPE\nkind: min\n", chains)
+
+    @pytest.mark.parametrize("text, message", [
+        # a key the kind does not read
+        ("op o on LP\nkind: min\nthreshold: 1/2\n",
+         "operator file key 'threshold' is not read by min operators"),
+        ("op o on LP\nkind: crisp\nthreshold: 3/4\ninterpolation: step\n",
+         "operator file key 'interpolation' is not read by crisp operators"),
+        ("op o on L3\nkind: table\nvalues: 1 0 1\nclosed: yes\n",
+         "operator file key 'closed' is not read by table operators"),
+        # a repeated key or header
+        ("op o on LP\nkind: crisp\nthreshold: 3/4\nkind: max\n",
+         "repeated operator file key 'kind'"),
+        ("op o on LP\nkind: crisp\nthreshold: 3/4\nclosed: no\nclosed: yes\n",
+         "repeated operator file key 'closed'"),
+        ("op o on LP\nop p on LG\nkind: max\n",
+         "repeated operator file key 'op'"),
+    ])
+    def test_dropped_input_is_an_error(self, chains, text, message):
+        with pytest.raises(OperatorSpecError) as info:
+            parse_op_file(text, chains)
+        assert str(info.value) == message

@@ -62,7 +62,7 @@ class TestEvaluate:
         assert evaluate(ev, parse("0")) == 0
 
     def test_unbound_variable(self, chains):
-        with pytest.raises(UnboundVariable):
+        with pytest.raises(UnboundVariable, match="^variable p has no value$"):
             evaluate(Evaluation(chains["L3"], {}), parse("p"))
 
     def test_operator_not_bound(self, chains):
@@ -259,6 +259,35 @@ class TestPropagation:
     def test_unknown_for_general_standard_op_on_clean_scan(self, ll_identity):
         res = check_propagation(ll_identity, "&", grid_denominator=12)
         assert res.holds in (None, False)
+
+    def test_the_upgrade_validates_on_the_query_grid(self, chains,
+                                                     monkeypatch):
+        # a clean standard-chain scan proves -> and ~ (and lfi clause iv)
+        # only for a valid operator, checked on the points just scanned
+        grids = []
+
+        def spy(chain, op, *args):
+            grids.append(args)
+            return validate_c(chain, op, *args)
+
+        monkeypatch.setattr(semantics, "validate_c", spy)
+        lg = chains["LG"]
+        model = ChainModel("LG", lg, max_op(lg))
+        assert check_propagation(model, "->", 12).holds is True
+        assert check_propagation(model, "~", 7).holds is True
+        assert check_lfi(model, 5).clauses["iv"].passed is True
+        assert grids == [(12,), (7,), (5,)]
+
+    def test_a_decreasing_operator_does_not_propagate_implication(self,
+                                                                  chains):
+        # not a valid operator: it drops from 1 to 0 at 3/4
+        ll = chains["LL"]
+        op = ConsistencyOp(ll, "piecewise", interpolation="step",
+                           breakpoints=((F(1, 2), F(1)), (F(3, 4), F(0))))
+        res = check_propagation(ChainModel("LL", ll, op), "->")
+        assert res.holds is False
+        x, y = res.pair
+        assert min(op.value(x), op.value(y)) > op.value(ll.residuum(x, y))
 
 
 class TestDatAndPdat:

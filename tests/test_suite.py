@@ -1,6 +1,6 @@
 """The suite's grid sampler against the stdlib calls it replays, the
-sampled criteria 1 and 5 against the loops they replaced, and run_suite's
-worker pool against its in-process loop."""
+sampled criterion 1 against the loop it replaced, criteria 1 and 5 with a
+broken kernel, and run_suite's worker pool against its in-process loop."""
 
 import multiprocessing
 import os
@@ -19,8 +19,7 @@ from mtlfi.formula import FormulaSyntaxError
 from mtlfi.operators import ConsistencyOp, ValidationReport
 from mtlfi.semantics import SemanticsError
 from mtlfi.suite import (_DENOMS, _GRID, _GRID_VALUES, CriterionResult,
-                         _example_standard_ops, _grid_indices, criterion_1,
-                         criterion_5, run_suite)
+                         _grid_indices, criterion_1, criterion_5, run_suite)
 from test_chain import _pair_law_violations
 
 
@@ -54,48 +53,8 @@ def test_sampler_replays_choice_then_randint_on_any_seed(seed, count):
 
 
 # ---------------------------------------------------------------------------
-# Criteria 1 and 5 against their loops before the grid table, with a
-# broken kernel
-
-def _reference_propagation_failure(chain, op, pairs, fuse):
-    """The criterion-5 scan before tabulation: Fraction pairs, O evaluated
-    at both points of every pair, no pair skipped."""
-    value, tnorm, residuum = op.value_pair, chain.tnorm_pair, chain.residuum_pair
-    for x, y in pairs:
-        xn, xd = x.numerator, x.denominator
-        yn, yd = y.numerator, y.denominator
-        ox, oy = value(xn, xd), value(yn, yd)
-        ln, ld = ox if ox[0] * oy[1] <= oy[0] * ox[1] else oy
-        vn, vd = ox if xn * yd <= yn * xd else oy
-        if ln * vd > vn * ld:
-            return "/\\ or ->", x, y
-        vn, vd = value(*residuum(xn, xd, yn, yd))
-        if ln * vd > vn * ld:
-            return "/\\ or ->", x, y
-        if fuse:
-            vn, vd = value(*tnorm(xn, xd, yn, yd))
-            if ln * vd > vn * ld:
-                return "&", x, y
-    return None
-
-
-def _reference_criterion_5_detail():
-    """The detail of criterion 5's standard-chain part as it ran before the
-    grid table, with points drawn by choice and randint; None when it
-    passes."""
-    rng = random.Random(202)
-    for name, chain, op in _example_standard_ops(builtin_chains()):
-        pairs = [(F(*_stdlib_point(rng)), F(*_stdlib_point(rng)))
-                 for _ in range(10000)]
-        failure = _reference_propagation_failure(chain, op, pairs,
-                                              op.kind in ("min", "max"))
-        if failure is not None:
-            connective, x, y = failure
-            if connective == "&":
-                return f"& fails for {op.name} on {name} at ({x},{y})"
-            return f"/\\ or -> fails on {name} at ({x},{y})"
-    return None
-
+# Criteria 1 and 5 with a broken kernel: criterion 1 against its loop
+# before the grid table, criterion 5 against pinned details
 
 def _reference_criterion_1_detail():
     """The detail of criterion 1's standard-chain part as it ran before the
@@ -145,24 +104,28 @@ def _unit_lost_on_ll(chain, a, b, c, d):
     return _tnorm_pair(chain, a, b, c, d)
 
 
-@pytest.mark.parametrize("broken", [_max_drops_near_top, _crisp_has_a_gap])
-def test_broken_value_gives_the_reference_criterion_5_detail(monkeypatch, broken):
+@pytest.mark.parametrize("broken, detail", [
+    (_max_drops_near_top, "-> for max on LG: not certified"),
+    (_crisp_has_a_gap, "-> for crisp:3/4 on LP fails at (53/60, 3/4)"),
+])
+def test_broken_value_fails_criterion_5(monkeypatch, broken, detail):
     monkeypatch.setattr(ConsistencyOp, "value_pair", broken)
-    expected = _reference_criterion_5_detail()
-    assert expected is not None
     result = criterion_5()
+    assert not result.passed and result.detail == detail
+
+
+@pytest.mark.parametrize("broken, detail", [
+    (_product_squares_upper_half, "& for max on LP fails at (31/60, 31/60)"),
+    (_unit_lost_on_ll, "& for max on LL fails at (3/5, 1)"),
+])
+def test_broken_tnorm_fails_criteria_1_and_5(monkeypatch, broken, detail):
+    monkeypatch.setattr(StandardChain, "tnorm_pair", broken)
+    expected = _reference_criterion_1_detail()
+    assert expected is not None
+    result = criterion_1()
     assert not result.passed and result.detail == expected
-
-
-def test_broken_tnorm_gives_the_reference_criterion_details(monkeypatch):
-    for broken in (_product_squares_upper_half, _unit_lost_on_ll):
-        monkeypatch.setattr(StandardChain, "tnorm_pair", broken)
-        for run, reference in ((criterion_1, _reference_criterion_1_detail),
-                               (criterion_5, _reference_criterion_5_detail)):
-            expected = reference()
-            assert expected is not None
-            result = run()
-            assert not result.passed and result.detail == expected
+    result = criterion_5()
+    assert not result.passed and result.detail == detail
 
 
 def test_a_disagreement_in_criterion_2_names_the_map_by_its_values(monkeypatch):
