@@ -352,6 +352,8 @@ class FiniteChain(Chain):
         self._neg_zero = tuple(v == 0 for v in self._neg_i)
         self._nset = NSet.finite(x for x, z in zip(self.elements[:-1],
                                                    self._neg_zero) if z)
+        # the tables of semantics' column scan, each built when first read
+        self._kernel = {}
 
     # -- constructors ------------------------------------------------------
 
@@ -781,20 +783,20 @@ def parse_chain_file(text: str):
     components = None
     table_rows = None
     seen = set()
-    lines = [ln.strip() for ln in text.splitlines()]
-    i = 0
-    while i < len(lines):
-        ln = lines[i]
-        i += 1
+    key = ""
+    for ln in (ln.strip() for ln in text.splitlines()):
         if not ln or ln.startswith("#"):
             continue
         if ln.startswith("chain "):
             key, value = "chain", ln[len("chain "):].strip()
-        elif ":" not in ln:
-            raise ChainSpecError(f"malformed chain file line: {ln!r}")
-        else:
+        elif ":" in ln:
             key, _, value = ln.partition(":")
             key, value = key.strip(), value.strip()
+        elif key == "table":  # a row, up to the next key line
+            table_rows.append(_parse_rationals(ln))
+            continue
+        else:
+            raise ChainSpecError(f"malformed chain file line: {ln!r}")
         if key in seen:
             raise ChainSpecError(f"repeated chain file key {key!r}")
         seen.add(key)
@@ -823,12 +825,7 @@ def parse_chain_file(text: str):
                 fam, lo, hi = fields
                 components.append((fam, rat(lo), rat(hi)))
         elif key == "table":
-            table_rows = []
-            if value:
-                table_rows.append(_parse_rationals(value))
-            while i < len(lines) and lines[i] and ":" not in lines[i]:
-                table_rows.append(_parse_rationals(lines[i]))
-                i += 1
+            table_rows = [_parse_rationals(value)] if value else []
         else:
             raise ChainSpecError(f"unknown chain file key {key!r}")
     if not name:

@@ -7,21 +7,20 @@ conclusion).  On a chain the degree condition collapses to comparing the
 conclusion against the minimum of the premise values, which is what the
 search uses.
 
-Every search runs one loop, finite_scan, over index tuples: into a finite
+Every search runs one scan, finite_scan, over index tuples: into a finite
 chain's elements, or into a standard chain's sorted rational grid points.
 It is also the one place that builds the full product of those indices,
 when it is given no tuples; the Hilbert checks and classical_taut call it
-so.  The formulas are compiled once (compile_finite, compile_standard), a
-constant to a closure as any other node, with no folding, and an unbound O
-or # raises before any tuple is checked.  Where finite_scan builds the
-product of a finite chain itself and it has at least _GENERATE_FROM tuples,
-each formula is compiled instead by generate_finite to one generated
-straight-line function, written only from fixed names and integer
-positions, so that no variable name or other input text reaches its
-source; the scan's order and results are the same.  The tuples are every
-combination up to the variable cap of the chain's kind (FINITE_VAR_CAP or
-STANDARD_VAR_CAP), and above the cap SAMPLING_BUDGET draws from one seeded
-sampler.
+so.  The formulas are compiled once, with no folding, and an unbound O or
+# raises before any tuple is checked.  On a finite chain compile_finite
+computes a formula's column, its index at every tuple, with one bytes
+operation per connective; a full product of at least _GENERATE_FROM tuples
+is scanned a tuple at a time instead, by one straight-line function per
+formula that generate_finite writes from fixed names and integer positions
+only.  A standard chain's formulas are closures (compile_standard).  The
+tuples are every combination up to the variable cap of the chain's kind
+(FINITE_VAR_CAP or STANDARD_VAR_CAP), and above the cap SAMPLING_BUDGET
+draws from one seeded sampler.
 Finite exhaustive verdicts are exact.  A countermodel is always a certified
 failure (all arithmetic is exact); any other clean scan is unknown, except
 a standard-chain query without variables, which holds.  The pointwise
@@ -36,6 +35,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
+from operator import getitem
 from typing import Iterable, Optional, Sequence
 
 from . import InputError
@@ -63,11 +63,9 @@ _ONE = Fraction(1)
 FINITE_VAR_CAP = 6
 STANDARD_VAR_CAP = 4
 SAMPLING_BUDGET = 20000
-# the fewest tuples of a full finite product that finite_scan compiles with
-# generate_finite: its code generation (70-190 us for an A1-size formula) is
-# repaid at 25-105 ns saved per tuple over compile_finite's closures after
-# 960-2 430 tuples (median about 1 600), measured on one CPU of a 2 vCPU
-# container
+# the fewest tuples of a full finite product that finite_scan scans a tuple
+# at a time with generate_finite, not a column at a time; set where code
+# generation paid off against the per-tuple closures the columns replaced
 _GENERATE_FROM = 2048
 
 
@@ -166,99 +164,91 @@ def evaluate(ev: Evaluation, f: Formula) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# Compiled evaluation over index tuples (for the search loop)
+# Compiled evaluation over columns of index tuples (for the search loop)
 
-# the binary connectives; one on two Vars is a pair
-_PAIRS = frozenset((And, Or, Fuse, Imp, Iff))
+# the FiniteChain attribute holding each connective's index table
+_INDEX_TABLES = {And: "_meet_i", Or: "_join_i", Fuse: "_tnorm_i",
+                 Imp: "_res_i", Iff: "_iff_i", Not: "_neg_i", Delta: "_delta_i"}
 
 
-def _index_tables(chain: FiniteChain) -> dict:
-    """The chain's index table of each connective, by node type."""
-    return {And: chain._meet_i, Or: chain._join_i, Fuse: chain._tnorm_i,
-            Imp: chain._res_i, Iff: chain._iff_i,
-            Not: chain._neg_i, Delta: chain._delta_i}
+def _kernel_table(n: int, rows):
+    """An n-element chain's index table rows as _step reads it: 256 bytes,
+    at an index or at a pair 16a + b (up to 16 elements), or else rows."""
+    if type(rows[0]) is not tuple:
+        return bytes(rows).ljust(256, b"\0") if n <= 256 else rows
+    return bytes(rows[a][b] if max(a, b) < n else 0 for a in range(16)
+                 for b in range(16)) if n <= 16 else rows
+
+
+def _kept(chain: FiniteChain, key, build):
+    """build(), kept on the chain under key from the first call on."""
+    if key not in chain._kernel:
+        chain._kernel[key] = build()
+    return chain._kernel[key]
+
+
+def _step(tab, a, b=None):
+    """The _kernel_table tab at each index of the column a, or at each pair
+    of indices of the columns a and b, as a column of a's type.  Indices
+    below 16 pack as 16a + b by one integer shift and addition for the whole
+    column: no byte carries, since 16a + b <= 255."""
+    if type(tab) is not bytes:
+        return type(a)(map(tab.__getitem__, a) if b is None
+                       else map(getitem, map(tab.__getitem__, a), b))
+    if b is not None:
+        a = ((int.from_bytes(a, "big") << 4)
+             + int.from_bytes(b, "big")).to_bytes(len(b), "big")
+    return a.translate(tab)
 
 
 def compile_finite(model: ChainModel, f: Formula, var_order: Sequence[str]):
-    """Compile a formula into a closure mapping an index tuple to an index.
+    """Compile a formula into a function from the columns of var_order's
+    variables, and their length, to the formula's column: one element index
+    per scanned tuple, in a bytes (a list above 256 elements).  Each distinct
+    node, by identity, is one _step per call, and a constant is a column
+    too.  An unbound O or # raises OperatorNotBound here, also inside a
+    constant subformula."""
+    chain, steps = model.chain, []
+    tables = _kept(chain, "tables", lambda: {
+        t: _kernel_table(chain.size, getattr(chain, name))
+        for t, name in _INDEX_TABLES.items()})
+    result = _column_node(model, tables, {v: i for i, v in
+                                          enumerate(var_order)}, {}, steps, f)
 
-    Every connective is one lookup in an index table of the chain, or in
-    the element-index table (indices) of the bound O or # operator, and a
-    constant is a closure like any other node: no subformula is folded.  A
-    parent reads a Var child inline as env[k] instead of calling a closure
-    for it.  A binary parent also reads a pair child, a binary connective on
-    two Vars, inline as T[env[i]][env[j]] when its other child is a Var or
-    a pair too, so that (p & q) -> (r & s) is one closure with three
-    lookups; no deeper subformula is read inline.  An unbound O or # raises
-    OperatorNotBound here, also inside a constant subformula.
-    """
-    tables = _index_tables(model.chain)
-    pos = {name: i for i, name in enumerate(var_order)}
-    return _finite_node(model, tables, pos, f)
+    def run(cols, count):
+        v = [*cols]
+        for tab, a, b in steps:  # a is None for a constant, b for unary
+            v.append(tab * count if a is None else
+                     _step(tab, v[a], None if b is None else v[b]))
+        return v[result]
+    return run
 
 
-def _finite_node(model, tables, pos, node):
-    """The closure from env to node's index.
-
-    A module-level function, so that a compiled formula holds no reference
-    cycle, and one call per level of the formula: a Var child is read
-    inline and never compiled on its own, and so is a pair child of a
-    binary node whose other child is a Var or a pair (_pair_node).  Each
-    child is classified by type checks in line, not by a call.
-    """
+def _column_node(model, tables, pos, slots, steps, node) -> int:
+    """node's slot among a run's columns (the variables', then one per
+    step), appending a step (table, slot, slot) for each node whose id is
+    not in slots; tables maps node types to the chain's _kernel_tables."""
     t = type(node)
     if t is Var:
-        k = pos[node.name]
-        return lambda env: env[k]
+        return pos[node.name]
+    if id(node) in slots:
+        return slots[id(node)]
+    n = model.chain.size
     if t is Const:
-        v = model.chain.size - 1 if node.value else 0
-        return lambda env: v
-    tab = tables.get(t)
-    if tab is None:
-        if t is not Circ and t is not Bullet:
-            raise TypeError(f"not a formula node: {node!r}")
-        tab = tables[t] = _operator(model, t).indices
-    if t is Not or t is Delta or t is Circ or t is Bullet:
-        if type(node.arg) is Var:
-            k = pos[node.arg.name]
-            return lambda env: tab[env[k]]
-        g = _finite_node(model, tables, pos, node.arg)
-        return lambda env: tab[g(env)]
-    left, right = node.left, node.right
-    tl, tr = type(left), type(right)
-    lpair = tl in _PAIRS and type(left.left) is Var and type(left.right) is Var
-    rpair = tr in _PAIRS and type(right.left) is Var and type(right.right) is Var
-    if (lpair or rpair) and (lpair or tl is Var) and (rpair or tr is Var):
-        return _pair_node(tab, tables, pos, left, right, lpair, rpair)
-    a = pos[left.name] if tl is Var else None
-    b = pos[right.name] if tr is Var else None
-    l = _finite_node(model, tables, pos, left) if a is None else None
-    r = _finite_node(model, tables, pos, right) if b is None else None
-    if a is None:
-        if b is None:
-            return lambda env: tab[l(env)][r(env)]
-        return lambda env: tab[l(env)][env[b]]
-    if b is None:
-        return lambda env: tab[env[a]][r(env)]
-    return lambda env: tab[env[a]][env[b]]
-
-
-def _pair_node(tab, tables, pos, left, right, lpair, rpair):
-    """The closure of a binary node with table tab whose sides are each a
-    Var or a pair, and at least one a pair: a pair is read as
-    T[env[i]][env[j]], a Var as env[k].  A function apart from _finite_node,
-    so that the cells these closures need cost nothing where no pair is."""
-    if lpair:
-        lt, i, j = tables[type(left)], pos[left.left.name], pos[left.right.name]
-    if rpair:
-        rt, m, n = tables[type(right)], pos[right.left.name], pos[right.right.name]
-    if lpair and rpair:
-        return lambda env: tab[lt[env[i]][env[j]]][rt[env[m]][env[n]]]
-    if lpair:
-        b = pos[right.name]
-        return lambda env: tab[lt[env[i]][env[j]]][env[b]]
-    a = pos[left.name]
-    return lambda env: tab[env[a]][rt[env[m]][env[n]]]
+        step = ((bytes if n <= 256 else list)([n - 1 if node.value else 0]),
+                None, None)
+    else:
+        tab = tables.get(t) or _kernel_table(n, _operator(model, t).indices)
+        if t is Not or t is Delta or t is Circ or t is Bullet:
+            step = (tab, _column_node(model, tables, pos, slots, steps,
+                                      node.arg), None)
+        else:
+            step = (tab, _column_node(model, tables, pos, slots, steps,
+                                      node.left),
+                    _column_node(model, tables, pos, slots, steps, node.right))
+    steps.append(step)
+    s = slots[id(node)] = len(pos) + len(steps) - 1
+    return s
 
 
 # the fixed name a generated function reads each node type's table by
@@ -279,10 +269,9 @@ def generate_finite(model: ChainModel, f: Formula, var_order: Sequence[str]):
     globals, and it holds no reference cycle.  An unbound O or # raises
     OperatorNotBound here, also inside a constant subformula.
     """
-    tables = _index_tables(model.chain)
     pos = {name: i for i, name in enumerate(var_order)}
     ns, lines = {}, []
-    result = _generated_node(model, tables, pos, ns, lines, f)
+    result = _generated_node(model, pos, ns, lines, f)
     if var_order:
         unpack = ", ".join(f"v{k}" for k in range(len(var_order)))
         lines.insert(0, f"{unpack}{',' if len(var_order) == 1 else ''} = e")
@@ -292,7 +281,7 @@ def generate_finite(model: ChainModel, f: Formula, var_order: Sequence[str]):
     return ns.pop("f")  # ns, its globals, no longer holds it: no cycle
 
 
-def _generated_node(model, tables, pos, ns, lines, node):
+def _generated_node(model, pos, ns, lines, node):
     """Append the lines computing node's index, one per node occurrence,
     and return the temporary of the last: a Var reads v<k>, a constant 0 or
     TOP, a connective its table at its children's temporaries.  ns collects
@@ -309,13 +298,14 @@ def _generated_node(model, tables, pos, ns, lines, node):
         if name is None:
             raise TypeError(f"not a formula node: {node!r}")
         if name not in ns:
-            ns[name] = tables[t] if t in tables else _operator(model, t).indices
+            ns[name] = (getattr(model.chain, _INDEX_TABLES[t])
+                        if t in _INDEX_TABLES else _operator(model, t).indices)
         if t is Not or t is Delta or t is Circ or t is Bullet:
-            a = _generated_node(model, tables, pos, ns, lines, node.arg)
+            a = _generated_node(model, pos, ns, lines, node.arg)
             expr = f"{name}[{a}]"
         else:
-            a = _generated_node(model, tables, pos, ns, lines, node.left)
-            b = _generated_node(model, tables, pos, ns, lines, node.right)
+            a = _generated_node(model, pos, ns, lines, node.left)
+            b = _generated_node(model, pos, ns, lines, node.right)
             expr = f"{name}[{a}][{b}]"
     lines.append(f"t{len(lines)} = {expr}")
     return f"t{len(lines) - 1}"
@@ -341,7 +331,8 @@ def compile_standard(model: ChainModel, f: Formula, var_order: Sequence[str],
 
 
 def _standard_node(model, ops, pos, tabs, node):
-    """The closure from env to node's value (module level, as _finite_node)."""
+    """The closure from env to node's value (module level, so that a
+    compiled formula holds no reference cycle)."""
     t = type(node)
     if t is Var:
         k, points = pos[node.name], tabs[Var]
@@ -402,20 +393,19 @@ def finite_scan(model: ChainModel, premises, conclusion, mode: str,
     """Walk the index tuples envs (positions as in vars_) in order and stop
     at the first countermodel; the one loop of every countermodel search.
 
-    An index names an element of a finite chain (compile_finite) or one of
-    points on a standard chain (compile_standard); envs defaults to every
-    tuple of those indices, in itertools.product order.  Returns (env,
-    checked, witness): the first failing tuple or None, the number of tuples
-    looked at, and in degree mode the least premise value at env, as an
-    element index or a value (else None).  Every formula is compiled first, so an
+    An index names an element of a finite chain or one of points on a
+    standard chain (compile_standard); envs defaults to every tuple of
+    those indices, in itertools.product order.  Returns (env, checked,
+    witness): the first failing tuple or None, the number of tuples looked
+    at, and in degree mode the least premise value at env, as an element
+    index or a value (else None).  Every formula is compiled first, so an
     unbound O or # raises whatever envs holds.  The premises are compiled
     as one lattice conjunction, their least value: truth mode tests it
     against the top, degree mode (above the bottom) against the conclusion.
-    When envs is None on a finite chain with at least _GENERATE_FROM
-    tuples, the formulas are compiled by generate_finite, whose code
-    generation that many tuples repay, and else by compile_finite; both
-    compute the same index, so the order, the result and the count do not
-    depend on which one ran.
+    A finite chain's tuples are scanned a column at a time (_column_scan),
+    except a full product of at least _GENERATE_FROM tuples, whose formulas
+    generate_finite compiles, since its code generation that many tuples
+    repay; both give the same result.
     """
     if model.chain.is_finite:
         top, compile_, extra = model.chain.size - 1, compile_finite, ()
@@ -426,6 +416,9 @@ def finite_scan(model: ChainModel, premises, conclusion, mode: str,
     prem = (compile_(model, reduce(And, premises), vars_, *extra)
             if premises else None)
     concl_fn = compile_(model, conclusion, vars_, *extra)
+    if compile_ is compile_finite:
+        return _column_scan(model.chain, prem, concl_fn, mode, len(vars_),
+                            envs)
     if envs is None:
         n = model.chain.size if points is None else len(points)
         envs = itertools.product(range(n), repeat=len(vars_))
@@ -447,6 +440,36 @@ def finite_scan(model: ChainModel, premises, conclusion, mode: str,
             if a and a > concl_fn(env):  # a is 0 at the bottom
                 return env, checked, a
     return None, checked, None
+
+
+def _column_scan(chain: FiniteChain, prem, concl, mode: str, k: int, envs):
+    """finite_scan's result from compile_finite's prem (or None) and concl
+    on k variables: one _step to a column that is 1 where a tuple fails, and
+    its first 1.  A full product's columns are kept on the chain."""
+    n, top = chain.size, chain.size - 1
+    count, cols = (_columns(envs, k, n) if envs is not None else _kept(
+        chain, k, lambda: _columns(itertools.product(range(n), repeat=k),
+                                   k, n)))
+    # the least premise value; the empty minimum is the top
+    p = (prem(cols, count) if prem else
+         (bytes if n <= 256 else list)([top]) * count)
+    fails = _step(_kept(chain, mode, lambda: _kernel_table(n, tuple([
+        tuple([(a == top and b != top) if mode == "truth"
+               else (0 < a and b < a) for b in range(n)])
+        for a in range(n)]))), p, concl(cols, count))
+    j = bytes(fails).find(1)
+    if j < 0:
+        return None, count, None
+    return (tuple([col[j] for col in cols]), j + 1,
+            p[j] if mode == "degree" else None)
+
+
+def _columns(envs, k: int, n: int) -> tuple:
+    """The count of the index tuples envs, and their k columns."""
+    if not k:
+        return sum(1 for _ in envs), []
+    flat = (bytes if n <= 256 else list)(itertools.chain.from_iterable(envs))
+    return len(flat) // k, [flat[i::k] for i in range(k)]
 
 
 def _points(chain, ops, grid_denominator: int):

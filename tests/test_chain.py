@@ -766,9 +766,22 @@ class TestChainFiles:
         _, chain = parse_chain_file(text)
         assert chain.size == 2
 
+    @pytest.mark.parametrize("text", [
+        "chain b\nkind: finite\ntable:\n# rows\n0 0\n0 1\n",
+        "chain b\nkind: finite\ntable:\n0 0\n\n0 1\n",
+        "chain b\nkind: finite\ntable: 0 0\n# the top: row\n\n0 1\n\n",
+    ])
+    def test_table_rows_skip_comments_and_blank_lines(self, text):
+        # the rows end at the next key line, not at a blank or # line
+        _, chain = parse_chain_file(text)
+        assert chain._tnorm_i == ((0, 0), (0, 1))
+
     def test_malformed_file(self):
         with pytest.raises(ValueError):
             parse_chain_file("kind: finite\n")
+        with pytest.raises(ChainSpecError,
+                           match="malformed chain file line: '0 1'"):
+            parse_chain_file("chain g\nkind: finite\nfamily: godel\n0 1\n")
 
     @pytest.mark.parametrize("text, message", [
         # a key the chosen form does not read

@@ -10,7 +10,8 @@ from mtlfi.operators import dual, enumerate_ops, max_op, min_op
 from mtlfi.profiles import (BASES, REGISTERED_THEOREMS, UnknownProfile,
                             load_profile, profile_names)
 from mtlfi.proofs import FIXTURES, MUTANTS, fixture_chains, fixture_models
-from mtlfi.semantics import ChainModel, OperatorNotBound, compile_finite
+from mtlfi.semantics import ChainModel, OperatorNotBound
+from reference_closures import compile_closures
 
 
 class TestRegistry:
@@ -120,12 +121,12 @@ def test_registered_theorems_hold_on_all_finite_chains(chains):
 
 # ---------------------------------------------------------------------------
 # axiom_holds_on and rule_sound_on against their loops before the shared
-# finite scan
+# finite scan, over the per-tuple reference closures
 
 def _reference_axiom_holds_on(s, model):
     chain = model.chain
     names = sorted(s.metavars)
-    fn = compile_finite(model, s.formula, names)
+    fn = compile_closures(model, s.formula, names)
     top = chain.size - 1
     for env in itertools.product(range(chain.size), repeat=len(names)):
         if fn(env) != top:
@@ -137,9 +138,9 @@ def _reference_rule_sound_on(rule, model):
     chain = model.chain
     names = sorted(frozenset().union(rule.conclusion.metavars,
                                      *[s.metavars for s, _ in rule.premises]))
-    prem_fns = [compile_finite(model, s.formula, names)
+    prem_fns = [compile_closures(model, s.formula, names)
                 for s, _ in rule.premises]
-    concl_fn = compile_finite(model, rule.conclusion.formula, names)
+    concl_fn = compile_closures(model, rule.conclusion.formula, names)
     top = chain.size - 1
     for env in itertools.product(range(chain.size), repeat=len(names)):
         if all(fn(env) == top for fn in prem_fns) and concl_fn(env) != top:

@@ -22,6 +22,7 @@ from mtlfi.semantics import (BadPowerBound, ChainModel, DatAxiomFails,
                              degree_consequence, evaluate, finite_scan,
                              generate_finite, pdat_search, truth_consequence)
 from mtlfi.suite import random_formula
+from reference_closures import closure_scan, compile_closures
 
 
 def _weakening(n):
@@ -542,7 +543,7 @@ def _reference_classical_taut(phi):
     """classical_taut's loop before the index-space scan."""
     names = sorted(variables(phi))
     model = ChainModel("B2", FiniteChain.from_family(GODEL, 2, name="B2"))
-    fn = compile_finite(model, phi, names)
+    fn = compile_closures(model, phi, names)
     return all(fn(env) == 1
                for env in itertools.product(range(2), repeat=len(names)))
 
@@ -631,11 +632,12 @@ class TestFiniteScan:
                                        names) == expected
 
     @pytest.mark.parametrize("chain_name", ["NM6", "W15"])
-    def test_generated_scans_match_the_closure_scans(self, chains,
-                                                     monkeypatch, chain_name):
+    def test_generated_scans_match_the_column_scans(self, chains,
+                                                    monkeypatch, chain_name):
         # the full product from _GENERATE_FROM tuples up is scanned with
-        # generate_finite: every query, compiled either way, stops at the
-        # same tuple with the same count and witness
+        # generate_finite, and below it a column at a time: every query,
+        # scanned either way, stops at the same tuple with the same count
+        # and witness
         chain = chains[chain_name]
         model = ChainModel(chain_name, chain, max_op(chain),
                            dual(max_op(chain)))
@@ -713,8 +715,8 @@ def _reference_finite_scan(model, premises, conclusion, mode, vars_, envs):
     """finite_scan before its premises were folded into one closure: one
     closure per premise, combined on each tuple by all(...) or min(...)."""
     top = model.chain.size - 1
-    prem_fns = [compile_finite(model, p, vars_) for p in premises]
-    concl_fn = compile_finite(model, conclusion, vars_)
+    prem_fns = [compile_closures(model, p, vars_) for p in premises]
+    concl_fn = compile_closures(model, conclusion, vars_)
     checked = 0
     if not prem_fns:
         witness = top if mode == "degree" else None
@@ -733,8 +735,17 @@ def _reference_finite_scan(model, premises, conclusion, mode, vars_, envs):
     return None, checked, None
 
 
-# both compilers of a formula over a finite chain's index tuples
-_COMPILERS = (compile_finite, generate_finite)
+# the per-tuple compilers of a formula over a finite chain's index tuples:
+# the reference closures and the generated functions
+_COMPILERS = (compile_closures, generate_finite)
+
+
+def _column(model, f, names, envs):
+    """compile_finite's column of f over the index tuples envs, as a
+    list."""
+    out = bytes if model.chain.size <= 256 else list
+    cols = [out([env[i] for env in envs]) for i in range(len(names))]
+    return list(compile_finite(model, f, names)(cols, len(envs)))
 
 
 class TestCompiledEvaluation:
@@ -749,12 +760,14 @@ class TestCompiledEvaluation:
         chain = model.chain
         names = data.draw(st.permutations(sorted(variables(f))))
         fns = [compile_(model, f, names) for compile_ in _COMPILERS]
-        for env in itertools.product(range(chain.size), repeat=len(names)):
+        envs = list(itertools.product(range(chain.size), repeat=len(names)))
+        column = _column(model, f, names, envs)
+        for env, got in zip(envs, column, strict=True):
             ev = Evaluation(chain, {v: chain.elements[i]
                                     for v, i in zip(names, env)},
                             model.consistency, model.inconsistency)
             expected = chain._idx(evaluate(ev, f))
-            assert [fn(env) for fn in fns] == [expected] * len(fns)
+            assert [fn(env) for fn in fns] + [got] == [expected] * 3
 
     @pytest.mark.parametrize("chain_name",
                              ["B2", "L3", "G5", "NM6", "W15", "L3G3"])
@@ -771,19 +784,22 @@ class TestCompiledEvaluation:
         shapes += [node(a, b) for node in (And, Or, Fuse, Imp, Iff)
                    for a in kids for b in kids]
         envs = list(itertools.product(range(chain.size), repeat=2))
-        for f, compile_ in itertools.product(shapes, _COMPILERS):
-            fn = compile_(model, f, ["p", "q"])
-            for env in envs:
+        for f in shapes:
+            fns = [compile_(model, f, ["p", "q"]) for compile_ in _COMPILERS]
+            column = _column(model, f, ["p", "q"], envs)
+            for env, got in zip(envs, column, strict=True):
                 ev = Evaluation(chain, {"p": chain.elements[env[0]],
                                         "q": chain.elements[env[1]]},
                                 model.consistency, model.inconsistency)
-                assert fn(env) == chain._idx(evaluate(ev, f)), (f, env)
+                expected = chain._idx(evaluate(ev, f))
+                assert [fn(env) for fn in fns] + [got] == [expected] * 3, \
+                    (f, env)
 
     @pytest.mark.parametrize("chain_name", ["B2", "L3", "L5", "G3", "G5",
                                             "NM6", "W15"])
     def test_constant_subterms_match_the_fraction_walk(self, chains,
                                                        chain_name):
-        # a constant compiles to a closure like any other node, alone, as
+        # a constant compiles to a column like any other node, alone, as
         # a side of a binary node, and under a unary one
         model = _bound_model(chains, chain_name, 0)
         chain = model.chain
@@ -793,12 +809,13 @@ class TestCompiledEvaluation:
                  "(0 & 1) -> (1 \\/ q)", "D 1 <-> # (q -> 1)"]
         for text in texts:
             f = parse(text)
-            fn = compile_finite(model, f, ["p", "q"])
-            for env in itertools.product(range(chain.size), repeat=2):
+            envs = list(itertools.product(range(chain.size), repeat=2))
+            column = _column(model, f, ["p", "q"], envs)
+            for env, got in zip(envs, column, strict=True):
                 ev = Evaluation(chain, {"p": chain.elements[env[0]],
                                         "q": chain.elements[env[1]]},
                                 model.consistency, model.inconsistency)
-                assert fn(env) == chain._idx(evaluate(ev, f)), (text, env)
+                assert got == chain._idx(evaluate(ev, f)), (text, env)
 
     def test_an_unbound_operator_in_a_constant_raises_at_compile_time(
             self, chains):
@@ -807,7 +824,7 @@ class TestCompiledEvaluation:
         for model, text in [(bare, "O 0"), (bare, "p & O 1"),
                             (bare, "~(# 0) -> p"), (with_o, "O p /\\ # 1"),
                             (with_o, "D (1 -> # 0)")]:
-            for compile_ in _COMPILERS:
+            for compile_ in (compile_finite, *_COMPILERS):
                 with pytest.raises(OperatorNotBound,
                                    match="no operator is bound"):
                     compile_(model, parse(text), ["p"])
@@ -845,6 +862,117 @@ class TestCompiledEvaluation:
         assert finite_scan(model, premises, conclusion, mode, names, envs) \
             == _reference_finite_scan(model, premises, conclusion, mode,
                                       names, envs)
+
+
+# ---------------------------------------------------------------------------
+# The column scan against the per-tuple reference closures and the Fraction
+# tree walk: full products and tuples a caller passes, on every built-in
+# finite chain, a 17-element chain (binary steps map over row tables) and a
+# 257-element one (columns are lists)
+
+@pytest.fixture(scope="module")
+def scan_chains(chains):
+    out = {name: chain for name, chain in chains.items() if chain.is_finite}
+    out["G17"] = FiniteChain.from_family(GODEL, 17, name="G17")
+    out["G257"] = FiniteChain.from_family(GODEL, 257, name="G257")
+    return out
+
+
+def _scan_model(scan_chains, chain_name, kind):
+    """The chain with no operator, or with the min or max operator and its
+    dual bound."""
+    chain = scan_chains[chain_name]
+    if kind is None:
+        return ChainModel(chain_name, chain)
+    op = (min_op if kind == "min" else max_op)(chain)
+    return ChainModel(chain_name, chain, op, dual(op))
+
+
+def _walked_scan(model, premises, conclusion, mode, names, envs):
+    """finite_scan's result over envs from evaluate's Fraction values."""
+    chain = model.chain
+    for checked, env in enumerate(envs, 1):
+        ev = Evaluation(chain, {v: chain.elements[i]
+                                for v, i in zip(names, env)},
+                        model.consistency, model.inconsistency)
+        a = min([evaluate(ev, p) for p in premises], default=F(1))
+        c = evaluate(ev, conclusion)
+        if (a == 1 and c != 1) if mode == "truth" else (a > 0 and a > c):
+            return env, checked, chain._idx(a) if mode == "degree" else None
+    return None, len(envs), None
+
+
+def _envs(data, size, count):
+    """Index tuples a caller might pass: possibly none, repeated and in no
+    order."""
+    return data.draw(st.lists(st.tuples(*[st.integers(0, size - 1)] * count),
+                              max_size=12))
+
+
+# formulas on p alone, for the 257-element chain
+_p_formulas = st.recursive(st.one_of(st.just(Var("p")),
+                                     st.sampled_from([ZERO, ONE])),
+                           _branch, max_leaves=6)
+
+
+class TestColumnScan:
+    @given(premises=st.lists(_formulas, max_size=3), conclusion=_formulas,
+           chain_name=st.sampled_from(["B2", "L3", "L5", "G3", "G5", "NM6",
+                                       "W15", "L3G3", "L4", "G17"]),
+           kind=st.sampled_from(["min", "max"]),
+           mode=st.sampled_from(["truth", "degree"]), data=st.data())
+    @settings(max_examples=120, deadline=None)
+    def test_matches_the_closures_and_the_fraction_walk(
+            self, scan_chains, premises, conclusion, chain_name, kind, mode,
+            data):
+        model = _scan_model(scan_chains, chain_name, kind)
+        names = sorted(variables(conclusion, *premises))
+        size = model.chain.size
+        if size ** len(names) <= 2 * semantics._GENERATE_FROM:
+            assert finite_scan(model, premises, conclusion, mode, names) == \
+                closure_scan(model, premises, conclusion, mode, names)
+        envs = _envs(data, size, len(names))
+        expected = closure_scan(model, premises, conclusion, mode, names,
+                                envs)
+        assert finite_scan(model, premises, conclusion, mode, names,
+                           iter(envs)) == expected
+        assert _walked_scan(model, premises, conclusion, mode, names,
+                            envs) == expected
+
+    @given(premises=st.lists(_p_formulas, max_size=2),
+           conclusion=_p_formulas, kind=st.sampled_from(["min", "max"]),
+           mode=st.sampled_from(["truth", "degree"]), data=st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_lists_above_256_elements(self, scan_chains, premises,
+                                      conclusion, kind, mode, data):
+        model = _scan_model(scan_chains, "G257", kind)
+        names = sorted(variables(conclusion, *premises))
+        for envs in (None, _envs(data, 257, len(names))):
+            assert finite_scan(model, premises, conclusion, mode, names,
+                               envs) == \
+                closure_scan(model, premises, conclusion, mode, names, envs)
+
+    @pytest.mark.parametrize("chain_name", ["L3", "G17", "G257"])
+    def test_an_unbound_operator_raises_before_any_tuple(self, scan_chains,
+                                                         chain_name):
+        model = _scan_model(scan_chains, chain_name, None)
+        for envs in (None, [], iter([])):
+            with pytest.raises(OperatorNotBound):
+                finite_scan(model, [parse("p")], parse("1 -> # 0"), "degree",
+                            ["p"], envs)
+
+    @pytest.mark.parametrize("chain_name", ["B2", "W15", "G17", "G257"])
+    def test_no_variables(self, scan_chains, chain_name):
+        # the full product of no variables is one empty tuple; a caller's
+        # tuples are counted as they come
+        model = _scan_model(scan_chains, chain_name, "max")
+        for text, failing in (("O 0 -> 1", False), ("D ~1 \\/ 0", True)):
+            f = parse(text)
+            for envs in (None, [], [()] * 3):
+                expected = closure_scan(model, [], f, "degree", [], envs)
+                assert finite_scan(model, [], f, "degree", [], envs) == \
+                    expected
+                assert (expected[0] is not None) is (failing and envs != [])
 
 
 # ---------------------------------------------------------------------------
@@ -1082,8 +1210,8 @@ class TestDeterminism:
                           ("L5", generate_finite)],
                          ids=["L5", "LG", "L5-generated"])
 def test_compiling_leaves_no_reference_cycle(chains, name, compile_):
-    # every compiled closure or generated function is freed by reference
-    # counting alone
+    # every compiled column function, closure or generated function is
+    # freed by reference counting alone
     chain = chains[name]
     op = max_op(chain)
     model = ChainModel(name, chain, op, dual(op))
@@ -1097,7 +1225,10 @@ def test_compiling_leaves_no_reference_cycle(chains, name, compile_):
                 fn = compile_(model, f, ["p", "q"])
             else:
                 fn = compile_(model, f, ["p", "q"], points)
-            fn((1, 2))
+            if compile_ is compile_finite:  # the columns of one tuple
+                fn([b"\x01", b"\x02"], 1)
+            else:
+                fn((1, 2))
         del fn
         assert gc.collect() == 0
     finally:
