@@ -376,33 +376,59 @@ def subformulas(f: Formula) -> Iterator[Formula]:
         yield from subformulas(f.right)
 
 
-def normalize(f: Formula) -> Formula:
+def normalize(f: Formula, nodes: Optional[dict] = None) -> Formula:
     """Rewrite to the core connectives {variables, 0, /\\, &, ->, O, #, D}.
 
     1 becomes 0 -> 0, ~a becomes a -> 0, a \\/ b becomes
     ((a -> b) -> b) /\\ ((b -> a) -> a) and a <-> b becomes
     (a -> b) /\\ (b -> a).  Idempotent and semantics preserving.
+
+    The result is a DAG: every node is taken from the dict nodes, one per
+    node type and children by identity (a fresh dict by default).  Results
+    normalized through one dict share every equal subformula as one
+    object, so == between them stops at identity instead of walking the
+    tree that the rewrite of \\/ doubles at every level.
     """
-    if isinstance(f, Var) or f is ZERO or (isinstance(f, Const) and f.value == 0):
-        return f
-    if isinstance(f, Const):
-        return Imp(ZERO, ZERO)
-    if isinstance(f, Not):
-        return Imp(normalize(f.arg), ZERO)
-    if isinstance(f, Circ):
-        return Circ(normalize(f.arg))
-    if isinstance(f, Bullet):
-        return Bullet(normalize(f.arg))
-    if isinstance(f, Delta):
-        return Delta(normalize(f.arg))
-    if isinstance(f, Or):
-        a, b = normalize(f.left), normalize(f.right)
-        return And(Imp(Imp(a, b), b), Imp(Imp(b, a), a))
-    if isinstance(f, Iff):
-        a, b = normalize(f.left), normalize(f.right)
-        return And(Imp(a, b), Imp(b, a))
-    ctor = type(f)
-    return ctor(normalize(f.left), normalize(f.right))
+    return _normal(f, {} if nodes is None else nodes, {})
+
+
+def _normal(f: Formula, nodes: dict, memo: dict) -> Formula:
+    """normalize's rewrite of f, each distinct input node (by identity)
+    once per call."""
+    key = id(f)
+    out = memo.get(key)
+    if out is not None:
+        return out
+    t = type(f)
+    if t is Var:
+        out = nodes.setdefault((Var, f.name), f)
+    elif t is Const:
+        out = _shared(nodes, Imp, ZERO, ZERO) if f.value else ZERO
+    elif t is Not:
+        out = _shared(nodes, Imp, _normal(f.arg, nodes, memo), ZERO)
+    elif t in _UNARY:
+        out = _shared(nodes, t, None, _normal(f.arg, nodes, memo))
+    else:
+        a, b = _normal(f.left, nodes, memo), _normal(f.right, nodes, memo)
+        if t is Or:
+            a, b = (_shared(nodes, Imp, _shared(nodes, Imp, a, b), b),
+                    _shared(nodes, Imp, _shared(nodes, Imp, b, a), a))
+        elif t is Iff:
+            a, b = _shared(nodes, Imp, a, b), _shared(nodes, Imp, b, a)
+        out = _shared(nodes, And if t is Or or t is Iff else t, a, b)
+    memo[key] = out
+    return out
+
+
+def _shared(nodes: dict, ctor, left, arg) -> Formula:
+    """nodes' one node for ctor over left (None for a prefix) and arg,
+    keyed by the children's ids as _node keys a text's nodes; nodes keeps
+    the children alive, so no id is reused."""
+    key = (ctor, id(left), id(arg))
+    node = nodes.get(key)
+    if node is None:
+        node = nodes[key] = ctor(arg) if left is None else ctor(left, arg)
+    return node
 
 
 def power(f: Formula, n: int) -> Formula:

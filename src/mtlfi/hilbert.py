@@ -125,19 +125,20 @@ def parse_proof(text: str) -> ProofScript:
 
 
 # ---------------------------------------------------------------------------
-# Matching helpers (all modulo normalization)
+# Matching helpers (all modulo normalization, through one node table per
+# verification: see normalize)
 
-def _norm_schema(s: Schema) -> Schema:
-    return Schema(normalize(s.formula), s.metavars)
+def _norm_schema(s: Schema, nodes: dict) -> Schema:
+    return Schema(normalize(s.formula, nodes), s.metavars)
 
 
-def _match_rule(rule: Rule, ref_norms: Sequence[Formula],
-                concl: Formula) -> Optional[dict]:
+def _match_rule(rule: Rule, ref_norms: Sequence[Formula], concl: Formula,
+                nodes: dict) -> Optional[dict]:
     binding: dict = {}
     for (s, _), ref in zip(rule.premises, ref_norms):
-        if match_schema(_norm_schema(s), ref, binding) is None:
+        if match_schema(_norm_schema(s, nodes), ref, binding) is None:
             return None
-    return match_schema(_norm_schema(rule.conclusion), concl, binding)
+    return match_schema(_norm_schema(rule.conclusion, nodes), concl, binding)
 
 
 # ---------------------------------------------------------------------------
@@ -152,8 +153,9 @@ def verify_proof(script: ProofScript, profile: Optional[LogicProfile] = None,
     if theorems:
         store.update(theorems)
 
-    norm_axioms = {aid: _norm_schema(s) for aid, s in profile.axioms.items()}
-    norm_thms = {tid: _norm_schema(s) for tid, s in store.items()}
+    # equal normalized subformulas are one object, so comparing and
+    # matching lines stays linear in their size
+    nodes: dict = {}
 
     norms: dict = {}
     deps: dict = {}
@@ -169,14 +171,14 @@ def verify_proof(script: ProofScript, profile: Optional[LogicProfile] = None,
             return fail(line, f"line numbers must increase ({line.number} "
                               f"after {last_number})")
         last_number = line.number
-        current = normalize(line.formula)
+        current = normalize(line.formula, nodes)
         just = line.justification
         kind = just[0]
         if kind == "axiom":
-            ax = norm_axioms.get(just[1])
+            ax = profile.axioms.get(just[1])
             if ax is None:
                 return fail(line, f"UnknownAxiom: {just[1]!r} is not in {profile.name}")
-            if match_schema(ax, current) is None:
+            if match_schema(_norm_schema(ax, nodes), current) is None:
                 return fail(line, f"SchemaMismatch: not an instance of axiom {just[1]}")
             d = frozenset()
         elif kind == "premise":
@@ -209,11 +211,11 @@ def verify_proof(script: ProofScript, profile: Optional[LogicProfile] = None,
                 if r not in norms or r >= line.number:
                     return fail(line, f"BadReference: rule {rid} cites line {r}")
             ref_norms = [norms[r] for r in refs]
-            binding = _match_rule(rule, ref_norms, current)
+            binding = _match_rule(rule, ref_norms, current, nodes)
             if binding is None:
                 stripped = rule.stripped()
                 if stripped is not None:
-                    binding = _match_rule(stripped, ref_norms, current)
+                    binding = _match_rule(stripped, ref_norms, current, nodes)
             if binding is None:
                 return fail(line, f"SchemaMismatch: lines do not instantiate rule {rid}")
             for (s, needs_theorem), r in zip(rule.premises, refs):
@@ -222,10 +224,10 @@ def verify_proof(script: ProofScript, profile: Optional[LogicProfile] = None,
                                       f"needs line {r} to be premise-free")
             d = frozenset().union(*[deps[r] for r in refs]) if refs else frozenset()
         elif kind == "thm":
-            thm = norm_thms.get(just[1])
+            thm = store.get(just[1])
             if thm is None:
                 return fail(line, f"UnknownTheorem: {just[1]!r} is not registered")
-            if match_schema(thm, current) is None:
+            if match_schema(_norm_schema(thm, nodes), current) is None:
                 return fail(line, f"SchemaMismatch: not an instance of "
                                   f"theorem {just[1]}")
             d = frozenset()

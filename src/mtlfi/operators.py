@@ -4,12 +4,13 @@ A consistency operator marks how classically an element behaves: it must
 vanish on contradictory elements (those x with x /\ ~x != 0), take the value
 1 at the bounds, and be non-decreasing on the region N where the negation is
 0.  Inconsistency operators are the pointwise negated duals, with the mirror
-postulates.
+postulates: InconsistencyOp is ConsistencyOp's table kind (an explicit
+vector) or its dual kind (the negation of a base operator).
 
-Each symbolic kind (min, max, crisp, piecewise) has one value rule,
-ConsistencyOp.value_pair, on every chain; a finite chain tabulates it once
-at its elements.  validate_c and validate_bullet share one postulate scan,
-over a finite chain's elements or a standard chain's sample points; the
+Each symbolic kind (min, max, crisp, piecewise, dual) has one value rule,
+value_pair, on every chain; a finite chain tabulates it once at its
+elements.  validate_c and validate_bullet share one postulate scan, over a
+finite chain's elements or a standard chain's sample points; the
 inconsistency side passes its values upside down (top - v), an order
 reversal rather than the chain's negation.
 """
@@ -17,10 +18,9 @@ reversal rather than the chain's negation.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from . import InputError
 from .chain import FiniteChain, OutOfCarrier, _grid_index, rat
@@ -75,8 +75,7 @@ class OperatorSpecError(OperatorError, ValueError):
     """A malformed operator file or interpolation name."""
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     valid: bool
     clause: Optional[str] = None
     witness: tuple = ()
@@ -149,7 +148,10 @@ class ConsistencyOp:
     def values(self) -> Optional[tuple]:
         """The value at each element of a finite chain; None on a standard
         chain."""
-        return _element_values(self.chain, self.indices)
+        if self.indices is None:
+            return None
+        els = self.chain.elements
+        return tuple([els[i] for i in self.indices])
 
     def value(self, x) -> Fraction:
         chain = self.chain
@@ -184,57 +186,32 @@ class ConsistencyOp:
         return points
 
     def __repr__(self) -> str:
-        return f"ConsistencyOp({self.name} on {self.chain.name})"
+        return f"{type(self).__name__}({self.name} on {self.chain.name})"
 
 
-class InconsistencyOp:
-    """Dual marker; either an explicit finite vector or the pointwise
-    negation of a consistency operator.
-
-    On a finite chain the map is an element-index table, as for
-    ConsistencyOp, built once: from values, or else from the base
-    operator's table through the negation.
-    """
+class InconsistencyOp(ConsistencyOp):
+    """Dual marker: the table kind, an explicit vector on a finite chain, or
+    the dual kind, the pointwise negation of a base consistency operator,
+    whose critical points it keeps.  A finite dual is the base's index
+    table through the chain's negation."""
 
     def __init__(self, chain, values: Optional[tuple] = None,
                  base: Optional[ConsistencyOp] = None, name: str = ""):
         if values is None and base is None:
             raise ValueError("an inconsistency operator needs values or a base")
-        self.chain = chain
         self.base = base
-        self.name = name or (f"dual({base.name})" if base else "table")
-        self.indices = None
-        if values is not None:
-            self.indices = _table_indices(chain, values)
-        elif chain.is_finite:
-            neg = chain._neg_i
-            self.indices = tuple([neg[i] for i in base.indices])
+        indices = (tuple([chain._neg_i[i] for i in base.indices])
+                   if values is None and chain.is_finite else None)
+        super().__init__(chain, "table" if values is not None else "dual",
+                         values=values, indices=indices,
+                         name=name or (f"dual({base.name})" if base else "table"))
 
-    @property
-    def values(self) -> Optional[tuple]:
-        """The value at each element of a finite chain; None on a standard
-        chain."""
-        return _element_values(self.chain, self.indices)
-
-    def value(self, x) -> Fraction:
-        chain = self.chain
-        if self.indices is not None:
-            return chain.elements[self.indices[chain._idx(x)]]
-        return chain.negation(self.base.value(x))
+    def value_pair(self, n: int, d: int) -> tuple:
+        """The negation of the base's value at n/d, as a pair."""
+        return self.chain.residuum_pair(*self.base.value_pair(n, d), 0, 1)
 
     def critical_points(self) -> list:
-        """Those of the base operator; none for an explicit vector."""
         return self.base.critical_points() if self.base is not None else []
-
-    def __repr__(self) -> str:
-        return f"InconsistencyOp({self.name} on {self.chain.name})"
-
-
-def _element_values(chain, indices: Optional[tuple]) -> Optional[tuple]:
-    if indices is None:
-        return None
-    els = chain.elements
-    return tuple([els[i] for i in indices])
 
 
 # ---------------------------------------------------------------------------

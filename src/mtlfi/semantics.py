@@ -316,8 +316,9 @@ def compile_standard(model: ChainModel, f: Formula, var_order: Sequence[str],
     """Compile a formula on a standard chain into a closure mapping an index
     tuple to the formula's exact value.
 
-    A Var, or a unary connective on a Var, reads its table over points; any
-    other connective applies the chain's exact arithmetic (min, max, or the
+    A Var reads points, and a unary connective on a Var its table over
+    points, which is filled as the scan first reads each point; any other
+    connective applies the chain's exact arithmetic (min, max, or the
     bound O or #) to its children's values as evaluate does, and a /\\ or &
     is 0 where its left side is.  An unbound O or # raises OperatorNotBound.
     """
@@ -328,6 +329,19 @@ def compile_standard(model: ChainModel, f: Formula, var_order: Sequence[str],
            Not: chain.negation, Delta: chain.delta}
     pos = {name: i for i, name in enumerate(var_order)}
     return _standard_node(model, ops, pos, {Var: points}, f)
+
+
+class _Table(dict):
+    """op's value at each index into points, computed at its first read."""
+
+    __slots__ = ("op", "points")
+
+    def __init__(self, op, points):
+        self.op, self.points = op, points
+
+    def __missing__(self, i):
+        v = self[i] = self.op(self.points[i])
+        return v
 
 
 def _standard_node(model, ops, pos, tabs, node):
@@ -349,7 +363,7 @@ def _standard_node(model, ops, pos, tabs, node):
         if type(node.arg) is Var:
             k, tab = pos[node.arg.name], tabs.get(t)
             if tab is None:
-                tab = tabs[t] = tuple([op(x) for x in tabs[Var]])
+                tab = tabs[t] = _Table(op, tabs[Var])
             return lambda env: tab[env[k]]
         g = _standard_node(model, ops, pos, tabs, node.arg)
         return lambda env: op(g(env))
@@ -444,12 +458,34 @@ def finite_scan(model: ChainModel, premises, conclusion, mode: str,
 
 def _column_scan(chain: FiniteChain, prem, concl, mode: str, k: int, envs):
     """finite_scan's result from compile_finite's prem (or None) and concl
-    on k variables: one _step to a column that is 1 where a tuple fails, and
-    its first 1.  A full product's columns are kept on the chain."""
+    on k variables.  A full product's columns are kept on the chain; a
+    caller's tuples are read in blocks, 16 tuples first and twice as many
+    each time up to _GENERATE_FROM, so that the scan stops after the first
+    block that fails."""
+    n = chain.size
+    if envs is None:
+        return _column_block(chain, prem, concl, mode, *_kept(
+            chain, k, lambda: _columns(itertools.product(range(n), repeat=k),
+                                       k, n)))
+    envs, checked, size = iter(envs), 0, 16
+    while True:
+        # each tuple is freed once it is transposed, so a block keeps no
+        # tuples alive for the garbage collector to count and traverse
+        count, cols = _columns(itertools.islice(envs, size), k, n)
+        if not count:
+            return None, checked, None
+        env, j, witness = _column_block(chain, prem, concl, mode, count, cols)
+        if env is not None:
+            return env, checked + j, witness
+        checked, size = checked + count, min(2 * size, _GENERATE_FROM)
+
+
+def _column_block(chain: FiniteChain, prem, concl, mode: str, count: int,
+                  cols):
+    """The first failing tuple among count tuples given as the columns
+    cols, as (env, tuples looked at, witness): one _step to a column that
+    is 1 where a tuple fails, and its first 1."""
     n, top = chain.size, chain.size - 1
-    count, cols = (_columns(envs, k, n) if envs is not None else _kept(
-        chain, k, lambda: _columns(itertools.product(range(n), repeat=k),
-                                   k, n)))
     # the least premise value; the empty minimum is the top
     p = (prem(cols, count) if prem else
          (bytes if n <= 256 else list)([top]) * count)

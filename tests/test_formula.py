@@ -219,6 +219,61 @@ def test_normalize_examples():
     assert normalize(Iff(p, q)) == And(Imp(p, q), Imp(q, p))
 
 
+def _tree_normalize(f):
+    """normalize as a plain tree rewrite: a new node at every step."""
+    if isinstance(f, Var) or (isinstance(f, Const) and f.value == 0):
+        return f
+    if isinstance(f, Const):
+        return Imp(ZERO, ZERO)
+    if isinstance(f, Not):
+        return Imp(_tree_normalize(f.arg), ZERO)
+    if isinstance(f, (Circ, Bullet, Delta)):
+        return type(f)(_tree_normalize(f.arg))
+    a, b = _tree_normalize(f.left), _tree_normalize(f.right)
+    if isinstance(f, Or):
+        return And(Imp(Imp(a, b), b), Imp(Imp(b, a), a))
+    if isinstance(f, Iff):
+        return And(Imp(a, b), Imp(b, a))
+    return type(f)(a, b)
+
+
+def _distinct_nodes(*roots):
+    """Every node reachable from roots, once per object."""
+    seen, stack = {}, list(roots)
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen[id(node)] = node
+            if isinstance(node, (Not, Circ, Bullet, Delta)):
+                stack.append(node.arg)
+            elif not isinstance(node, (Var, Const)):
+                stack += (node.left, node.right)
+    return list(seen.values())
+
+
+@given(formulas, formulas)
+@settings(max_examples=100, deadline=None)
+def test_normalize_through_one_table_shares_equal_subformulas(f, g):
+    nodes = {}
+    nf, ng = normalize(f, nodes), normalize(g, nodes)
+    assert nf == normalize(f) == _tree_normalize(f)
+    assert ng == _tree_normalize(g)
+    # structurally equal nodes are one object: a parse of the same text
+    # normalizes to the same node, and distinct nodes differ
+    assert normalize(parse(render(f)), nodes) is nf
+    shared = _distinct_nodes(nf, ng)
+    for i, a in enumerate(shared):
+        for b in shared[i + 1:]:
+            assert a != b
+
+
+def test_normalize_shares_the_doubled_operands_of_a_disjunction():
+    f = parse("p" + " \\/ p" * 40)
+    assert len(_distinct_nodes(normalize(f))) < 10 * 40
+    nodes = {}
+    assert normalize(f, nodes) is normalize(parse(render(f)), nodes)
+
+
 # --- schemas ----------------------------------------------------------------
 
 class TestSchema:

@@ -1,4 +1,5 @@
 import itertools
+import time
 
 import pytest
 
@@ -280,6 +281,18 @@ proof forward in MTL
         assert result.ok is ok
         if not ok:
             assert result.line == 2 and "SchemaMismatch" in result.reason
+
+    def test_a_long_disjunction_is_checked_in_linear_time(self):
+        # normalizing a \/ b shares a and b twice, so the tree under a line
+        # with 16 disjunctions has millions of nodes; one node table per
+        # verification makes the comparisons stop at identity
+        big = "p" + " \\/ p" * 16
+        text = (f"proof long in MTL\n1. {big} | premise 1\n"
+                f"2. ({big}) -> ({big}) | thm imp-id\n3. {big} | mp 1 2\n")
+        start = time.perf_counter()
+        result = verify_proof(parse_proof(text))
+        assert result.ok and result.deps[3] == frozenset({1})
+        assert time.perf_counter() - start < 2
 
     def test_premise_conflict(self):
         text = """

@@ -58,6 +58,16 @@ class TestValidateC:
         with pytest.raises(HostMismatch):
             validate_c(chains["G3"], op)
 
+    def test_a_report_is_a_named_tuple_that_reads_as_before(self, chains):
+        report = validate_c(chains["L3"], table_op(chains["L3"], [1, 1, 1]))
+        assert report == (False, "c1", (F(1, 2),))
+        assert report._fields == ("valid", "clause", "witness")
+        assert repr(report) == \
+            "ValidationReport(invalid, clause=c1, witness=(1/2))"
+        valid = validate_c(chains["L3"], min_op(chains["L3"]))
+        assert valid == (True, None, ()) and repr(valid) == \
+            "ValidationReport(valid)"
+
     def test_algebraic_needs_finite(self, chains):
         with pytest.raises(StandardChainUnsupported):
             validate_algebraic(chains["LG"], min_op(chains["LG"]))
@@ -762,6 +772,21 @@ def test_operator_values_must_be_chain_elements(chains):
 
 
 class TestDuality:
+    def test_the_dual_and_table_kinds_of_one_operator_class(self, chains):
+        for name in ("L3", "G5", "LG", "LP"):
+            chain = chains[name]
+            op = crisp_op(chain, F(3, 4))
+            bop = dual(op)
+            assert isinstance(bop, ConsistencyOp) and bop.kind == "dual"
+            assert repr(bop) == f"InconsistencyOp(dual(crisp:3/4) on {name})"
+            assert bop.critical_points() == op.critical_points() == [F(3, 4)]
+            for x in (chain.elements if chain.is_finite else
+                      chain.sample_points(12, extra=[F(3, 4)])):
+                assert bop.value(x) == chain.negation(op.value(x))
+        table = bullet_table_op(chains["L3"], [0, 1, 0])
+        assert (table.kind, table.critical_points()) == ("table", [])
+        assert repr(table) == "InconsistencyOp(table on L3)"
+
     def test_involutive_dual_values(self, chains):
         l3 = chains["L3"]
         bop = dual(table_op(l3, [1, 0, 1]))

@@ -497,6 +497,26 @@ class TestSamplingFallback:
         res = truth_consequence([model], [], f)
         assert res.verdict == "unknown"
 
+    def test_a_sampled_scan_stops_at_the_first_failing_block(self, chains,
+                                                             monkeypatch):
+        # the countermodel is sampled tuple 17, so the sampler draws the
+        # first two blocks, 16 and 32 tuples of 7 indices, and no more
+        draws = []
+
+        class Counting(random.Random):
+            def randrange(self, n):
+                draws.append(n)
+                return super().randrange(n)
+
+        monkeypatch.setattr(semantics.random, "Random", Counting)
+        model = ChainModel("L3", chains["L3"])
+        f = parse("p1 /\\ p2 /\\ p3 /\\ p4 /\\ p5 /\\ p6 -> p7")
+        res = truth_consequence([model], [], f)
+        assert res.checked == 17 and res.assignment == {
+            "p1": 1, "p2": F(1, 2), "p3": 1, "p4": 1, "p5": F(1, 2), "p6": 1,
+            "p7": 0}
+        assert draws == [3] * 7 * (16 + 32)
+
     @pytest.mark.parametrize("check", [truth_consequence, degree_consequence])
     def test_six_variables_are_exhaustive_and_seven_sampled(self, chains,
                                                             check):
@@ -961,6 +981,33 @@ class TestColumnScan:
                 finite_scan(model, [parse("p")], parse("1 -> # 0"), "degree",
                             ["p"], envs)
 
+    @pytest.mark.parametrize("chain_name", ["L3", "G17", "G257"])
+    @pytest.mark.parametrize("mode", ["truth", "degree"])
+    def test_blocks_of_a_long_list(self, scan_chains, chain_name, mode):
+        # a caller's tuples are read in blocks of 16, 32, 64, ... tuples:
+        # a countermodel on either side of each block boundary, or none
+        model = _scan_model(scan_chains, chain_name, "max")
+        top = model.chain.size - 1
+        premises, goal = [parse("O p")], parse("p -> q")
+        rng = random.Random(chain_name + mode)
+        for length in (0, 15, 16, 17, 47, 48, 49, 112, 113, 300):
+            clean = [(rng.randrange(top + 1), top) for _ in range(length)]
+            for at in (None, *{0, 15, 16, 47, 48, 111, 112} & set(
+                    range(length))):
+                envs = list(clean)
+                if at is not None:
+                    envs[at] = (top, 0)
+                expected = closure_scan(model, premises, goal, mode,
+                                        ["p", "q"], envs)
+                assert expected[0] is None if at is None else \
+                    expected[1] == at + 1
+                for tuples in (envs, iter(envs)):
+                    assert finite_scan(model, premises, goal, mode,
+                                       ["p", "q"], tuples) == expected
+        assert finite_scan(model, [], parse("D ~1"), mode, [],
+                           [()] * 40) == ((), 1, top if mode == "degree"
+                                          else None)
+
     @pytest.mark.parametrize("chain_name", ["B2", "W15", "G17", "G257"])
     def test_no_variables(self, scan_chains, chain_name):
         # the full product of no variables is one empty tuple; a caller's
@@ -1149,6 +1196,19 @@ class TestStandardScan:
         assert (res.verdict, res.assignment, res.witness,
                 res.grid_denominator, res.checked) == \
             _reference_standard_search(model, premises, goal, mode, 60)
+
+    def test_unary_tables_fill_at_the_points_the_scan_reads(self, chains,
+                                                            ll_identity):
+        # the squared excluded-middle bound fails at the 32nd of LL's 61
+        # points: O is evaluated there and at the points before, once each
+        op, seen = ll_identity.consistency, []
+        value = op.value
+        op.value = lambda x: seen.append(x) or value(x)
+        res = truth_consequence([ll_identity], [],
+                                parse("O p -> (p \\/ ~p) & (p \\/ ~p)"))
+        points = chains["LL"].sample_points(60, extra=op.critical_points())
+        assert (res.verdict, res.checked, len(points)) == ("fails", 32, 61)
+        assert seen == points[:32]
 
     def test_unbound_operators_raise_at_compile_time(self, chains):
         model = ChainModel("LG", chains["LG"])
