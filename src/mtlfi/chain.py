@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import bisect
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
@@ -131,19 +131,17 @@ GODEL = "godel"
 PRODUCT = "product"
 
 
-@dataclass(frozen=True)
-class Component:
-    family: str
-    lo: Fraction
-    hi: Fraction
+class Component(namedtuple("Component", "family lo hi")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.family not in (LUKASIEWICZ, GODEL, PRODUCT):
-            raise ChainSpecError(f"unknown component family {self.family!r}")
-        if not (isinstance(self.lo, Fraction) and isinstance(self.hi, Fraction)):
-            raise NonRationalEndpoint(f"endpoints must be rational: {self.lo}, {self.hi}")
-        if not self.lo < self.hi:
-            raise GapOrOverlap(f"empty component [{self.lo}, {self.hi}]")
+    def __new__(cls, family: str, lo: Fraction, hi: Fraction):
+        if family not in (LUKASIEWICZ, GODEL, PRODUCT):
+            raise ChainSpecError(f"unknown component family {family!r}")
+        if not (isinstance(lo, Fraction) and isinstance(hi, Fraction)):
+            raise NonRationalEndpoint(f"endpoints must be rational: {lo}, {hi}")
+        if not lo < hi:
+            raise GapOrOverlap(f"empty component [{lo}, {hi}]")
+        return super().__new__(cls, family, lo, hi)
 
 
 class NSet:
@@ -309,6 +307,14 @@ def _grid_index(n: int, d: int, top: int) -> Optional[int]:
     grid {i/top}: the carrier rule of every finite chain."""
     i, r = divmod(n * top, d)
     return i if not r and 0 <= i <= top else None
+
+
+def _grid_denominator(d: int) -> int:
+    """d, the denominator of a sample grid {i/d}; below 1 it raises
+    BadGridDenominator."""
+    if d < 1:
+        raise BadGridDenominator(f"the grid denominator must be at least 1, not {d}")
+    return d
 
 
 def _grid_indices(values: Sequence, top: int, what: str) -> list:
@@ -482,13 +488,9 @@ class StandardChain(Chain):
     is_finite = False
 
     def __init__(self, components: Sequence, name: str = ""):
-        comps = []
-        for c in components:
-            if isinstance(c, Component):
-                comps.append(c)
-            else:
-                fam, lo, hi = c
-                comps.append(Component(fam, rat(lo), rat(hi)))
+        # a Component is a (family, lo, hi) triple too
+        comps = [Component(fam, rat(lo), rat(hi))
+                 for fam, lo, hi in components]
         if not comps:
             raise GapOrOverlap("at least one component is required")
         if comps[0].lo != 0 or comps[-1].hi != 1:
@@ -589,9 +591,7 @@ class StandardChain(Chain):
         it exactly when q divides d, and the few that do not are inserted
         by bisection.  A denominator below 1 raises BadGridDenominator.
         """
-        if denominator < 1:
-            raise BadGridDenominator(
-                f"the grid denominator must be at least 1, not {denominator}")
+        _grid_denominator(denominator)
         pts = [Fraction(i, denominator) for i in range(denominator + 1)]
         off = {c.lo for c in self.components} | {c.hi for c in self.components}
         for e in extra:

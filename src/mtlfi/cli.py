@@ -21,8 +21,8 @@ import re
 import sys
 
 from . import InputError
-from .chain import (NotAFilter, builtin_chains, parse_chain_file,
-                    quotient_by_filter, rat, upward_filter)
+from .chain import (NotAFilter, _grid_denominator, builtin_chains,
+                    parse_chain_file, quotient_by_filter, rat, upward_filter)
 
 # Only the chain module loads with this one, since every Workspace holds the
 # built-in chains; each command imports the rest of what it uses when it
@@ -114,7 +114,10 @@ def _model(ws: Workspace, args, needs_op: bool = False):
 
 
 def _grid(args) -> int:
-    return 60 if args.grid_denominator is None else args.grid_denominator
+    """--grid-denominator, 60 when it is not given: below 1 a usage error on
+    every chain, also where no grid is scanned."""
+    return _grid_denominator(60 if args.grid_denominator is None
+                             else args.grid_denominator)
 
 
 def _emit_consequence(res, fmt) -> int:

@@ -224,19 +224,12 @@ def parse(text: str) -> Formula:
 
 
 def _node(nodes, ctor, left, arg):
-    """The text's one node for ctor over left (None for a prefix) and arg,
-    which is every text's one node when its children are atoms.
-
-    Keyed by the children's ids: they are shared bottom-up already, and
-    nodes keeps each of them alive until the parse ends, so no id is reused
-    and no recursive hash runs."""
-    key = (ctor, id(left), id(arg))
+    """The text's one node for ctor over left (None for a prefix) and arg
+    (_shared), which is every text's one node when its children are
+    atoms."""
     if type(arg) in _LEAVES and (left is None or type(left) in _LEAVES):
         nodes = _ON_ATOMS
-    node = nodes.get(key)
-    if node is None:
-        node = nodes[key] = ctor(arg) if left is None else ctor(left, arg)
-    return node
+    return _shared(nodes, ctor, left, arg)
 
 
 def _fold_arrows(text, toks, stack, nodes, node):
@@ -421,9 +414,9 @@ def _normal(f: Formula, nodes: dict, memo: dict) -> Formula:
 
 
 def _shared(nodes: dict, ctor, left, arg) -> Formula:
-    """nodes' one node for ctor over left (None for a prefix) and arg,
-    keyed by the children's ids as _node keys a text's nodes; nodes keeps
-    the children alive, so no id is reused."""
+    """nodes' one node for ctor over left (None for a prefix) and arg, keyed
+    by the children's ids: they are shared bottom-up already, and nodes
+    keeps each alive, so no id is reused and no recursive hash runs."""
     key = (ctor, id(left), id(arg))
     node = nodes.get(key)
     if node is None:
@@ -498,19 +491,26 @@ def match_schema(s: Schema, f: Formula,
 def substitute(s: Schema, binding: dict) -> Formula:
     """Replace each metavariable of s by its bound formula."""
 
-    def walk(node: Formula) -> Formula:
-        if isinstance(node, Var) and node.name in s.metavars:
+    def swap(node: Formula) -> Formula:
+        if type(node) is Var and node.name in s.metavars:
             try:
                 return binding[node.name]
             except KeyError:
                 raise KeyError(f"metavariable {node.name!r} is unbound") from None
-        if isinstance(node, (Var, Const)):
-            return node
-        if isinstance(node, _UNARY):
-            return type(node)(walk(node.arg))
-        return type(node)(walk(node.left), walk(node.right))
+        return node
 
-    return walk(s.formula)
+    return _rebuild(s.formula, swap)
+
+
+def _rebuild(f: Formula, swap) -> Formula:
+    """f rebuilt bottom-up: each node, over its rebuilt children, replaced
+    by swap(node)."""
+    t = type(f)
+    if t in _UNARY:
+        f = t(_rebuild(f.arg, swap))
+    elif t in _BINARY:
+        f = t(_rebuild(f.left, swap), _rebuild(f.right, swap))
+    return swap(f)
 
 
 # ---------------------------------------------------------------------------
@@ -518,21 +518,11 @@ def substitute(s: Schema, binding: dict) -> Formula:
 
 def to_bullet_language(f: Formula) -> Formula:
     """Replace every O a by ~# a."""
-    if isinstance(f, Circ):
-        return Not(Bullet(to_bullet_language(f.arg)))
-    if isinstance(f, (Var, Const)):
-        return f
-    if isinstance(f, _UNARY):
-        return type(f)(to_bullet_language(f.arg))
-    return type(f)(to_bullet_language(f.left), to_bullet_language(f.right))
+    return _rebuild(f, lambda n: Not(Bullet(n.arg)) if type(n) is Circ
+                    else n)
 
 
 def to_circ_language(f: Formula) -> Formula:
     """Replace every # a by ~O a."""
-    if isinstance(f, Bullet):
-        return Not(Circ(to_circ_language(f.arg)))
-    if isinstance(f, (Var, Const)):
-        return f
-    if isinstance(f, _UNARY):
-        return type(f)(to_circ_language(f.arg))
-    return type(f)(to_circ_language(f.left), to_circ_language(f.right))
+    return _rebuild(f, lambda n: Not(Circ(n.arg)) if type(n) is Bullet
+                    else n)

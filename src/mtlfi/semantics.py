@@ -14,11 +14,12 @@ when it is given no tuples; the Hilbert checks and classical_taut call it
 so.  The formulas are compiled once, with no folding, and an unbound O or
 # raises before any tuple is checked.  On a finite chain compile_finite
 computes a formula's column, its index at every tuple, with one bytes
-operation per connective; a full product of at least _GENERATE_FROM tuples
-is scanned a tuple at a time instead, by one straight-line function per
-formula that generate_finite writes from fixed names and integer positions
-only.  A standard chain's formulas are closures (compile_standard).  The
-tuples are every combination up to the variable cap of the chain's kind
+operation per connective, for a full product below _GENERATE_FROM tuples.
+Any other tuples, a larger product or a caller's such as the sampler's,
+are scanned a tuple at a time, by one straight-line function per formula
+that generate_finite writes from fixed names and integer positions only.
+A standard chain's formulas are closures (compile_standard).  The tuples
+are every combination up to the variable cap of the chain's kind
 (FINITE_VAR_CAP or STANDARD_VAR_CAP), and above the cap SAMPLING_BUDGET
 draws from one seeded sampler.
 Finite exhaustive verdicts are exact.  A countermodel is always a certified
@@ -416,23 +417,23 @@ def finite_scan(model: ChainModel, premises, conclusion, mode: str,
     unbound O or # raises whatever envs holds.  The premises are compiled
     as one lattice conjunction, their least value: truth mode tests it
     against the top, degree mode (above the bottom) against the conclusion.
-    A finite chain's tuples are scanned a column at a time (_column_scan),
-    except a full product of at least _GENERATE_FROM tuples, whose formulas
-    generate_finite compiles, since its code generation that many tuples
-    repay; both give the same result.
+    On a finite chain a full product below _GENERATE_FROM tuples is
+    scanned a column at a time (_column_scan); any other tuples, a larger
+    product or a caller's, are scanned one at a time by the functions
+    generate_finite writes, so a caller's scan stops at its first failing
+    tuple.  Both give the same result.
     """
     if model.chain.is_finite:
-        top, compile_, extra = model.chain.size - 1, compile_finite, ()
-        if envs is None and model.chain.size ** len(vars_) >= _GENERATE_FROM:
-            compile_ = generate_finite
+        top, compile_, extra = model.chain.size - 1, generate_finite, ()
+        if envs is None and model.chain.size ** len(vars_) < _GENERATE_FROM:
+            compile_ = compile_finite
     else:
         top, compile_, extra = _ONE, compile_standard, (points,)
     prem = (compile_(model, reduce(And, premises), vars_, *extra)
             if premises else None)
     concl_fn = compile_(model, conclusion, vars_, *extra)
     if compile_ is compile_finite:
-        return _column_scan(model.chain, prem, concl_fn, mode, len(vars_),
-                            envs)
+        return _column_scan(model.chain, prem, concl_fn, mode, len(vars_))
     if envs is None:
         n = model.chain.size if points is None else len(points)
         envs = itertools.product(range(n), repeat=len(vars_))
@@ -456,36 +457,13 @@ def finite_scan(model: ChainModel, premises, conclusion, mode: str,
     return None, checked, None
 
 
-def _column_scan(chain: FiniteChain, prem, concl, mode: str, k: int, envs):
-    """finite_scan's result from compile_finite's prem (or None) and concl
-    on k variables.  A full product's columns are kept on the chain; a
-    caller's tuples are read in blocks, 16 tuples first and twice as many
-    each time up to _GENERATE_FROM, so that the scan stops after the first
-    block that fails."""
-    n = chain.size
-    if envs is None:
-        return _column_block(chain, prem, concl, mode, *_kept(
-            chain, k, lambda: _columns(itertools.product(range(n), repeat=k),
-                                       k, n)))
-    envs, checked, size = iter(envs), 0, 16
-    while True:
-        # each tuple is freed once it is transposed, so a block keeps no
-        # tuples alive for the garbage collector to count and traverse
-        count, cols = _columns(itertools.islice(envs, size), k, n)
-        if not count:
-            return None, checked, None
-        env, j, witness = _column_block(chain, prem, concl, mode, count, cols)
-        if env is not None:
-            return env, checked + j, witness
-        checked, size = checked + count, min(2 * size, _GENERATE_FROM)
-
-
-def _column_block(chain: FiniteChain, prem, concl, mode: str, count: int,
-                  cols):
-    """The first failing tuple among count tuples given as the columns
-    cols, as (env, tuples looked at, witness): one _step to a column that
-    is 1 where a tuple fails, and its first 1."""
+def _column_scan(chain: FiniteChain, prem, concl, mode: str, k: int):
+    """finite_scan's result on the full product of chain's indices over k
+    variables, from compile_finite's prem (or None) and concl: one _step
+    to a column that is 1 where a tuple fails, and its first 1.  The
+    product's columns are kept on the chain."""
     n, top = chain.size, chain.size - 1
+    count, cols = n ** k, _kept(chain, k, lambda: _columns(k, n))
     # the least premise value; the empty minimum is the top
     p = (prem(cols, count) if prem else
          (bytes if n <= 256 else list)([top]) * count)
@@ -500,12 +478,11 @@ def _column_block(chain: FiniteChain, prem, concl, mode: str, count: int,
             p[j] if mode == "degree" else None)
 
 
-def _columns(envs, k: int, n: int) -> tuple:
-    """The count of the index tuples envs, and their k columns."""
-    if not k:
-        return sum(1 for _ in envs), []
-    flat = (bytes if n <= 256 else list)(itertools.chain.from_iterable(envs))
-    return len(flat) // k, [flat[i::k] for i in range(k)]
+def _columns(k: int, n: int) -> list:
+    """The k columns of the full product of n indices over k variables."""
+    flat = (bytes if n <= 256 else list)(itertools.chain.from_iterable(
+        itertools.product(range(n), repeat=k)))
+    return [flat[i::k] for i in range(k)]
 
 
 def _points(chain, ops, grid_denominator: int):

@@ -339,6 +339,27 @@ class TestReports:
                            "--grid-denominator", "1", "p -> p")
         assert code == 2 and "checked: 3" in out
 
+    @pytest.mark.parametrize("argv", [
+        ("taut", "--chain", "L3", "p -> p"),
+        ("conseq", "--chain", "W15", "--premises", "p", "--goal", "p"),
+        ("lfi-report", "--chain", "NM6", "--op", "max"),
+        ("propagation", "--chain", "L3", "--op", "max", "--connective", "&"),
+        ("dat", "--chain", "NM6", "--op", "max"),
+        ("pdat", "--chain", "B2", "--op", "min", "--goal", "p -> q"),
+    ])
+    def test_grid_denominator_below_one_is_refused_on_finite_chains(
+            self, capsys, argv):
+        # a finite chain scans no grid, but the flag is refused as on a
+        # standard chain, not ignored
+        for denominator in ("0", "-3"):
+            code, out, err = run(capsys, *argv, "--grid-denominator",
+                                 denominator)
+            assert (code, out) == (3, "")
+            assert err == ("error: the grid denominator must be at least 1, "
+                           f"not {denominator}\n")
+        code, out, _ = run(capsys, *argv, "--grid-denominator", "1")
+        assert code in (0, 1) and out
+
 
 class TestProve:
     def test_bundled_fixture(self, capsys):

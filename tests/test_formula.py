@@ -6,8 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from mtlfi.formula import (MAX_DEPTH, And, Bullet, Circ, Const, Delta,
                            FormulaSyntaxError, Fuse, Iff, Imp, Not, ONE, Or,
-                           Var, ZERO, match_schema, normalize, parse, power,
-                           render, schema, substitute, subformulas,
+                           Schema, Var, ZERO, match_schema, normalize, parse,
+                           power, render, schema, substitute, subformulas,
                            to_bullet_language, to_circ_language, variables)
 
 p, q, r = Var("p"), Var("q"), Var("r")
@@ -338,6 +338,53 @@ def test_language_translations():
     assert t == parse("~# p -> (q /\\ ~# ~# r)")
     g = parse("# p \\/ ~# q")
     assert to_circ_language(g) == parse("~O p \\/ ~~O q")
+
+
+def _recursive_substitute(s, binding):
+    """substitute as a recursive walk, before the shared rebuild walk."""
+
+    def walk(node):
+        if isinstance(node, Var) and node.name in s.metavars:
+            try:
+                return binding[node.name]
+            except KeyError:
+                raise KeyError(f"metavariable {node.name!r} is unbound") from None
+        if isinstance(node, (Var, Const)):
+            return node
+        if isinstance(node, (Not, Circ, Bullet, Delta)):
+            return type(node)(walk(node.arg))
+        return type(node)(walk(node.left), walk(node.right))
+
+    return walk(s.formula)
+
+
+def _recursive_translation(f, old, new):
+    """to_bullet_language (old Circ, new Bullet) or to_circ_language (old
+    Bullet, new Circ) as a recursive walk."""
+    if isinstance(f, old):
+        return Not(new(_recursive_translation(f.arg, old, new)))
+    if isinstance(f, (Var, Const)):
+        return f
+    if isinstance(f, (Not, Circ, Bullet, Delta)):
+        return type(f)(_recursive_translation(f.arg, old, new))
+    return type(f)(_recursive_translation(f.left, old, new),
+                   _recursive_translation(f.right, old, new))
+
+
+@given(formulas, formulas, formulas)
+@settings(max_examples=200, deadline=None)
+def test_rebuild_walks_match_the_recursive_ones(f, x, y):
+    assert to_bullet_language(f) == _recursive_translation(f, Circ, Bullet)
+    assert to_circ_language(f) == _recursive_translation(f, Bullet, Circ)
+    for metavars in ({"p", "q"}, {"r"}, set()):
+        s = Schema(f, frozenset(metavars))
+        binding = {"p": x, "q": y, "r": Circ(x)}
+        assert substitute(s, binding) == _recursive_substitute(s, binding)
+    if "p" in variables(f):
+        s = Schema(f, frozenset({"p"}))
+        for fn in (substitute, _recursive_substitute):
+            with pytest.raises(KeyError, match="'p' is unbound"):
+                fn(s, {})
 
 
 def test_variables_and_subformulas():

@@ -497,10 +497,10 @@ class TestSamplingFallback:
         res = truth_consequence([model], [], f)
         assert res.verdict == "unknown"
 
-    def test_a_sampled_scan_stops_at_the_first_failing_block(self, chains,
-                                                             monkeypatch):
-        # the countermodel is sampled tuple 17, so the sampler draws the
-        # first two blocks, 16 and 32 tuples of 7 indices, and no more
+    def test_a_sampled_scan_stops_at_the_failing_tuple(self, chains,
+                                                       monkeypatch):
+        # the countermodel is sampled tuple 17, so the sampler draws 17
+        # tuples of 7 indices and no more
         draws = []
 
         class Counting(random.Random):
@@ -515,7 +515,7 @@ class TestSamplingFallback:
         assert res.checked == 17 and res.assignment == {
             "p1": 1, "p2": F(1, 2), "p3": 1, "p4": 1, "p5": F(1, 2), "p6": 1,
             "p7": 0}
-        assert draws == [3] * 7 * (16 + 32)
+        assert draws == [3] * 7 * 17
 
     @pytest.mark.parametrize("check", [truth_consequence, degree_consequence])
     def test_six_variables_are_exhaustive_and_seven_sampled(self, chains,
@@ -885,10 +885,11 @@ class TestCompiledEvaluation:
 
 
 # ---------------------------------------------------------------------------
-# The column scan against the per-tuple reference closures and the Fraction
-# tree walk: full products and tuples a caller passes, on every built-in
-# finite chain, a 17-element chain (binary steps map over row tables) and a
-# 257-element one (columns are lists)
+# The finite scan against the per-tuple reference closures and the Fraction
+# tree walk: full products (a column at a time) and tuples a caller passes
+# (generate_finite), on every built-in finite chain, a 17-element chain
+# (binary steps map over row tables) and a 257-element one (columns are
+# lists)
 
 @pytest.fixture(scope="module")
 def scan_chains(chains):
@@ -981,11 +982,56 @@ class TestColumnScan:
                 finite_scan(model, [parse("p")], parse("1 -> # 0"), "degree",
                             ["p"], envs)
 
+    @pytest.mark.parametrize("chain_name", ["L3", "NM6", "G17", "G257"])
+    @pytest.mark.parametrize("mode", ["truth", "degree"])
+    def test_a_caller_generator_is_read_up_to_the_failing_tuple(
+            self, scan_chains, monkeypatch, chain_name, mode):
+        # a full product below _GENERATE_FROM tuples is scanned a column at
+        # a time, and tuples from a caller's generator one at a time by
+        # generate_finite, which takes no tuple past the first failing one
+        model = _scan_model(scan_chains, chain_name, "max")
+        n = model.chain.size
+        compiled, taken = [], []
+        for name in ("compile_finite", "generate_finite"):
+            monkeypatch.setattr(semantics, name,
+                                lambda *args, fn=getattr(semantics, name),
+                                name=name: compiled.append(name) or fn(*args))
+
+        def counted(tuples):
+            for env in tuples:
+                taken.append(env)
+                yield env
+
+        queries = [(["O p"], "p"), ([], "D p \\/ ~p"), (["# p"], "~p -> 0")]
+        if n < 257:
+            queries += [(["O p"], "p -> q"), ([], "(p -> q) \\/ (q -> p)"),
+                        (["p", "q -> p"], "(p & q) <-> p")]
+        rng = random.Random(chain_name + mode)
+        for premises, conclusion in queries:
+            premises = [parse(t) for t in premises]
+            conclusion = parse(conclusion)
+            names = sorted(variables(conclusion, *premises))
+            product = list(itertools.product(range(n), repeat=len(names)))
+            compiled.clear()
+            full = finite_scan(model, premises, conclusion, mode, names)
+            assert set(compiled) == {"compile_finite"}
+            for tuples in (product, rng.choices(product, k=40)):
+                compiled.clear()
+                taken.clear()
+                got = finite_scan(model, premises, conclusion, mode, names,
+                                  counted(tuples))
+                assert set(compiled) == {"generate_finite"}
+                assert got == closure_scan(model, premises, conclusion, mode,
+                                           names, tuples)
+                assert len(taken) == got[1]
+                if tuples is product:
+                    assert got == full
+
     @pytest.mark.parametrize("chain_name", ["L3", "G17", "G257"])
     @pytest.mark.parametrize("mode", ["truth", "degree"])
     def test_blocks_of_a_long_list(self, scan_chains, chain_name, mode):
-        # a caller's tuples are read in blocks of 16, 32, 64, ... tuples:
-        # a countermodel on either side of each block boundary, or none
+        # a long list of a caller's tuples, with a countermodel on either
+        # side of 16, 48 and 112 tuples, or none
         model = _scan_model(scan_chains, chain_name, "max")
         top = model.chain.size - 1
         premises, goal = [parse("O p")], parse("p -> q")
