@@ -5,7 +5,8 @@ truth-preserving one (premises at value 1 force the conclusion to 1) and the
 degree-preserving one (every lower bound of the premise values bounds the
 conclusion).  On a chain the degree condition collapses to comparing the
 conclusion against the minimum of the premise values, which is what the
-search uses.
+search uses, and the truth relation is the degree relation from D of that
+minimum, so one failure test decides both (finite_scan).
 
 Every search runs one scan, finite_scan, over index tuples: into a finite
 chain's elements, or into a standard chain's sorted rational grid points.
@@ -414,14 +415,16 @@ def finite_scan(model: ChainModel, premises, conclusion, mode: str,
     witness): the first failing tuple or None, the number of tuples looked
     at, and in degree mode the least premise value at env, as an element
     index or a value (else None).  Every formula is compiled first, so an
-    unbound O or # raises whatever envs holds.  The premises are compiled
-    as one lattice conjunction, their least value: truth mode tests it
-    against the top, degree mode (above the bottom) against the conclusion.
-    On a finite chain a full product below _GENERATE_FROM tuples is
-    scanned a column at a time (_column_scan); any other tuples, a larger
-    product or a caller's, are scanned one at a time by the functions
-    generate_finite writes, so a caller's scan stops at its first failing
-    tuple.  Both give the same result.
+    unbound O or # raises whatever envs holds.  Both modes test one failure
+    mark, 0 < A and C < A, C the conclusion and A the premise side: the
+    premises' meet P (_meet) in degree mode, D(P) in truth mode, and the
+    top without premises, where a tuple fails if C is below the top.  The
+    conclusion is not read where A is the bottom.  On a finite chain a full
+    product below _GENERATE_FROM tuples is scanned a column at a time
+    (_column_scan); any other tuples, a larger product or a caller's, are
+    scanned one at a time by the functions generate_finite writes, so a
+    caller's scan stops at its first failing tuple.  Both give the same
+    result.
     """
     if model.chain.is_finite:
         top, compile_, extra = model.chain.size - 1, generate_finite, ()
@@ -429,53 +432,59 @@ def finite_scan(model: ChainModel, premises, conclusion, mode: str,
             compile_ = compile_finite
     else:
         top, compile_, extra = _ONE, compile_standard, (points,)
-    prem = (compile_(model, reduce(And, premises), vars_, *extra)
-            if premises else None)
+    prem = None
+    if premises:  # the premise side A
+        side = _meet(premises)
+        prem = compile_(model, Delta(side) if mode == "truth" else side,
+                        vars_, *extra)
     concl_fn = compile_(model, conclusion, vars_, *extra)
+    report = mode == "degree"  # A's value is reported as the witness
     if compile_ is compile_finite:
-        return _column_scan(model.chain, prem, concl_fn, mode, len(vars_))
+        env, checked, a = _column_scan(model.chain, prem, concl_fn, len(vars_))
+        return env, checked, a if report else None
     if envs is None:
         n = model.chain.size if points is None else len(points)
         envs = itertools.product(range(n), repeat=len(vars_))
     checked = 0
     if prem is None:
-        # both modes fail exactly where the conclusion is below the top,
-        # and the empty minimum is the top
-        witness = top if mode == "degree" else None
         for checked, env in enumerate(envs, 1):
             if concl_fn(env) != top:
-                return env, checked, witness
-    elif mode == "truth":
-        for checked, env in enumerate(envs, 1):
-            if prem(env) == top and concl_fn(env) != top:
-                return env, checked, None
+                return env, checked, top if report else None
     else:
         for checked, env in enumerate(envs, 1):
             a = prem(env)
             if a and a > concl_fn(env):  # a is 0 at the bottom
-                return env, checked, a
+                return env, checked, a if report else None
     return None, checked, None
 
 
-def _column_scan(chain: FiniteChain, prem, concl, mode: str, k: int):
-    """finite_scan's result on the full product of chain's indices over k
-    variables, from compile_finite's prem (or None) and concl: one _step
-    to a column that is 1 where a tuple fails, and its first 1.  The
-    product's columns are kept on the chain."""
+def _meet(formulas):
+    """The lattice conjunction of a nonempty list of formulas, folded as a
+    balanced tree: ceil(log2 k) levels deeper than the deepest of k."""
+    if len(formulas) == 1:
+        return formulas[0]
+    half = len(formulas) // 2
+    return And(_meet(formulas[:half]), _meet(formulas[half:]))
+
+
+def _column_scan(chain: FiniteChain, prem, concl, k: int):
+    """finite_scan's (env, checked, A) on the full product of chain's
+    indices over k variables, from compile_finite's premise side prem (or
+    None) and concl: one _step of the failure table to a column that is 1
+    where a tuple fails, and its first 1.  The product's columns and the
+    table are kept on the chain."""
     n, top = chain.size, chain.size - 1
     count, cols = n ** k, _kept(chain, k, lambda: _columns(k, n))
-    # the least premise value; the empty minimum is the top
-    p = (prem(cols, count) if prem else
+    # the premise side; the empty meet is the top
+    a = (prem(cols, count) if prem else
          (bytes if n <= 256 else list)([top]) * count)
-    fails = _step(_kept(chain, mode, lambda: _kernel_table(n, tuple([
-        tuple([(a == top and b != top) if mode == "truth"
-               else (0 < a and b < a) for b in range(n)])
-        for a in range(n)]))), p, concl(cols, count))
+    fails = _step(_kept(chain, "fails", lambda: _kernel_table(n, tuple([
+        tuple([0 < x and y < x for y in range(n)]) for x in range(n)]))),
+        a, concl(cols, count))
     j = bytes(fails).find(1)
     if j < 0:
         return None, count, None
-    return (tuple([col[j] for col in cols]), j + 1,
-            p[j] if mode == "degree" else None)
+    return tuple([col[j] for col in cols]), j + 1, a[j]
 
 
 def _columns(k: int, n: int) -> list:
@@ -844,8 +853,7 @@ def bridge_check(model: ChainModel, premises: Sequence[Formula],
         raise ValueError("the bridge check is decided on finite chains")
     premises = list(premises)
     left = degree_consequence([model], premises, conclusion)
-    implication = (Imp(reduce(And, premises), conclusion) if premises
-                   else conclusion)
+    implication = Imp(_meet(premises), conclusion) if premises else conclusion
     right = truth_consequence([model], [], implication)
     return left.verdict == right.verdict
 

@@ -130,6 +130,20 @@ class TestConsequence:
                            "--premises", "p, ~p", "--goal", "q")
         assert code == 0 and "holds" in out
 
+    @pytest.mark.parametrize("chain, code, verdict", [
+        ("L3", 0, "holds"), ("W15", 0, "holds"), ("LG", 2, "unknown")])
+    def test_many_premises(self, capsys, chain, code, verdict):
+        # 5 000 premises fold into one balanced meet, 13 levels deep: folded
+        # one at a time they raised a RecursionError (exit 4).  A clean
+        # grid scan of LG with a variable is unknown.
+        premises = ", ".join(["p"] * 5000)
+        for mode in ("truth", "degree"):
+            got, out, err = run(capsys, "conseq", "--chain", chain,
+                                "--mode", mode, "--premises", premises,
+                                "--goal", "p")
+            assert (got, err) == (code, "")
+            assert f"verdict: {verdict}" in out
+
     def test_unknown_verdict_exit_code(self, capsys):
         code, out, _ = run(capsys, "taut", "--chain", "LL", "--op", "min",
                            "p \\/ ~p \\/ ~O p")

@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mtlfi import semantics
-from mtlfi.chain import FiniteChain, GODEL
+from mtlfi.chain import FiniteChain, GODEL, LUKASIEWICZ
 from mtlfi.formula import (MAX_DEPTH, ONE, ZERO, And, Bullet, Circ, Delta,
-                           Fuse, Iff, Imp, Not, Or, Var, parse, variables)
+                           Fuse, Iff, Imp, Not, Or, Var, depth, parse,
+                           variables)
 from mtlfi.operators import (ConsistencyOp, crisp_op, dual, enumerate_ops,
                              max_op, min_op, piecewise_op, validate_c)
 from mtlfi.semantics import (BadPowerBound, ChainModel, DatAxiomFails,
@@ -413,6 +414,20 @@ class TestBridgeAndDeduction:
             goal = random_formula(rng, names, 2)
             assert bridge_check(model, premises, goal)
 
+    def test_the_two_sides_are_computed_apart(self):
+        # the degree side tests the order, the truth side reads the
+        # residuum: with every residuum at the top, p -> q is a tautology
+        # while p |=_<= q still fails, so the sides disagree
+        chain = FiniteChain.from_family(LUKASIEWICZ, 3, name="L3")
+        chain._res_i = ((2, 2, 2),) * 3  # before the first scan reads it
+        assert not bridge_check(ChainModel("L3", chain), [Var("p")],
+                                Var("q"))
+
+    def test_many_premises(self, chains):
+        l3 = ChainModel("L3", chains["L3"])
+        assert bridge_check(l3, [Var("p")] * 5000, Var("p"))
+        assert bridge_check(l3, [Var("p")] * 5000, Var("q"))
+
     def test_deduction_bound_examples(self, chains):
         l3 = ChainModel("L3", chains["L3"])
         # p, p -> q |= q needs no power at all of the extra premise 1
@@ -694,6 +709,39 @@ class TestFiniteScan:
         with pytest.raises(OperatorNotBound):
             finite_scan(model, [parse("0"), parse("O p")], parse("p"),
                         "truth", ["p"], [])
+
+    def test_premises_fold_as_a_balanced_meet(self):
+        # the premises in order, ceil(log2 k) levels above the deepest
+        for k in (1, 2, 3, 4, 5, 1000, 5000):
+            names = [f"p{i}" for i in range(k)]
+            meet = semantics._meet([Var(v) for v in names])
+            assert depth(meet) == 1 + (k - 1).bit_length()
+            assert str(meet).replace("(", "").replace(")", "") == \
+                " /\\ ".join(names)
+
+    @pytest.mark.parametrize("chain_name, goal, path", [
+        ("L3", "p", "compile_finite"), ("W15", "p \\/ (q & r)",
+                                        "generate_finite"),
+        ("LG", "p", "compile_standard")])
+    @pytest.mark.parametrize("mode", ["truth", "degree"])
+    def test_many_premises(self, chains, monkeypatch, chain_name, goal,
+                           path, mode):
+        # 5 000 premises are one meet ceil(log2 5000) = 13 levels deeper
+        # than a premise, not 5 000, on each path: a column at a time, one
+        # generated function over W15's 4 096 tuples, and a standard grid
+        chain = chains[chain_name]
+        model = ChainModel(chain_name, chain)
+        compiled = []
+        monkeypatch.setattr(semantics, path,
+                            lambda *args, fn=getattr(semantics, path):
+                            compiled.append(args[1]) or fn(*args))
+        goal = parse(goal)
+        names = sorted(variables(goal))
+        points = None if chain.is_finite else chain.sample_points(6)
+        count = len(points or chain.elements) ** len(names)
+        assert finite_scan(model, [Var("p")] * 5000, goal, mode, names,
+                           points=points) == (None, count, None)
+        assert depth(compiled[0]) == 14 + (mode == "truth")
 
     @pytest.mark.parametrize("seed", range(4))
     def test_classical_taut_matches_its_loop(self, seed):
