@@ -1,9 +1,10 @@
 """Bundled proof scripts and the chain pairings they are checked against.
 
-Each fixture names a profile, a derivation in the numbered script format,
-and the finite models on which every line is confirmed semantically.  The
-mutants are deliberately broken copies used as negative controls; each one
-records the line where verification must stop.
+Each fixture holds a derivation in the numbered script format, whose header
+line `proof <name> in <profile>` names its profile, and the finite models on
+which every line is confirmed semantically.  The mutants are deliberately
+broken copies used as negative controls; each one records the line where
+verification must stop.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ __all__ = ["FIXTURES", "MUTANTS", "fixture_chains", "fixture_models"]
 
 FIXTURES = {
     "chain-imp": {
-        "profile": "MTL",
         "pairings": [("L3", None), ("G3", None), ("NM6", None)],
         "text": """
 proof chain-imp in MTL
@@ -29,7 +29,6 @@ proof chain-imp in MTL
 """,
     },
     "derive-weaken": {
-        "profile": "MTL",
         "pairings": [("L3", None), ("G3", None), ("W15", None)],
         "text": """
 proof derive-weaken in MTL
@@ -39,7 +38,6 @@ proof derive-weaken in MTL
 """,
     },
     "and-right": {
-        "profile": "MTL",
         "pairings": [("L5", None), ("G5", None)],
         "text": """
 proof and-right in MTL
@@ -51,7 +49,6 @@ proof and-right in MTL
 """,
     },
     "fuse-right": {
-        "profile": "MTL",
         "pairings": [("L5", None), ("NM6", None)],
         "text": """
 proof fuse-right in MTL
@@ -63,7 +60,6 @@ proof fuse-right in MTL
 """,
     },
     "explosion": {
-        "profile": "MTL",
         "pairings": [("L3", None), ("G3", None), ("B2", None)],
         "text": """
 proof explosion in MTL
@@ -75,7 +71,6 @@ proof explosion in MTL
 """,
     },
     "b1-to-a1": {
-        "profile": "MTL-o-nn+",
         "pairings": [("L3", "min"), ("L5", "min"), ("NM6", "min"), ("B2", "min")],
         "text": """
 proof b1-to-a1 in MTL-o-nn+
@@ -91,7 +86,6 @@ proof b1-to-a1 in MTL-o-nn+
 """,
     },
     "cong-admissible": {
-        "profile": "MTL-o-nn+",
         "pairings": [("L3", "min"), ("L5", "min"), ("NM6", "min")],
         "text": """
 proof cong-admissible in MTL-o-nn+
@@ -106,7 +100,6 @@ proof cong-admissible in MTL-o-nn+
 """,
     },
     "cong-use": {
-        "profile": "MTL-o",
         "pairings": [("L3", "min"), ("G3", "max"), ("L3G3", "max")],
         "text": """
 proof cong-use in MTL-o
@@ -115,7 +108,6 @@ proof cong-use in MTL-o
 """,
     },
     "cong-plain": {
-        "profile": "MTL-o",
         "pairings": [("L3", "min"), ("L3G3", "min")],
         "text": """
 proof cong-plain in MTL-o
@@ -124,7 +116,6 @@ proof cong-plain in MTL-o
 """,
     },
     "coh-use": {
-        "profile": "MTL-o",
         "pairings": [("L3", "min"), ("G3", "max"), ("L3G3", "max")],
         "text": """
 proof coh-use in MTL-o
@@ -133,7 +124,6 @@ proof coh-use in MTL-o
 """,
     },
     "degree-adj": {
-        "profile": "MTL<=",
         "pairings": [("L3", None), ("G3", None), ("NM6", None)],
         "text": """
 proof degree-adj in MTL<=
@@ -145,7 +135,6 @@ proof degree-adj in MTL<=
 """,
     },
     "degree-cong": {
-        "profile": "MTL-o<=",
         "pairings": [("L3", "min"), ("G3", "max")],
         "text": """
 proof degree-cong in MTL-o<=
@@ -154,7 +143,6 @@ proof degree-cong in MTL-o<=
 """,
     },
     "delta-nec": {
-        "profile": "MTLD",
         "pairings": [("L3", None), ("G3", None), ("NM6", None)],
         "text": """
 proof delta-nec in MTLD
@@ -165,7 +153,6 @@ proof delta-nec in MTLD
 """,
     },
     "min-axiom": {
-        "profile": "MTL-o-min",
         "pairings": [("L3", "min"), ("G3", "min"), ("L3G3", "min")],
         "text": """
 proof min-axiom in MTL-o-min
@@ -173,7 +160,6 @@ proof min-axiom in MTL-o-min
 """,
     },
     "max-bl-axiom": {
-        "profile": "BL-o-max",
         "pairings": [("L3", "max"), ("G3", "max"), ("L3G3", "max")],
         "text": """
 proof max-bl-axiom in BL-o-max
@@ -181,7 +167,6 @@ proof max-bl-axiom in BL-o-max
 """,
     },
     "dat-axiom": {
-        "profile": "MTL-o-dat",
         "pairings": [("L3", "min"), ("G3", "min"), ("L3G3", "min")],
         "text": """
 proof dat-axiom in MTL-o-dat
@@ -189,7 +174,6 @@ proof dat-axiom in MTL-o-dat
 """,
     },
     "bullet-axioms": {
-        "profile": "MTL-b",
         "pairings": [("L3", "dual-min"), ("G3", "dual-max"), ("L3G3", "dual-max")],
         "text": """
 proof bullet-axioms in MTL-b
@@ -199,7 +183,6 @@ proof bullet-axioms in MTL-b
 """,
     },
     "bullet-cong": {
-        "profile": "MTL-b",
         "pairings": [("L3", "dual-min"), ("L3G3", "dual-min")],
         "text": """
 proof bullet-cong in MTL-b
@@ -208,7 +191,6 @@ proof bullet-cong in MTL-b
 """,
     },
     "bullet-coh": {
-        "profile": "MTL-b",
         "pairings": [("L3", "dual-min"), ("G3", "dual-max")],
         "text": """
 proof bullet-coh in MTL-b
@@ -217,7 +199,6 @@ proof bullet-coh in MTL-b
 """,
     },
     "bullet-min-rule": {
-        "profile": "MTL-b-min",
         "pairings": [("L3", "dual-max"), ("G3", "dual-max"), ("L3G3", "dual-max")],
         "text": """
 proof bullet-min-rule in MTL-b-min
@@ -226,7 +207,6 @@ proof bullet-min-rule in MTL-b-min
 """,
     },
     "wnm-axiom": {
-        "profile": "WNM",
         "pairings": [("NM6", None), ("W15", None)],
         "text": """
 proof wnm-axiom in WNM
@@ -234,7 +214,6 @@ proof wnm-axiom in WNM
 """,
     },
     "inv-axiom": {
-        "profile": "IMTL",
         "pairings": [("L3", None), ("L5", None), ("NM6", None)],
         "text": """
 proof inv-axiom in IMTL
@@ -242,7 +221,6 @@ proof inv-axiom in IMTL
 """,
     },
     "prod-cancel": {
-        "profile": "Prod",
         "pairings": [("B2", None)],
         "text": """
 proof prod-cancel in Prod
@@ -250,7 +228,6 @@ proof prod-cancel in Prod
 """,
     },
     "g-contraction": {
-        "profile": "G",
         "pairings": [("G3", None), ("G5", None), ("B2", None)],
         "text": """
 proof g-contraction in G

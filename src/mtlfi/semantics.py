@@ -13,12 +13,14 @@ chain's elements, or into a standard chain's sorted rational grid points.
 It is also the one place that builds the full product of those indices,
 when it is given no tuples; the Hilbert checks and classical_taut call it
 so.  The formulas are compiled once, with no folding, and an unbound O or
-# raises before any tuple is checked.  On a finite chain compile_finite
-computes a formula's column, its index at every tuple, with one bytes
-operation per connective, for a full product below _GENERATE_FROM tuples.
-Any other tuples, a larger product or a caller's such as the sampler's,
-are scanned a tuple at a time, by one straight-line function per formula
-that generate_finite writes from fixed names and integer positions only.
+# raises before any tuple is checked.  On a finite chain of at most 16
+elements compile_finite computes a formula's column, its index at every
+tuple, with one bytes.translate per connective, two indices packed into a
+byte, for a full product below _GENERATE_FROM tuples.  Any other tuples, a
+larger chain's or product's or a caller's such as the sampler's, are
+scanned a tuple at a time, by one straight-line function per formula that
+generate_finite writes from fixed names and integer positions only.  Both
+finite compilers read each connective's table through one map, _TABLES.
 A standard chain's formulas are closures (compile_standard).  The tuples
 are every combination up to the variable cap of the chain's kind
 (FINITE_VAR_CAP or STANDARD_VAR_CAP), and above the cap SAMPLING_BUDGET
@@ -37,7 +39,6 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
-from operator import getitem
 from typing import Iterable, Optional, Sequence
 
 from . import InputError
@@ -168,18 +169,32 @@ def evaluate(ev: Evaluation, f: Formula) -> Fraction:
 # ---------------------------------------------------------------------------
 # Compiled evaluation over columns of index tuples (for the search loop)
 
-# the FiniteChain attribute holding each connective's index table
-_INDEX_TABLES = {And: "_meet_i", Or: "_join_i", Fuse: "_tnorm_i",
-                 Imp: "_res_i", Iff: "_iff_i", Not: "_neg_i", Delta: "_delta_i"}
+# each node type's fixed name in a generated function, and the FiniteChain
+# attribute holding its index table (None: the bound O or #'s indices)
+_TABLES = {And: ("MEET", "_meet_i"), Or: ("JOIN", "_join_i"),
+           Fuse: ("FUSE", "_tnorm_i"), Imp: ("RES", "_res_i"),
+           Iff: ("IFF", "_iff_i"), Not: ("NEG", "_neg_i"),
+           Delta: ("DELTA", "_delta_i"), Circ: ("CIRC", None),
+           Bullet: ("BULLET", None)}
 
 
-def _kernel_table(n: int, rows):
-    """An n-element chain's index table rows as _step reads it: 256 bytes,
-    at an index or at a pair 16a + b (up to 16 elements), or else rows."""
-    if type(rows[0]) is not tuple:
-        return bytes(rows).ljust(256, b"\0") if n <= 256 else rows
-    return bytes(rows[a][b] if max(a, b) < n else 0 for a in range(16)
-                 for b in range(16)) if n <= 16 else rows
+def _table(model, node):
+    """node's fixed name and index table on model's finite chain, for both
+    finite compilers: TypeError for a node that is not a formula, and
+    OperatorNotBound for an unbound O or #."""
+    if type(node) not in _TABLES:
+        raise TypeError(f"not a formula node: {node!r}")
+    name, attr = _TABLES[type(node)]
+    return name, (getattr(model.chain, attr) if attr
+                  else _operator(model, type(node)).indices)
+
+
+def _kernel_table(rows):
+    """An index table as _step reads it, 256 bytes: at an index, or at a
+    pair 16a + b of indices of a chain of at most 16 elements."""
+    if type(rows[0]) is tuple:
+        rows = b"".join([bytes(row).ljust(16, b"\0") for row in rows])
+    return bytes(rows).ljust(256, b"\0")
 
 
 def _kept(chain: FiniteChain, key, build):
@@ -191,12 +206,9 @@ def _kept(chain: FiniteChain, key, build):
 
 def _step(tab, a, b=None):
     """The _kernel_table tab at each index of the column a, or at each pair
-    of indices of the columns a and b, as a column of a's type.  Indices
-    below 16 pack as 16a + b by one integer shift and addition for the whole
-    column: no byte carries, since 16a + b <= 255."""
-    if type(tab) is not bytes:
-        return type(a)(map(tab.__getitem__, a) if b is None
-                       else map(getitem, map(tab.__getitem__, a), b))
+    of indices of the columns a and b, as one bytes.  The pairs pack as
+    16a + b by one integer shift and addition for the whole column: no byte
+    carries, since 16a + b <= 255."""
     if b is not None:
         a = ((int.from_bytes(a, "big") << 4)
              + int.from_bytes(b, "big")).to_bytes(len(b), "big")
@@ -206,14 +218,17 @@ def _step(tab, a, b=None):
 def compile_finite(model: ChainModel, f: Formula, var_order: Sequence[str]):
     """Compile a formula into a function from the columns of var_order's
     variables, and their length, to the formula's column: one element index
-    per scanned tuple, in a bytes (a list above 256 elements).  Each distinct
-    node, by identity, is one _step per call, and a constant is a column
-    too.  An unbound O or # raises OperatorNotBound here, also inside a
-    constant subformula."""
+    per scanned tuple, in one bytes.  Each distinct node, by identity, is
+    one _step per call, and a constant is a column too.  A chain above 16
+    elements, whose index pairs do not pack into a byte, raises ValueError,
+    and an unbound O or # OperatorNotBound, also inside a constant."""
     chain, steps = model.chain, []
+    if chain.size > 16:
+        raise ValueError(f"a column scan packs two indices into a byte: "
+                         f"{chain.size} elements, more than 16")
     tables = _kept(chain, "tables", lambda: {
-        t: _kernel_table(chain.size, getattr(chain, name))
-        for t, name in _INDEX_TABLES.items()})
+        t: _kernel_table(getattr(chain, attr))
+        for t, (_, attr) in _TABLES.items() if attr})
     result = _column_node(model, tables, {v: i for i, v in
                                           enumerate(var_order)}, {}, steps, f)
 
@@ -235,12 +250,10 @@ def _column_node(model, tables, pos, slots, steps, node) -> int:
         return pos[node.name]
     if id(node) in slots:
         return slots[id(node)]
-    n = model.chain.size
     if t is Const:
-        step = ((bytes if n <= 256 else list)([n - 1 if node.value else 0]),
-                None, None)
+        step = (bytes([model.chain.size - 1 if node.value else 0]), None, None)
     else:
-        tab = tables.get(t) or _kernel_table(n, _operator(model, t).indices)
+        tab = tables.get(t) or _kernel_table(_table(model, node)[1])
         if t is Not or t is Delta or t is Circ or t is Bullet:
             step = (tab, _column_node(model, tables, pos, slots, steps,
                                       node.arg), None)
@@ -251,11 +264,6 @@ def _column_node(model, tables, pos, slots, steps, node) -> int:
     steps.append(step)
     s = slots[id(node)] = len(pos) + len(steps) - 1
     return s
-
-
-# the fixed name a generated function reads each node type's table by
-_GENERATED = {And: "MEET", Or: "JOIN", Fuse: "FUSE", Imp: "RES", Iff: "IFF",
-              Not: "NEG", Delta: "DELTA", Circ: "CIRC", Bullet: "BULLET"}
 
 
 def generate_finite(model: ChainModel, f: Formula, var_order: Sequence[str]):
@@ -296,12 +304,8 @@ def _generated_node(model, pos, ns, lines, node):
             ns["TOP"] = model.chain.size - 1
         expr = "TOP" if node.value else "0"
     else:
-        name = _GENERATED.get(t)
-        if name is None:
-            raise TypeError(f"not a formula node: {node!r}")
-        if name not in ns:
-            ns[name] = (getattr(model.chain, _INDEX_TABLES[t])
-                        if t in _INDEX_TABLES else _operator(model, t).indices)
+        name, tab = _table(model, node)
+        ns[name] = tab
         if t is Not or t is Delta or t is Circ or t is Bullet:
             a = _generated_node(model, pos, ns, lines, node.arg)
             expr = f"{name}[{a}]"
@@ -419,16 +423,17 @@ def finite_scan(model: ChainModel, premises, conclusion, mode: str,
     mark, 0 < A and C < A, C the conclusion and A the premise side: the
     premises' meet P (_meet) in degree mode, D(P) in truth mode, and the
     top without premises, where a tuple fails if C is below the top.  The
-    conclusion is not read where A is the bottom.  On a finite chain a full
-    product below _GENERATE_FROM tuples is scanned a column at a time
-    (_column_scan); any other tuples, a larger product or a caller's, are
-    scanned one at a time by the functions generate_finite writes, so a
-    caller's scan stops at its first failing tuple.  Both give the same
-    result.
+    conclusion is not read where A is the bottom.  On a finite chain of at
+    most 16 elements a full product below _GENERATE_FROM tuples is scanned
+    a column at a time (_column_scan); any other tuples, a larger chain's
+    or product's or a caller's, are scanned one at a time by the functions
+    generate_finite writes, so a caller's scan stops at its first failing
+    tuple.  Both give the same result.
     """
     if model.chain.is_finite:
-        top, compile_, extra = model.chain.size - 1, generate_finite, ()
-        if envs is None and model.chain.size ** len(vars_) < _GENERATE_FROM:
+        n = model.chain.size
+        top, compile_, extra = n - 1, generate_finite, ()
+        if envs is None and n <= 16 and n ** len(vars_) < _GENERATE_FROM:
             compile_ = compile_finite
     else:
         top, compile_, extra = _ONE, compile_standard, (points,)
@@ -459,8 +464,10 @@ def finite_scan(model: ChainModel, premises, conclusion, mode: str,
 
 
 def _meet(formulas):
-    """The lattice conjunction of a nonempty list of formulas, folded as a
-    balanced tree: ceil(log2 k) levels deeper than the deepest of k."""
+    """The lattice conjunction of a nonempty list of formulas, each object
+    once (by identity: hashing a parsed formula walks it as a tree), folded
+    as a balanced tree: ceil(log2 k) levels deeper than the deepest of k."""
+    formulas = list({id(f): f for f in formulas}.values())
     if len(formulas) == 1:
         return formulas[0]
     half = len(formulas) // 2
@@ -476,12 +483,11 @@ def _column_scan(chain: FiniteChain, prem, concl, k: int):
     n, top = chain.size, chain.size - 1
     count, cols = n ** k, _kept(chain, k, lambda: _columns(k, n))
     # the premise side; the empty meet is the top
-    a = (prem(cols, count) if prem else
-         (bytes if n <= 256 else list)([top]) * count)
-    fails = _step(_kept(chain, "fails", lambda: _kernel_table(n, tuple([
+    a = prem(cols, count) if prem else bytes([top]) * count
+    fails = _step(_kept(chain, "fails", lambda: _kernel_table(tuple([
         tuple([0 < x and y < x for y in range(n)]) for x in range(n)]))),
         a, concl(cols, count))
-    j = bytes(fails).find(1)
+    j = fails.find(1)
     if j < 0:
         return None, count, None
     return tuple([col[j] for col in cols]), j + 1, a[j]
@@ -489,7 +495,7 @@ def _column_scan(chain: FiniteChain, prem, concl, k: int):
 
 def _columns(k: int, n: int) -> list:
     """The k columns of the full product of n indices over k variables."""
-    flat = (bytes if n <= 256 else list)(itertools.chain.from_iterable(
+    flat = bytes(itertools.chain.from_iterable(
         itertools.product(range(n), repeat=k)))
     return [flat[i::k] for i in range(k)]
 

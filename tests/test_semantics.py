@@ -726,9 +726,10 @@ class TestFiniteScan:
     @pytest.mark.parametrize("mode", ["truth", "degree"])
     def test_many_premises(self, chains, monkeypatch, chain_name, goal,
                            path, mode):
-        # 5 000 premises are one meet ceil(log2 5000) = 13 levels deeper
-        # than a premise, not 5 000, on each path: a column at a time, one
-        # generated function over W15's 4 096 tuples, and a standard grid
+        # 5 000 premises, distinct objects, are one meet ceil(log2 5000) =
+        # 13 levels deeper than a premise, not 5 000, on each path: a column
+        # at a time, one generated function over W15's 4 096 tuples, and a
+        # standard grid
         chain = chains[chain_name]
         model = ChainModel(chain_name, chain)
         compiled = []
@@ -739,9 +740,34 @@ class TestFiniteScan:
         names = sorted(variables(goal))
         points = None if chain.is_finite else chain.sample_points(6)
         count = len(points or chain.elements) ** len(names)
-        assert finite_scan(model, [Var("p")] * 5000, goal, mode, names,
+        premises = [Var("p") for _ in range(5000)]
+        assert finite_scan(model, premises, goal, mode, names,
                            points=points) == (None, count, None)
         assert depth(compiled[0]) == 14 + (mode == "truth")
+
+    @pytest.mark.parametrize("chain_name, path", [
+        ("L3", "compile_finite"), ("W15", "generate_finite")])
+    @pytest.mark.parametrize("goal", ["p \\/ (q & r)", "q -> (p & r)"])
+    @pytest.mark.parametrize("mode", ["truth", "degree"])
+    def test_a_repeated_premise_object_is_met_once(
+            self, chains, monkeypatch, chain_name, path, goal, mode):
+        # the meet is idempotent: references to one deep premise object
+        # compile as that premise alone, a column at a time on L3 and one
+        # generated function over W15's 4 096 tuples, and scan as it does
+        chain = chains[chain_name]
+        model = ChainModel(chain_name, chain)
+        compiled = []
+        monkeypatch.setattr(semantics, path,
+                            lambda *args, fn=getattr(semantics, path):
+                            compiled.append(args[1]) or fn(*args))
+        premise = parse("p" + " & p" * 30)
+        goal = parse(goal)
+        names = ["p", "q", "r"]
+        once = finite_scan(model, [premise], goal, mode, names)
+        compiled.clear()
+        assert finite_scan(model, [premise] * 500, goal, mode, names) == once
+        side = compiled[0].arg if mode == "truth" else compiled[0]
+        assert side is premise
 
     @pytest.mark.parametrize("seed", range(4))
     def test_classical_taut_matches_its_loop(self, seed):
@@ -811,8 +837,7 @@ _COMPILERS = (compile_closures, generate_finite)
 def _column(model, f, names, envs):
     """compile_finite's column of f over the index tuples envs, as a
     list."""
-    out = bytes if model.chain.size <= 256 else list
-    cols = [out([env[i] for env in envs]) for i in range(len(names))]
+    cols = [bytes([env[i] for env in envs]) for i in range(len(names))]
     return list(compile_finite(model, f, names)(cols, len(envs)))
 
 
@@ -935,9 +960,8 @@ class TestCompiledEvaluation:
 # ---------------------------------------------------------------------------
 # The finite scan against the per-tuple reference closures and the Fraction
 # tree walk: full products (a column at a time) and tuples a caller passes
-# (generate_finite), on every built-in finite chain, a 17-element chain
-# (binary steps map over row tables) and a 257-element one (columns are
-# lists)
+# (generate_finite), on every built-in finite chain, and on a 17-element and
+# a 257-element chain, whose full products are generated too
 
 @pytest.fixture(scope="module")
 def scan_chains(chains):
@@ -1014,6 +1038,7 @@ class TestColumnScan:
     @settings(max_examples=30, deadline=None)
     def test_lists_above_256_elements(self, scan_chains, premises,
                                       conclusion, kind, mode, data):
+        # every tuple stream of a 257-element chain is generated
         model = _scan_model(scan_chains, "G257", kind)
         names = sorted(variables(conclusion, *premises))
         for envs in (None, _envs(data, 257, len(names))):
@@ -1034,8 +1059,9 @@ class TestColumnScan:
     @pytest.mark.parametrize("mode", ["truth", "degree"])
     def test_a_caller_generator_is_read_up_to_the_failing_tuple(
             self, scan_chains, monkeypatch, chain_name, mode):
-        # a full product below _GENERATE_FROM tuples is scanned a column at
-        # a time, and tuples from a caller's generator one at a time by
+        # a full product below _GENERATE_FROM tuples on a chain of at most
+        # 16 elements is scanned a column at a time, and a larger chain's
+        # product and tuples from a caller's generator one at a time by
         # generate_finite, which takes no tuple past the first failing one
         model = _scan_model(scan_chains, chain_name, "max")
         n = model.chain.size
@@ -1062,7 +1088,8 @@ class TestColumnScan:
             product = list(itertools.product(range(n), repeat=len(names)))
             compiled.clear()
             full = finite_scan(model, premises, conclusion, mode, names)
-            assert set(compiled) == {"compile_finite"}
+            assert set(compiled) == {"compile_finite" if n <= 16
+                                     else "generate_finite"}
             for tuples in (product, rng.choices(product, k=40)):
                 compiled.clear()
                 taken.clear()
@@ -1074,6 +1101,36 @@ class TestColumnScan:
                 assert len(taken) == got[1]
                 if tuples is product:
                     assert got == full
+
+    @pytest.mark.parametrize("bound", [False, True])
+    def test_a_node_that_is_not_a_formula_raises_on_every_path(
+            self, chains, bound):
+        # a column scan (L3), a generated function over W15's 4 096 tuples
+        # and a standard grid (LG), with O and # bound or not
+        errors = set()
+        for chain_name in ("L3", "W15", "LG"):
+            chain = chains[chain_name]
+            model = (ChainModel(chain_name, chain, max_op(chain),
+                                dual(max_op(chain))) if bound
+                     else ChainModel(chain_name, chain))
+            points = None if chain.is_finite else chain.sample_points(6)
+            for premises, conclusion in [([], Or(Var("p"), "q")),
+                                         ([And("r", Var("q"))], Var("p"))]:
+                for mode in ("truth", "degree"):
+                    with pytest.raises(TypeError) as caught:
+                        finite_scan(model, premises, conclusion, mode,
+                                    ["p", "q", "r"], points=points)
+                    errors.add(str(caught.value))
+        assert errors == {"not a formula node: 'q'",
+                          "not a formula node: 'r'"}
+
+    @pytest.mark.parametrize("chain_name", ["G17", "G257"])
+    def test_compile_finite_refuses_a_chain_above_16_elements(
+            self, scan_chains, chain_name):
+        # two indices of a larger chain do not pack into one byte
+        model = _scan_model(scan_chains, chain_name, None)
+        with pytest.raises(ValueError, match="more than 16"):
+            compile_finite(model, parse("p -> q"), ["p", "q"])
 
     @pytest.mark.parametrize("chain_name", ["L3", "G17", "G257"])
     @pytest.mark.parametrize("mode", ["truth", "degree"])
