@@ -55,8 +55,8 @@ __all__ = [
     "BadGridDenominator", "LUKASIEWICZ", "GODEL", "PRODUCT",
     "Component", "NSet", "FiniteChain", "StandardChain", "Chain",
     "validate_mtl_laws", "law_violations", "is_filter",
-    "upward_filter", "quotient_by_filter", "parse_chain_file",
-    "builtin_chains",
+    "upward_filter", "quotient_by_filter", "read_spec", "spec_kind",
+    "parse_chain_file", "builtin_chains",
 ]
 
 Rat = Fraction
@@ -761,10 +761,88 @@ def quotient_by_filter(chain: FiniteChain, filter_elements: Iterable):
 
 
 # ---------------------------------------------------------------------------
-# Chain spec files
+# Chain, operator and proof files
 
 def _parse_rationals(text: str) -> list:
+    """Exact rationals separated by commas or spaces."""
     return [rat(tok) for tok in text.replace(",", " ").split()]
+
+
+def _spec_lines(text: str) -> list:
+    return [ln for ln in map(str.strip, text.splitlines())
+            if ln and not ln.startswith("#")]
+
+
+def spec_kind(text: str) -> str:
+    """The first word of a file's header, its kind ('' for no header)."""
+    lines = _spec_lines(text)
+    return lines[0].split(None, 1)[0] if lines else ""
+
+
+def read_spec(text: str, form: str, noun: str, error, keys=None, rows=""):
+    """Read a chain, operator or proof file: (fields, read).
+
+    Blank and '#' lines are skipped.  The first line left must be the
+    header, form with its <fields> filled in; no later line may start with
+    its word.  A proof (keys None) reads its other lines as they are.  Else
+    read maps each 'key: value' line's key to keys[key](value), converted in
+    file order so that the first bad line is the one reported (keys[word]
+    converts the fields first).  Lines without a colon after the rows key
+    extend its list by keys[rows](line); elsewhere they are malformed, or,
+    with no rows key, keys with an empty value.  A repeated or unknown key
+    raises error, with noun naming the file.
+    """
+    lines = _spec_lines(text)
+    word, _, blanks = form.partition(" ")
+    head = word + " "
+    if not lines or not lines[0].startswith(head):
+        raise error(f"{noun} must start with {form!r}")
+    rest = lines[0][len(head):].strip()
+    sep = blanks.split(">", 1)[1].split("<", 1)[0]  # ' on ' between blanks
+    fields = tuple(f.strip() for f in rest.partition(sep)[::2]) if sep else (rest,)
+    if keys is None:
+        if any(ln.startswith(head) for ln in lines[1:]):
+            raise error(f"repeated {noun} key {word!r}")
+        return fields, lines[1:]
+    if word in keys:
+        fields = keys[word](*fields)
+    read: dict = {}
+    key = word
+    for ln in lines[1:]:
+        if ln.startswith(head):
+            key = word
+        elif ":" in ln or not rows:
+            key, _, value = ln.partition(":")
+            key, value = key.strip(), value.strip()
+        elif key == rows:
+            read[rows] += keys[rows](ln)
+            continue
+        else:
+            raise error(f"malformed {noun} line: {ln!r}")
+        if key == word or key in read:
+            raise error(f"repeated {noun} key {key!r}")
+        if key not in keys:
+            raise error(f"unknown {noun} key {key!r}")
+        read[key] = keys[key](value)
+    return fields, read
+
+
+def _size(value: str) -> int:
+    if not value.isdecimal():
+        raise ChainSpecError(f"size must be a natural number, not {value!r}")
+    return int(value)
+
+
+def _components(value: str) -> list:
+    components = []
+    for part in filter(None, map(str.strip, value.split(";"))):
+        fields = part.split()
+        if len(fields) != 3:
+            raise ChainSpecError(f"a component is '<family> <lo> <hi>', "
+                                 f"not {part!r}")
+        fam, lo, hi = fields
+        components.append((fam, rat(lo), rat(hi)))
+    return components
 
 
 def parse_chain_file(text: str):
@@ -775,76 +853,29 @@ def parse_chain_file(text: str):
     or 'components: <family> <lo> <hi>; ...'.  A repeated key, or one the
     chosen form does not read, is an error.
     """
-    name = ""
-    kind = ""
-    family = ""
-    size = 0
-    negation = None
-    components = None
-    table_rows = None
-    seen = set()
-    key = ""
-    for ln in (ln.strip() for ln in text.splitlines()):
-        if not ln or ln.startswith("#"):
-            continue
-        if ln.startswith("chain "):
-            key, value = "chain", ln[len("chain "):].strip()
-        elif ":" in ln:
-            key, _, value = ln.partition(":")
-            key, value = key.strip(), value.strip()
-        elif key == "table":  # a row, up to the next key line
-            table_rows.append(_parse_rationals(ln))
-            continue
-        else:
-            raise ChainSpecError(f"malformed chain file line: {ln!r}")
-        if key in seen:
-            raise ChainSpecError(f"repeated chain file key {key!r}")
-        seen.add(key)
-        if key == "chain":
-            name = value
-        elif key == "kind":
-            kind = value
-        elif key == "family":
-            family = value
-        elif key == "size":
-            if not value.isdecimal():
-                raise ChainSpecError(f"size must be a natural number, not {value!r}")
-            size = int(value)
-        elif key == "negation":
-            negation = _parse_rationals(value)
-        elif key == "components":
-            components = []
-            for part in value.split(";"):
-                part = part.strip()
-                if not part:
-                    continue
-                fields = part.split()
-                if len(fields) != 3:
-                    raise ChainSpecError(f"a component is '<family> <lo> <hi>', "
-                                         f"not {part!r}")
-                fam, lo, hi = fields
-                components.append((fam, rat(lo), rat(hi)))
-        elif key == "table":
-            table_rows = [_parse_rationals(value)] if value else []
-        else:
-            raise ChainSpecError(f"unknown chain file key {key!r}")
-    if not name:
-        raise ChainSpecError("chain file must start with 'chain <name>'")
+    (name,), read = read_spec(
+        text, "chain <name>", "chain file", ChainSpecError,
+        {"kind": str, "family": str, "size": _size, "components": _components,
+         "negation": _parse_rationals,
+         "table": lambda row: [_parse_rationals(row)] if row else []},
+        rows="table")
+    kind = read.get("kind")
     if kind == "standard":
-        if not components:
+        if not read.get("components"):
             raise ChainSpecError("standard chains need a components line")
-        form, chain = ("components",), StandardChain(components, name=name)
+        form, chain = ("components",), StandardChain(read["components"], name=name)
     elif kind != "finite":
         raise ChainSpecError("kind must be finite or standard")
-    elif negation is not None:
-        form, chain = ("negation",), FiniteChain.from_negation(negation, name=name)
-    elif table_rows is not None:
-        form, chain = ("table",), FiniteChain.from_values_table(table_rows, name=name)
-    elif family and size:
-        form, chain = ("family", "size"), FiniteChain.from_family(family, size, name=name)
+    elif "negation" in read:
+        form, chain = ("negation",), FiniteChain.from_negation(read["negation"], name=name)
+    elif "table" in read:
+        form, chain = ("table",), FiniteChain.from_values_table(read["table"], name=name)
+    elif read.get("family") and read.get("size"):
+        form, chain = ("family", "size"), FiniteChain.from_family(
+            read["family"], read["size"], name=name)
     else:
         raise ChainSpecError("finite chains need family+size, a table or a negation")
-    unread = sorted(seen - {"chain", "kind", *form})
+    unread = sorted(set(read) - {"kind", *form})
     if unread:
         raise ChainSpecError(f"chain file key {unread[0]!r} is not read "
                              f"beside {' and '.join(map(repr, form))}")

@@ -22,7 +22,8 @@ import sys
 
 from . import InputError
 from .chain import (NotAFilter, _grid_denominator, builtin_chains,
-                    parse_chain_file, quotient_by_filter, rat, upward_filter)
+                    parse_chain_file, quotient_by_filter, rat, spec_kind,
+                    upward_filter)
 
 # Only the chain module loads with this one, since every Workspace holds the
 # built-in chains; each command imports the rest of what it uses when it
@@ -53,8 +54,7 @@ class Workspace:
 
     def load(self, path: str) -> None:
         text = _read(path)
-        head = text.lstrip().split(None, 1)
-        kind = head[0] if head else ""
+        kind = spec_kind(text)
         if kind == "chain":
             name, chain = parse_chain_file(text)
             self.chains[name] = chain

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from . import InputError
+from .chain import read_spec
 from .formula import Formula, Imp, Schema, match_schema, normalize, parse
 from .profiles import (LogicProfile, REGISTERED_THEOREMS, Rule, load_profile)
 from .semantics import (ChainModel, OperatorNotBound, degree_consequence,
@@ -79,18 +80,11 @@ def parse_proof(text: str) -> ProofScript:
     'n. <formula> | axiom <id> | premise <k> | mp <i> <j> |
     rule <id> <refs...> | thm <name>'.
     """
-    name = ""
-    profile_name = ""
+    form = "proof <name> in <profile>"
+    (name, profile_name), body = read_spec(text, form, "proof file",
+                                           ProofSyntaxError)
     lines = []
-    for raw in text.splitlines():
-        raw = raw.strip()
-        if not raw or raw.startswith("#"):
-            continue
-        if raw.startswith("proof "):
-            rest = raw[len("proof "):]
-            name, _, profile_name = rest.partition(" in ")
-            name, profile_name = name.strip(), profile_name.strip()
-            continue
+    for raw in body:
         head, dot, rest = raw.partition(".")
         if not dot or not head.strip().isdecimal():
             raise ProofSyntaxError(f"malformed proof line: {raw!r}")
@@ -120,7 +114,7 @@ def parse_proof(text: str) -> ProofScript:
                                    f"{just_text.strip()!r}")
         lines.append(ProofLine(number, formula, just))
     if not profile_name:
-        raise ProofSyntaxError("proof file must start with 'proof <name> in <profile>'")
+        raise ProofSyntaxError(f"proof file must start with {form!r}")
     return ProofScript(name, profile_name, lines)
 
 

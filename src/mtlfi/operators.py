@@ -23,7 +23,8 @@ from math import comb
 from typing import NamedTuple, Optional, Sequence
 
 from . import InputError
-from .chain import FiniteChain, OutOfCarrier, _grid_index, rat
+from .chain import (FiniteChain, OutOfCarrier, _grid_index, _parse_rationals,
+                    rat, read_spec)
 
 __all__ = [
     "OperatorError", "HostMismatch", "ThresholdOutsideN", "BreakpointOutsideN",
@@ -508,8 +509,21 @@ def op_from_spec(chain, spec: str) -> ConsistencyOp:
     raise OperatorSpecError(f"unknown operator spec {spec!r}")
 
 
-_FLAGS = {"true": True, "yes": True, "1": True,
-          "false": False, "no": False, "0": False}
+def _flag(value: str) -> bool:
+    flag = {"true": True, "yes": True, "1": True,
+            "false": False, "no": False, "0": False}.get(value.lower())
+    if flag is None:
+        raise OperatorSpecError(
+            f"closed must be true/yes/1 or false/no/0, not {value!r}")
+    return flag
+
+
+def _breakpoints(value: str) -> list:
+    bps = []
+    for part in filter(None, map(str.strip, value.split(","))):
+        x, _, v = part.partition("=")
+        bps.append((rat(x.strip()), rat(v.strip())))
+    return bps
 
 
 def parse_op_file(text: str, chains: dict):
@@ -519,60 +533,22 @@ def parse_op_file(text: str, chains: dict):
     interpolation) | table (values).  A repeated key, or one the kind does
     not read, is an error.  Returns (name, operator).
     """
-    name = ""
-    host = None
-    kind = ""
-    params: dict = {}
-    seen = set()
-    for ln in text.splitlines():
-        ln = ln.strip()
-        if not ln or ln.startswith("#"):
-            continue
-        if ln.startswith("op "):
-            key, value = "op", ln[3:].strip()
-        else:
-            key, _, value = ln.partition(":")
-            key, value = key.strip(), value.strip()
-        if key in seen:
-            raise OperatorSpecError(f"repeated operator file key {key!r}")
-        seen.add(key)
-        if key == "op":
-            name, _, chain_name = value.partition(" on ")
-            name, chain_name = name.strip(), chain_name.strip()
-            if chain_name not in chains:
-                raise OperatorSpecError(f"unknown chain {chain_name!r}")
-            host = chains[chain_name]
-        elif key == "kind":
-            kind = value
-        elif key == "threshold":
-            params["threshold"] = rat(value)
-        elif key == "closed":
-            flag = _FLAGS.get(value.lower())
-            if flag is None:
-                raise OperatorSpecError(
-                    f"closed must be true/yes/1 or false/no/0, not {value!r}")
-            params["closed"] = flag
-        elif key == "interpolation":
-            params["interpolation"] = value
-        elif key == "breakpoints":
-            bps = []
-            for part in value.split(","):
-                part = part.strip()
-                if not part:
-                    continue
-                x, _, v = part.partition("=")
-                bps.append((rat(x.strip()), rat(v.strip())))
-            params["breakpoints"] = bps
-        elif key == "values":
-            params["values"] = [rat(tok) for tok in value.split()]
-        else:
-            raise OperatorSpecError(f"unknown operator file key {key!r}")
-    if host is None:
-        raise OperatorSpecError("operator file must start with 'op <name> on <chain>'")
-    # the keys each kind reads, the one it needs first
-    reads = {"min": (), "max": (), "crisp": ("threshold", "closed"),
-             "piecewise": ("breakpoints", "interpolation"),
-             "table": ("values",)}.get(kind)
+    def header(name, chain_name):
+        if chain_name not in chains:
+            raise OperatorSpecError(f"unknown chain {chain_name!r}")
+        return name, chains[chain_name]
+
+    (name, host), params = read_spec(
+        text, "op <name> on <chain>", "operator file", OperatorSpecError,
+        {"op": header, "kind": str, "threshold": rat, "closed": _flag,
+         "interpolation": str, "breakpoints": _breakpoints,
+         "values": _parse_rationals})
+    kind = params.pop("kind", "")
+    # each kind's constructor and the keys it reads, the one it needs first
+    make, reads = {"min": (min_op, ()), "max": (max_op, ()),
+                   "crisp": (crisp_op, ("threshold", "closed")),
+                   "piecewise": (piecewise_op, ("breakpoints", "interpolation")),
+                   "table": (table_op, ("values",))}.get(kind, (None, None))
     if reads is None:
         raise OperatorSpecError(f"unknown operator kind {kind!r}")
     if reads and reads[0] not in params:
@@ -581,16 +557,6 @@ def parse_op_file(text: str, chains: dict):
     if unread:
         raise OperatorSpecError(f"operator file key {unread[0]!r} is not "
                                 f"read by {kind} operators")
-    if kind == "min":
-        op = min_op(host)
-    elif kind == "max":
-        op = max_op(host)
-    elif kind == "crisp":
-        op = crisp_op(host, params["threshold"], params.get("closed", True))
-    elif kind == "piecewise":
-        op = piecewise_op(host, params["breakpoints"],
-                          params.get("interpolation", "linear"))
-    else:
-        op = table_op(host, params["values"])
+    op = make(host, **params)
     op.name = name or op.name
     return name, op

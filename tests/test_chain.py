@@ -802,6 +802,11 @@ class TestChainFiles:
          "repeated chain file key 'chain'"),
         ("chain a\nkind: finite\nkind: standard\ncomponents: godel 0 1\n",
          "repeated chain file key 'kind'"),
+        # the header first and once: a late one used to name the chain
+        ("kind: finite\nfamily: godel\nsize: 4\nchain late\n",
+         "chain file must start with 'chain <name>'"),
+        ("# c\nchain: c\nkind: finite\nfamily: godel\nsize: 4\n",
+         "chain file must start with 'chain <name>'"),
     ])
     def test_dropped_input_is_an_error(self, text, message):
         with pytest.raises(ChainSpecError) as info:

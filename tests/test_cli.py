@@ -439,6 +439,25 @@ class TestLoading:
                            "--assign", "p=3/5", "O p -> (p \\/ ~p) & (p \\/ ~p)")
         assert code == 0 and out.strip() == "9/10"
 
+    @pytest.mark.parametrize("text, argv, expected", [
+        ("chain c4\nkind: finite\nfamily: godel\nsize: 4\n",
+         ("taut", "--chain", "c4", "p -> p"), "verdict: holds\nchecked: 4\n"),
+        ("op t on L3\nkind: table\nvalues: 1 0 1\n",
+         ("validate-op", "--chain", "L3", "--op", "t"),
+         "verdict: valid\nequational verdict: valid\ndual verdict: valid\n"),
+        ("proof a in MTL\n1. p -> p | thm imp-id\n", ("prove", "a"),
+         "ok: a proves p -> p from premises []\n"),
+    ])
+    def test_file_may_start_with_a_comment(self, capsys, tmp_path, text,
+                                           argv, expected):
+        # the kind used to be the first word of the text: '#', exit 3
+        path = tmp_path / "file"
+        for head in ("", "# c\n", "\n# c\n\n"):
+            path.write_text(head + text)
+            command, *rest = argv
+            code, out, err = run(capsys, command, "--load", str(path), *rest)
+            assert (code, out, err) == (0, expected, "")
+
     @pytest.mark.parametrize("flag, value", [
         ("true", "1"), ("Yes", "1"), ("1", "1"),
         ("false", "0"), ("NO", "0"), ("0", "0")])

@@ -4,9 +4,10 @@ import time
 import pytest
 
 from mtlfi.formula import to_bullet_language, to_circ_language
-from mtlfi.hilbert import (ChainProfileMismatch, SoundnessReport,
-                           axiom_holds_on, parse_proof, rule_sound_on,
-                           soundness_bridge, validate_pairing, verify_proof)
+from mtlfi.hilbert import (ChainProfileMismatch, ProofSyntaxError,
+                           SoundnessReport, axiom_holds_on, parse_proof,
+                           rule_sound_on, soundness_bridge, validate_pairing,
+                           verify_proof)
 from mtlfi.operators import dual, enumerate_ops, max_op, min_op
 from mtlfi.profiles import (BASES, REGISTERED_THEOREMS, UnknownProfile,
                             load_profile, profile_names)
@@ -316,6 +317,24 @@ class TestParseProofErrors:
     def test_bad_line_number(self):
         with pytest.raises(ValueError):
             parse_proof("proof x in MTL\nfirst. p | premise 1\n")
+
+    @pytest.mark.parametrize("text, message", [
+        # a second header used to rename the script and change its profile
+        ("proof a in MTL\n1. p -> p | thm imp-id\nproof b in G\n",
+         "repeated proof file key 'proof'"),
+        # and a late one to name it
+        ("1. p -> p | thm imp-id\nproof a in MTL\nproof b in G\n",
+         "proof file must start with 'proof <name> in <profile>'"),
+        ("1. p -> p | thm imp-id\nproof a in MTL\n",
+         "proof file must start with 'proof <name> in <profile>'"),
+        # a header without a name used to name the script ''
+        ("proof  in MTL\n1. p -> p | thm imp-id\n",
+         "proof file must start with 'proof <name> in <profile>'"),
+    ])
+    def test_header_first_and_once(self, text, message):
+        with pytest.raises(ProofSyntaxError) as info:
+            parse_proof(text)
+        assert str(info.value) == message
 
 
 class TestSoundnessBridge:

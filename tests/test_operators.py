@@ -918,6 +918,14 @@ class TestOpFiles:
             "op t on L3\nkind: table\nvalues: 1 0 1\n", chains)
         assert validate_c(chains["L3"], op).valid
 
+    @pytest.mark.parametrize("values", ["1, 0, 1", "1,0,1", "1 0, 1"])
+    def test_values_by_commas(self, chains, values):
+        # the rule of a chain file's negation: line; commas used to fail
+        # with "not an exact rational: '1,'"
+        _, op = parse_op_file(f"op t on L3\nkind: table\nvalues: {values}\n",
+                              chains)
+        assert op.indices == (2, 0, 2)
+
     def test_unknown_chain(self, chains):
         with pytest.raises(ValueError):
             parse_op_file("op x on NOPE\nkind: min\n", chains)
@@ -937,6 +945,9 @@ class TestOpFiles:
          "repeated operator file key 'closed'"),
         ("op o on LP\nop p on LG\nkind: max\n",
          "repeated operator file key 'op'"),
+        # the header first: a late one used to be read
+        ("kind: max\nop o on LP\n",
+         "operator file must start with 'op <name> on <chain>'"),
     ])
     def test_dropped_input_is_an_error(self, chains, text, message):
         with pytest.raises(OperatorSpecError) as info:
