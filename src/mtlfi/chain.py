@@ -788,9 +788,8 @@ def read_spec(text: str, form: str, noun: str, error, keys=None, rows=""):
     read maps each 'key: value' line's key to keys[key](value), converted in
     file order so that the first bad line is the one reported (keys[word]
     converts the fields first).  Lines without a colon after the rows key
-    extend its list by keys[rows](line); elsewhere they are malformed, or,
-    with no rows key, keys with an empty value.  A repeated or unknown key
-    raises error, with noun naming the file.
+    extend its list by keys[rows](line); elsewhere they are malformed.  A
+    repeated or unknown key raises error, with noun naming the file.
     """
     lines = _spec_lines(text)
     word, _, blanks = form.partition(" ")
@@ -811,7 +810,7 @@ def read_spec(text: str, form: str, noun: str, error, keys=None, rows=""):
     for ln in lines[1:]:
         if ln.startswith(head):
             key = word
-        elif ":" in ln or not rows:
+        elif ":" in ln:
             key, _, value = ln.partition(":")
             key, value = key.strip(), value.strip()
         elif key == rows:

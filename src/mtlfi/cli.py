@@ -57,6 +57,8 @@ class Workspace:
         kind = spec_kind(text)
         if kind == "chain":
             name, chain = parse_chain_file(text)
+            if name in self.chains:  # an operator may live on the first
+                raise UsageError(f"{path}: chain {name!r} is already defined")
             self.chains[name] = chain
         elif kind == "op":
             from .operators import parse_op_file

@@ -17,11 +17,11 @@ so.  The formulas are compiled once, with no folding, and an unbound O or
 elements compile_finite computes a formula's column, its index at every
 tuple, with one bytes.translate per connective, two indices packed into a
 byte, for a full product below _GENERATE_FROM tuples.  Any other tuples, a
-larger chain's or product's or a caller's such as the sampler's, are
-scanned a tuple at a time, by one straight-line function per formula that
-generate_finite writes from fixed names and integer positions only.  Both
-finite compilers read each connective's table through one map, _TABLES.
-A standard chain's formulas are closures (compile_standard).  The tuples
+larger chain's or product's, a standard chain's or a caller's such as the
+sampler's, are scanned a tuple at a time, by one straight-line function per
+formula that generate writes from fixed names and integer positions only:
+index tables on a finite chain, the exact operations on a standard one.
+Both compilers find each connective through one map, _TABLES.  The tuples
 are every combination up to the variable cap of the chain's kind
 (FINITE_VAR_CAP or STANDARD_VAR_CAP), and above the cap SAMPLING_BUDGET
 draws from one seeded sampler.
@@ -67,7 +67,7 @@ FINITE_VAR_CAP = 6
 STANDARD_VAR_CAP = 4
 SAMPLING_BUDGET = 20000
 # the fewest tuples of a full finite product that finite_scan scans a tuple
-# at a time with generate_finite, not a column at a time; set where code
+# at a time with generate, not a column at a time; set where code
 # generation paid off against the per-tuple closures the columns replaced
 _GENERATE_FROM = 2048
 
@@ -169,24 +169,33 @@ def evaluate(ev: Evaluation, f: Formula) -> Fraction:
 # ---------------------------------------------------------------------------
 # Compiled evaluation over columns of index tuples (for the search loop)
 
-# each node type's fixed name in a generated function, and the FiniteChain
-# attribute holding its index table (None: the bound O or #'s indices)
-_TABLES = {And: ("MEET", "_meet_i"), Or: ("JOIN", "_join_i"),
-           Fuse: ("FUSE", "_tnorm_i"), Imp: ("RES", "_res_i"),
-           Iff: ("IFF", "_iff_i"), Not: ("NEG", "_neg_i"),
-           Delta: ("DELTA", "_delta_i"), Circ: ("CIRC", None),
-           Bullet: ("BULLET", None)}
+# each node type's fixed name in a generated function, the FiniteChain
+# attribute holding its index table, and its operation on a standard chain:
+# a builtin or a StandardChain attribute (None: the bound O or #'s indices
+# or value; <-> reads the residuum both ways)
+_TABLES = {And: ("MEET", "_meet_i", min), Or: ("JOIN", "_join_i", max),
+           Fuse: ("FUSE", "_tnorm_i", "tnorm"),
+           Imp: ("RES", "_res_i", "residuum"),
+           Iff: ("IFF", "_iff_i", "residuum"),
+           Not: ("NEG", "_neg_i", "negation"),
+           Delta: ("DELTA", "_delta_i", "delta"), Circ: ("CIRC", None, None),
+           Bullet: ("BULLET", None, None)}
 
 
 def _table(model, node):
-    """node's fixed name and index table on model's finite chain, for both
-    finite compilers: TypeError for a node that is not a formula, and
-    OperatorNotBound for an unbound O or #."""
+    """node's fixed name, and its index table on model's finite chain or its
+    operation on a standard one, for both compilers: TypeError for a node
+    that is not a formula, and OperatorNotBound for an unbound O or #."""
     if type(node) not in _TABLES:
         raise TypeError(f"not a formula node: {node!r}")
-    name, attr = _TABLES[type(node)]
-    return name, (getattr(model.chain, attr) if attr
-                  else _operator(model, type(node)).indices)
+    name, attr, op = _TABLES[type(node)]
+    chain = model.chain
+    if attr is None:
+        op = _operator(model, type(node))
+        return name, op.indices if chain.is_finite else op.value
+    if chain.is_finite:
+        return name, getattr(chain, attr)
+    return name, getattr(chain, op) if type(op) is str else op
 
 
 def _kernel_table(rows):
@@ -228,7 +237,7 @@ def compile_finite(model: ChainModel, f: Formula, var_order: Sequence[str]):
                          f"{chain.size} elements, more than 16")
     tables = _kept(chain, "tables", lambda: {
         t: _kernel_table(getattr(chain, attr))
-        for t, (_, attr) in _TABLES.items() if attr})
+        for t, (_, attr, _) in _TABLES.items() if attr})
     result = _column_node(model, tables, {v: i for i, v in
                                           enumerate(var_order)}, {}, steps, f)
 
@@ -266,75 +275,80 @@ def _column_node(model, tables, pos, slots, steps, node) -> int:
     return s
 
 
-def generate_finite(model: ChainModel, f: Formula, var_order: Sequence[str]):
+def generate(model: ChainModel, f: Formula, var_order: Sequence[str],
+             points: Optional[Sequence[Fraction]] = None):
     """Compile a formula into one generated Python function mapping an
-    index tuple, of exactly len(var_order) indices, to an index.
+    index tuple, of exactly len(var_order) indices, to the formula's
+    element index on a finite chain, or to its exact value on a standard
+    chain, where an index names one of points.
 
     The function's source is straight-line: it unpacks the tuple into
     v0, v1, ..., assigns one temporary per node occurrence (such as t0 = v2
     or t3 = RES[t1][t2]) and returns the last.  It is written only from fixed
-    names (the chain's index tables, TOP for the top index, the bound O/#
-    element-index tables) and integer positions, so no variable name or
-    other input text reaches the source.  Those names are the function's
-    globals, and it holds no reference cycle.  An unbound O or # raises
-    OperatorNotBound here, also inside a constant subformula.
+    names and integer positions, so no variable name or other input text
+    reaches the source.  On a finite chain the names are the chain's index
+    tables and the bound O/# element-index tables; on a standard chain a
+    Var reads P[vk], a unary connective on a Var its _Table over points, and
+    any other connective is a call of min, max or the chain's exact
+    operation, as evaluate does it, with <-> the min of both residua and
+    a /\\ or & its left side where that is 0.  TOP and BOT are the top and
+    the bottom.  Those names are the function's globals, and it holds no
+    reference cycle.  An unbound O or # raises OperatorNotBound here, also
+    inside a constant subformula.
     """
     pos = {name: i for i, name in enumerate(var_order)}
-    ns, lines = {}, []
+    if model.chain.is_finite:
+        ns = {"TOP": model.chain.size - 1, "BOT": 0}
+    else:
+        ns = {"TOP": _ONE, "BOT": _ZERO, "P": points}
+    lines = []
     result = _generated_node(model, pos, ns, lines, f)
     if var_order:
         unpack = ", ".join(f"v{k}" for k in range(len(var_order)))
         lines.insert(0, f"{unpack}{',' if len(var_order) == 1 else ''} = e")
     body = "".join(f"    {line}\n" for line in lines)
     exec(compile(f"def f(e):\n{body}    return {result}\n",
-                 "<generate_finite>", "exec"), ns)
+                 "<generate>", "exec"), ns)
     return ns.pop("f")  # ns, its globals, no longer holds it: no cycle
 
 
 def _generated_node(model, pos, ns, lines, node):
-    """Append the lines computing node's index, one per node occurrence,
-    and return the temporary of the last: a Var reads v<k>, a constant 0 or
-    TOP, a connective its table at its children's temporaries.  ns collects
-    each name the lines read."""
-    t = type(node)
+    """Append the lines computing node's value, one per node occurrence,
+    and return the temporary of the last: a Var reads v<k> (P[v<k>] on a
+    standard chain), a constant TOP or BOT, a unary connective on a Var its
+    table at v<k>, and any other connective its table at, or its operation
+    on, its children's temporaries.  ns collects each name the lines read."""
+    t, finite = type(node), model.chain.is_finite
     if t is Var:
-        expr = f"v{pos[node.name]}"
+        expr = f"v{pos[node.name]}" if finite else f"P[v{pos[node.name]}]"
     elif t is Const:
-        if node.value:
-            ns["TOP"] = model.chain.size - 1
-        expr = "TOP" if node.value else "0"
+        expr = "TOP" if node.value else "BOT"
     else:
-        name, tab = _table(model, node)
-        ns[name] = tab
+        name, op = _table(model, node)
         if t is Not or t is Delta or t is Circ or t is Bullet:
-            a = _generated_node(model, pos, ns, lines, node.arg)
-            expr = f"{name}[{a}]"
+            if type(node.arg) is Var:
+                if not finite:  # filled as the scan first reads each point
+                    name = f"{name}_P"
+                    op = ns[name] if name in ns else _Table(op, ns["P"])
+                expr = f"{name}[v{pos[node.arg.name]}]"
+            else:
+                a = _generated_node(model, pos, ns, lines, node.arg)
+                expr = f"{name}[{a}]" if finite else f"{name}({a})"
         else:
             a = _generated_node(model, pos, ns, lines, node.left)
             b = _generated_node(model, pos, ns, lines, node.right)
-            expr = f"{name}[{a}][{b}]"
+            if finite:
+                expr = f"{name}[{a}][{b}]"
+            elif t is Iff:  # the min of both residua; op is the residuum
+                name, ns["MEET"] = "RES", min
+                expr = f"MEET(RES({a}, {b}), RES({b}, {a}))"
+            elif t is And or t is Fuse:  # 0 /\ y = 0 & y = 0
+                expr = f"{a} and {name}({a}, {b})"
+            else:
+                expr = f"{name}({a}, {b})"
+        ns[name] = op
     lines.append(f"t{len(lines)} = {expr}")
     return f"t{len(lines) - 1}"
-
-
-def compile_standard(model: ChainModel, f: Formula, var_order: Sequence[str],
-                     points: Sequence[Fraction]):
-    """Compile a formula on a standard chain into a closure mapping an index
-    tuple to the formula's exact value.
-
-    A Var reads points, and a unary connective on a Var its table over
-    points, which is filled as the scan first reads each point; any other
-    connective applies the chain's exact arithmetic (min, max, or the
-    bound O or #) to its children's values as evaluate does, and a /\\ or &
-    is 0 where its left side is.  An unbound O or # raises OperatorNotBound.
-    """
-    chain = model.chain
-    res = chain.residuum
-    ops = {And: min, Or: max, Fuse: chain.tnorm, Imp: res,
-           Iff: lambda x, y: min(res(x, y), res(y, x)),
-           Not: chain.negation, Delta: chain.delta}
-    pos = {name: i for i, name in enumerate(var_order)}
-    return _standard_node(model, ops, pos, {Var: points}, f)
 
 
 class _Table(dict):
@@ -348,36 +362,6 @@ class _Table(dict):
     def __missing__(self, i):
         v = self[i] = self.op(self.points[i])
         return v
-
-
-def _standard_node(model, ops, pos, tabs, node):
-    """The closure from env to node's value (module level, so that a
-    compiled formula holds no reference cycle)."""
-    t = type(node)
-    if t is Var:
-        k, points = pos[node.name], tabs[Var]
-        return lambda env: points[env[k]]
-    if t is Const:
-        v = _ONE if node.value else _ZERO
-        return lambda env: v
-    op = ops.get(t)
-    if op is None:
-        if t is not Circ and t is not Bullet:
-            raise TypeError(f"not a formula node: {node!r}")
-        op = ops[t] = _operator(model, t).value
-    if t is Not or t is Delta or t is Circ or t is Bullet:
-        if type(node.arg) is Var:
-            k, tab = pos[node.arg.name], tabs.get(t)
-            if tab is None:
-                tab = tabs[t] = _Table(op, tabs[Var])
-            return lambda env: tab[env[k]]
-        g = _standard_node(model, ops, pos, tabs, node.arg)
-        return lambda env: op(g(env))
-    l = _standard_node(model, ops, pos, tabs, node.left)
-    r = _standard_node(model, ops, pos, tabs, node.right)
-    if t is And or t is Fuse:  # 0 /\ y = 0 & y = 0: y is not evaluated
-        return lambda env: (x := l(env)) and op(x, r(env))
-    return lambda env: op(l(env), r(env))
 
 
 # ---------------------------------------------------------------------------
@@ -414,29 +398,29 @@ def finite_scan(model: ChainModel, premises, conclusion, mode: str,
     at the first countermodel; the one loop of every countermodel search.
 
     An index names an element of a finite chain or one of points on a
-    standard chain (compile_standard); envs defaults to every tuple of
-    those indices, in itertools.product order.  Returns (env, checked,
-    witness): the first failing tuple or None, the number of tuples looked
-    at, and in degree mode the least premise value at env, as an element
-    index or a value (else None).  Every formula is compiled first, so an
-    unbound O or # raises whatever envs holds.  Both modes test one failure
-    mark, 0 < A and C < A, C the conclusion and A the premise side: the
-    premises' meet P (_meet) in degree mode, D(P) in truth mode, and the
-    top without premises, where a tuple fails if C is below the top.  The
-    conclusion is not read where A is the bottom.  On a finite chain of at
-    most 16 elements a full product below _GENERATE_FROM tuples is scanned
-    a column at a time (_column_scan); any other tuples, a larger chain's
-    or product's or a caller's, are scanned one at a time by the functions
-    generate_finite writes, so a caller's scan stops at its first failing
-    tuple.  Both give the same result.
+    standard chain; envs defaults to every tuple of those indices, in
+    itertools.product order.  Returns (env, checked, witness): the first
+    failing tuple or None, the number of tuples looked at, and in degree
+    mode the least premise value at env, as an element index or a value
+    (else None).  Every formula is compiled first, so an unbound O or #
+    raises whatever envs holds.  Both modes test one failure mark,
+    0 < A and C < A, C the conclusion and A the premise side: the premises'
+    meet P (_meet) in degree mode, D(P) in truth mode, and the top without
+    premises, where a tuple fails if C is below the top.  The conclusion is
+    not read where A is the bottom.  On a finite chain of at most 16
+    elements a full product below _GENERATE_FROM tuples is scanned a column
+    at a time (_column_scan); any other tuples, a larger chain's or
+    product's, a standard chain's or a caller's, are scanned one at a time
+    by the functions generate writes, so a caller's scan stops at its first
+    failing tuple.  Both give the same result.
     """
-    if model.chain.is_finite:
-        n = model.chain.size
-        top, compile_, extra = n - 1, generate_finite, ()
-        if envs is None and n <= 16 and n ** len(vars_) < _GENERATE_FROM:
-            compile_ = compile_finite
-    else:
-        top, compile_, extra = _ONE, compile_standard, (points,)
+    chain = model.chain
+    n = chain.size if chain.is_finite else len(points)
+    top = n - 1 if chain.is_finite else _ONE
+    compile_, extra = generate, (points,)
+    if (envs is None and chain.is_finite and n <= 16
+            and n ** len(vars_) < _GENERATE_FROM):
+        compile_, extra = compile_finite, ()
     prem = None
     if premises:  # the premise side A
         side = _meet(premises)
@@ -445,10 +429,9 @@ def finite_scan(model: ChainModel, premises, conclusion, mode: str,
     concl_fn = compile_(model, conclusion, vars_, *extra)
     report = mode == "degree"  # A's value is reported as the witness
     if compile_ is compile_finite:
-        env, checked, a = _column_scan(model.chain, prem, concl_fn, len(vars_))
+        env, checked, a = _column_scan(chain, prem, concl_fn, len(vars_))
         return env, checked, a if report else None
     if envs is None:
-        n = model.chain.size if points is None else len(points)
         envs = itertools.product(range(n), repeat=len(vars_))
     checked = 0
     if prem is None:

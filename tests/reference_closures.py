@@ -1,17 +1,25 @@
-"""The per-tuple closure compiler that compile_finite replaced, kept as the
-differential oracle of the column scan.
+"""The per-tuple closure compilers that the column scan and the generated
+functions replaced, kept as their differential oracles.
 
 compile_closures(model, f, var_order) maps an index tuple to f's element
 index by one closure call per level of the formula; closure_scan is
 finite_scan's loop over those closures, one tuple at a time.
+compile_standard(model, f, var_order, points) maps an index tuple into a
+standard chain's points to f's exact value the same way, and takes
+generate's place in finite_scan when patched in for it.
 """
 
 import itertools
+from fractions import Fraction
 from functools import reduce
+from typing import Sequence
 
-from mtlfi.formula import (And, Bullet, Circ, Const, Delta, Fuse, Iff, Imp,
-                           Not, Or, Var)
-from mtlfi.semantics import OperatorNotBound
+from mtlfi.formula import (And, Bullet, Circ, Const, Delta, Formula, Fuse,
+                           Iff, Imp, Not, Or, Var)
+from mtlfi.semantics import ChainModel, OperatorNotBound, _operator
+
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 # the binary connectives; one on two Vars is a pair
 _PAIRS = frozenset((And, Or, Fuse, Imp, Iff))
@@ -117,3 +125,67 @@ def closure_scan(model, premises, conclusion, mode, vars_, envs=None):
             if a and a > concl(env):
                 return env, checked, a
     return None, checked, None
+
+
+def compile_standard(model: ChainModel, f: Formula, var_order: Sequence[str],
+                     points: Sequence[Fraction]):
+    """Compile a formula on a standard chain into a closure mapping an index
+    tuple to the formula's exact value.
+
+    A Var reads points, and a unary connective on a Var its table over
+    points, which is filled as the scan first reads each point; any other
+    connective applies the chain's exact arithmetic (min, max, or the
+    bound O or #) to its children's values as evaluate does, and a /\\ or &
+    is 0 where its left side is.  An unbound O or # raises OperatorNotBound.
+    """
+    chain = model.chain
+    res = chain.residuum
+    ops = {And: min, Or: max, Fuse: chain.tnorm, Imp: res,
+           Iff: lambda x, y: min(res(x, y), res(y, x)),
+           Not: chain.negation, Delta: chain.delta}
+    pos = {name: i for i, name in enumerate(var_order)}
+    return _standard_node(model, ops, pos, {Var: points}, f)
+
+
+class _Table(dict):
+    """op's value at each index into points, computed at its first read."""
+
+    __slots__ = ("op", "points")
+
+    def __init__(self, op, points):
+        self.op, self.points = op, points
+
+    def __missing__(self, i):
+        v = self[i] = self.op(self.points[i])
+        return v
+
+
+def _standard_node(model, ops, pos, tabs, node):
+    """The closure from env to node's value (module level, so that a
+    compiled formula holds no reference cycle)."""
+    t = type(node)
+    if t is Var:
+        k, points = pos[node.name], tabs[Var]
+        return lambda env: points[env[k]]
+    if t is Const:
+        v = _ONE if node.value else _ZERO
+        return lambda env: v
+    op = ops.get(t)
+    if op is None:
+        if t is not Circ and t is not Bullet:
+            raise TypeError(f"not a formula node: {node!r}")
+        op = ops[t] = _operator(model, t).value
+    if t is Not or t is Delta or t is Circ or t is Bullet:
+        if type(node.arg) is Var:
+            k, tab = pos[node.arg.name], tabs.get(t)
+            if tab is None:
+                tab = tabs[t] = _Table(op, tabs[Var])
+            return lambda env: tab[env[k]]
+        g = _standard_node(model, ops, pos, tabs, node.arg)
+        return lambda env: op(g(env))
+    l = _standard_node(model, ops, pos, tabs, node.left)
+    r = _standard_node(model, ops, pos, tabs, node.right)
+    if t is And or t is Fuse:  # 0 /\ y = 0 & y = 0: y is not evaluated
+        return lambda env: (x := l(env)) and op(x, r(env))
+    return lambda env: op(l(env), r(env))
+

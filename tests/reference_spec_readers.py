@@ -4,10 +4,10 @@ oracle of the chain, operator and proof file formats.
 parse_chain_file, parse_op_file and parse_proof are the three parsers as
 they were, each with its own comment, header and key rules; load is
 Workspace.load, which took a file's kind from the first word of its text.
-Outside three cases that the reader now refuses or reads differently (a
-comment before the header, a header that is not first or not alone, and
-commas in an operator's values: line) both must give equal results or the
-same error.
+Outside four cases that the reader now refuses or reads differently (a
+comment before the header, a header that is not first or not alone, commas
+in an operator's values: line, and an operator file's line without a
+colon) both must give equal results or the same error.
 """
 
 from mtlfi.chain import (ChainSpecError, FiniteChain, StandardChain, rat)

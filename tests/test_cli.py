@@ -439,6 +439,26 @@ class TestLoading:
                            "--assign", "p=3/5", "O p -> (p \\/ ~p) & (p \\/ ~p)")
         assert code == 0 and out.strip() == "9/10"
 
+    def test_a_chain_name_is_defined_once(self, capsys, tmp_path):
+        # a second chain of one name, built in or loaded, used to replace
+        # the first, and an operator loaded before it kept the first:
+        # "operator 't' lives on L3", naming the chain asked for
+        op_file = tmp_path / "t.op"
+        op_file.write_text("op t on L3\nkind: table\nvalues: 1 0 1\n")
+        l3 = tmp_path / "l3.chain"
+        l3.write_text("chain L3\nkind: finite\nfamily: godel\nsize: 3\n")
+        demo = tmp_path / "demo.chain"
+        demo.write_text("chain demo\nkind: finite\nfamily: godel\nsize: 3\n")
+        for loads, name, op in [((op_file, l3), "L3", "t"),
+                                ((l3,), "L3", "max"),
+                                ((demo, demo), "demo", "max")]:
+            argv = [arg for path in loads for arg in ("--load", str(path))]
+            code, out, err = run(capsys, "validate-op", *argv, "--chain",
+                                 name, "--op", op)
+            assert (code, out) == (3, "")
+            assert err == (f"error: {loads[-1]}: chain {name!r} is already "
+                           "defined\n")
+
     @pytest.mark.parametrize("text, argv, expected", [
         ("chain c4\nkind: finite\nfamily: godel\nsize: 4\n",
          ("taut", "--chain", "c4", "p -> p"), "verdict: holds\nchecked: 4\n"),

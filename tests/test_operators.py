@@ -948,6 +948,9 @@ class TestOpFiles:
         # the header first: a late one used to be read
         ("kind: max\nop o on LP\n",
          "operator file must start with 'op <name> on <chain>'"),
+        # a line without a colon, as in a chain file: it used to be a key
+        # with an empty value, here "unknown operator kind ''"
+        ("op t on L3\nkind\n", "malformed operator file line: 'kind'"),
     ])
     def test_dropped_input_is_an_error(self, chains, text, message):
         with pytest.raises(OperatorSpecError) as info:

@@ -12,18 +12,20 @@ from mtlfi.formula import (MAX_DEPTH, ONE, ZERO, And, Bullet, Circ, Delta,
                            Fuse, Iff, Imp, Not, Or, Var, depth, parse,
                            variables)
 from mtlfi.operators import (ConsistencyOp, crisp_op, dual, enumerate_ops,
-                             max_op, min_op, piecewise_op, validate_c)
+                             max_op, min_op, op_from_spec, piecewise_op,
+                             validate_c)
 from mtlfi.semantics import (BadPowerBound, ChainModel, DatAxiomFails,
                              Evaluation,
                              OperatorNotBound, SemanticsError,
                              TooManyVariables, UnboundVariable, bridge_check,
                              check_dat_axiom, check_lfi, check_propagation,
                              classical_taut, deduction_power_bound,
-                             compile_finite, compile_standard,
-                             degree_consequence, evaluate, finite_scan,
-                             generate_finite, pdat_search, truth_consequence)
+                             compile_finite, degree_consequence, evaluate,
+                             finite_scan, generate, pdat_search,
+                             truth_consequence)
 from mtlfi.suite import random_formula
-from reference_closures import closure_scan, compile_closures
+from reference_closures import (closure_scan, compile_closures,
+                                compile_standard)
 
 
 def _weakening(n):
@@ -670,7 +672,7 @@ class TestFiniteScan:
     def test_generated_scans_match_the_column_scans(self, chains,
                                                     monkeypatch, chain_name):
         # the full product from _GENERATE_FROM tuples up is scanned with
-        # generate_finite, and below it a column at a time: every query,
+        # generate, and below it a column at a time: every query,
         # scanned either way, stops at the same tuple with the same count
         # and witness
         chain = chains[chain_name]
@@ -685,9 +687,9 @@ class TestFiniteScan:
                    (["p & q", "# s"], "(p & q) -> (r & s)"),
                    (["p"], "q -> p")]
         generated = []
-        monkeypatch.setattr(semantics, "generate_finite",
+        monkeypatch.setattr(semantics, "generate",
                             lambda *args: generated.append(args)
-                            or generate_finite(*args))
+                            or generate(*args))
         for premises, conclusion in queries:
             premises = [parse(t) for t in premises]
             conclusion = parse(conclusion)
@@ -720,9 +722,8 @@ class TestFiniteScan:
                 " /\\ ".join(names)
 
     @pytest.mark.parametrize("chain_name, goal, path", [
-        ("L3", "p", "compile_finite"), ("W15", "p \\/ (q & r)",
-                                        "generate_finite"),
-        ("LG", "p", "compile_standard")])
+        ("L3", "p", "compile_finite"), ("W15", "p \\/ (q & r)", "generate"),
+        ("LG", "p", "generate")])
     @pytest.mark.parametrize("mode", ["truth", "degree"])
     def test_many_premises(self, chains, monkeypatch, chain_name, goal,
                            path, mode):
@@ -746,7 +747,7 @@ class TestFiniteScan:
         assert depth(compiled[0]) == 14 + (mode == "truth")
 
     @pytest.mark.parametrize("chain_name, path", [
-        ("L3", "compile_finite"), ("W15", "generate_finite")])
+        ("L3", "compile_finite"), ("W15", "generate")])
     @pytest.mark.parametrize("goal", ["p \\/ (q & r)", "q -> (p & r)"])
     @pytest.mark.parametrize("mode", ["truth", "degree"])
     def test_a_repeated_premise_object_is_met_once(
@@ -831,7 +832,7 @@ def _reference_finite_scan(model, premises, conclusion, mode, vars_, envs):
 
 # the per-tuple compilers of a formula over a finite chain's index tuples:
 # the reference closures and the generated functions
-_COMPILERS = (compile_closures, generate_finite)
+_COMPILERS = (compile_closures, generate)
 
 
 def _column(model, f, names, envs):
@@ -933,7 +934,7 @@ class TestCompiledEvaluation:
         formula = Imp(Fuse(Imp(e, f), Iff(v0, t0)),
                       Or(Circ(res), And(Not(top), Bullet(Imp(t0, ONE)))))
         names = ["TOP", "t0", "RES", "f", "v0", "e"]
-        fn = generate_finite(model, formula, names)
+        fn = generate(model, formula, names)
         for env in itertools.product(range(chain.size), repeat=len(names)):
             ev = Evaluation(chain, {v: chain.elements[i]
                                     for v, i in zip(names, env)},
@@ -960,7 +961,7 @@ class TestCompiledEvaluation:
 # ---------------------------------------------------------------------------
 # The finite scan against the per-tuple reference closures and the Fraction
 # tree walk: full products (a column at a time) and tuples a caller passes
-# (generate_finite), on every built-in finite chain, and on a 17-element and
+# (generate), on every built-in finite chain, and on a 17-element and
 # a 257-element chain, whose full products are generated too
 
 @pytest.fixture(scope="module")
@@ -1062,11 +1063,11 @@ class TestColumnScan:
         # a full product below _GENERATE_FROM tuples on a chain of at most
         # 16 elements is scanned a column at a time, and a larger chain's
         # product and tuples from a caller's generator one at a time by
-        # generate_finite, which takes no tuple past the first failing one
+        # generate, which takes no tuple past the first failing one
         model = _scan_model(scan_chains, chain_name, "max")
         n = model.chain.size
         compiled, taken = [], []
-        for name in ("compile_finite", "generate_finite"):
+        for name in ("compile_finite", "generate"):
             monkeypatch.setattr(semantics, name,
                                 lambda *args, fn=getattr(semantics, name),
                                 name=name: compiled.append(name) or fn(*args))
@@ -1089,13 +1090,13 @@ class TestColumnScan:
             compiled.clear()
             full = finite_scan(model, premises, conclusion, mode, names)
             assert set(compiled) == {"compile_finite" if n <= 16
-                                     else "generate_finite"}
+                                     else "generate"}
             for tuples in (product, rng.choices(product, k=40)):
                 compiled.clear()
                 taken.clear()
                 got = finite_scan(model, premises, conclusion, mode, names,
                                   counted(tuples))
-                assert set(compiled) == {"generate_finite"}
+                assert set(compiled) == {"generate"}
                 assert got == closure_scan(model, premises, conclusion, mode,
                                            names, tuples)
                 assert len(taken) == got[1]
@@ -1253,6 +1254,18 @@ def _any_formula(rng, names, unary, depth):
 
 _OP_KINDS = [None, "min", "max", "crisp", "linear", "step"]
 
+# the operators of the differential test against compile_standard, by spec,
+# and the identity on [1/2, 1] of the LL example
+_OP_SPECS = ["min", "max", "crisp:3/4", "crisp:1/2:open", "identity"]
+
+
+def _spec_model(chains, chain_name, spec):
+    """The standard chain with the operator of spec and its dual bound."""
+    chain = chains[chain_name]
+    op = (piecewise_op(chain, [(F(1, 2), F(1, 2)), (1, 1)], "linear")
+          if spec == "identity" else op_from_spec(chain, spec))
+    return ChainModel(chain_name, chain, op, dual(op))
+
 
 class TestStandardScan:
     @given(seed=st.integers(min_value=0, max_value=2**32),
@@ -1293,12 +1306,42 @@ class TestStandardScan:
         model = _standard_model(chains, chain_name, kind, True)
         points = _grid(model, 4)
         names = data.draw(st.permutations(sorted(variables(f))))
-        fn = compile_standard(model, f, names, points)
+        fn = generate(model, f, names, points)
         for env in itertools.product(range(len(points)), repeat=len(names)):
             ev = Evaluation(model.chain, {v: points[i]
                                           for v, i in zip(names, env)},
                             model.consistency, model.inconsistency)
             assert fn(env) == evaluate(ev, f)
+
+    @given(premises=st.lists(_formulas, max_size=3), conclusion=_formulas,
+           chain_name=st.sampled_from(["LG", "LL", "LP"]),
+           spec=st.sampled_from(_OP_SPECS),
+           mode=st.sampled_from(["truth", "degree"]),
+           denominator=st.sampled_from([2, 3, 5]), data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_generated_functions_match_the_closures(
+            self, chains, premises, conclusion, chain_name, spec, mode,
+            denominator, data):
+        # generate against the closures it replaced on standard chains:
+        # every formula's value at every tuple, and the scan's result over
+        # the full product and over a caller's tuples with either compiler
+        model = _spec_model(chains, chain_name, spec)
+        points = _grid(model, denominator)
+        names = sorted(variables(conclusion, *premises))
+        product = list(itertools.product(range(len(points)),
+                                         repeat=len(names)))
+        for f in (conclusion, *premises):
+            new = generate(model, f, names, points)
+            old = compile_standard(model, f, names, points)
+            assert [new(env) for env in product] == \
+                [old(env) for env in product], f
+        tuple_lists = (None, _envs(data, len(points), len(names)))
+        got = [finite_scan(model, premises, conclusion, mode, names, envs,
+                           points) for envs in tuple_lists]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(semantics, "generate", compile_standard)
+            assert [finite_scan(model, premises, conclusion, mode, names,
+                                envs, points) for envs in tuple_lists] == got
 
     @pytest.mark.parametrize("chain_name, kind", [("LG", "max"),
                                                   ("LL", "linear"),
@@ -1313,14 +1356,14 @@ class TestStandardScan:
         shapes = [node(a) for node in (Not, Circ, Bullet, Delta) for a in kids]
         shapes += [node(a, b) for node in (And, Or, Fuse, Imp, Iff)
                    for a in kids for b in kids]
-        # compile_standard tabulates a unary connective over a Var, and
-        # reads no right side of a /\ or & whose left side is 0: constant
-        # (ZERO above), or O q and ~p at the points where they are 0
+        # generate tabulates a unary connective over a Var, and a /\ or &
+        # whose left side is 0 is that side: constant (ZERO above), or O q
+        # and ~p at the points where they are 0
         shapes += [node(a, b) for node in (And, Fuse)
                    for a in (parse("O q"), parse("~p")) for b in kids]
         envs = list(itertools.product(range(len(points)), repeat=2))
         for f in shapes:
-            fn = compile_standard(model, f, ["p", "q"], points)
+            fn = generate(model, f, ["p", "q"], points)
             for env in envs:
                 ev = Evaluation(model.chain, {"p": points[env[0]],
                                               "q": points[env[1]]},
@@ -1348,6 +1391,24 @@ class TestStandardScan:
                 res.grid_denominator, res.checked) == \
             _reference_standard_search(model, premises, goal, mode, 60)
 
+    def test_names_of_the_generated_source_are_plain_variables(self, chains):
+        # variables named as the identifiers of a generated function on a
+        # standard chain read their own values: no name reaches the source
+        model = _spec_model(chains, "LL", "identity")
+        points = _grid(model, 4)
+        names = ["P", "BOT", "MEET", "NEG_P", "e", "t0"]
+        p, bot, meet, neg_p, e, t0 = map(Var, names)
+        formula = Iff(Fuse(Imp(e, p), Iff(bot, t0)),
+                      Or(Circ(meet), And(Not(neg_p), Bullet(Imp(t0, ONE)))))
+        fn = generate(model, formula, names, points)
+        rng = random.Random(0)
+        for _ in range(300):
+            env = tuple(rng.randrange(len(points)) for _ in names)
+            ev = Evaluation(model.chain, {v: points[i]
+                                          for v, i in zip(names, env)},
+                            model.consistency, model.inconsistency)
+            assert fn(env) == evaluate(ev, formula), env
+
     def test_unary_tables_fill_at_the_points_the_scan_reads(self, chains,
                                                             ll_identity):
         # the squared excluded-middle bound fails at the 32nd of LL's 61
@@ -1365,7 +1426,7 @@ class TestStandardScan:
         model = ChainModel("LG", chains["LG"])
         for text in ("O p", "# p", "1 /\\ ~(0 -> O 1)"):
             with pytest.raises(OperatorNotBound, match="no operator is bound"):
-                compile_standard(model, parse(text), ["p"], [F(0), F(1)])
+                generate(model, parse(text), ["p"], [F(0), F(1)])
 
 
 class TestUnboundOperator:
@@ -1417,8 +1478,8 @@ class TestDeterminism:
 
 
 @pytest.mark.parametrize("name, compile_",
-                         [("L5", compile_finite), ("LG", compile_standard),
-                          ("L5", generate_finite)],
+                         [("L5", compile_finite), ("LG", generate),
+                          ("L5", generate)],
                          ids=["L5", "LG", "L5-generated"])
 def test_compiling_leaves_no_reference_cycle(chains, name, compile_):
     # every compiled column function, closure or generated function is

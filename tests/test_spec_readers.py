@@ -5,7 +5,7 @@ header and its variants, known keys with good and bad values, table rows,
 repeated, unknown and unread keys, malformed lines, comments and blank
 lines, in any order.  Each parser, and Workspace.load, must give what the
 old one in reference_spec_readers gives (an equal chain, operator or
-script, or the same exception class and message), except in the three
+script, or the same exception class and message), except in the four
 cases the reader changes on purpose:
 
 - a file whose first line that is not blank or a comment is not its
@@ -13,6 +13,8 @@ cases the reader changes on purpose:
   must-start or repeated-key message;
 - an operator's values: line may separate its rationals by commas, as a
   negation: line or a table row may;
+- an operator file's line without a colon is malformed, as in a chain
+  file, where the old reader read it as a key with an empty value;
 - Workspace.load reads a file that starts with a comment, as the parsers
   always did, so it loads what the old one loads with the comments taken
   out.
@@ -191,6 +193,29 @@ def _values_by_spaces(text):
                   lambda m: m.group(1).replace(",", " "), text)
 
 
+_UNKNOWN = ("error", OperatorSpecError, "unknown operator file key 'no colon'")
+
+
+def _old_op(outcome, text):
+    """outcome(text) from an old operator reader, with the first line after
+    the header that has no colon and is no header swapped for one that the
+    old reader refuses as an unknown key at the same place: the reader
+    refuses the line it stands for as malformed there."""
+    lines = text.splitlines()
+    body = [i for i, ln in enumerate(lines)
+            if ln.strip() and not ln.strip().startswith("#")][1:]
+    for i in body:
+        line = lines[i].strip()
+        if ":" not in line and not line.startswith("op "):
+            lines[i] = "no colon:"
+            out = outcome("".join(ln + "\n" for ln in lines))
+            if out == _UNKNOWN:
+                return ("error", OperatorSpecError,
+                        f"malformed operator file line: {line!r}")
+            return out
+    return outcome(text)
+
+
 @given(_files(OP_FILES, OP_LINES))
 @settings(max_examples=600, deadline=None)
 def test_op_files_read_as_before(text):
@@ -199,7 +224,8 @@ def test_op_files_read_as_before(text):
         assert new == ("error", *FIXED["op"])
     else:
         # the old reader split values: at spaces only
-        assert new == _op_outcome(old.parse_op_file, _values_by_spaces(text))
+        assert new == _old_op(lambda t: _op_outcome(old.parse_op_file, t),
+                              _values_by_spaces(text))
 
 
 @given(_files(PROOF_FILES, PROOF_LINES))
@@ -240,6 +266,13 @@ def test_workspace_loads_as_before(tmp_path_factory, text):
         assert new[:2] == ("error", FIXED[kind][0])
         assert new[2] in FIXED[kind][1:]
         return
+
+    def old_load(text):
+        path.write_text(text)
+        return _workspace_outcome(old.load, str(path))
+
     stripped = "".join(ln + "\n" for ln in lines)
-    path.write_text(_values_by_spaces(stripped) if kind == "op" else stripped)
-    assert new == _workspace_outcome(old.load, str(path))
+    if kind == "op":
+        assert new == _old_op(old_load, _values_by_spaces(stripped))
+    else:
+        assert new == old_load(stripped)
