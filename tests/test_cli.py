@@ -8,6 +8,7 @@ import pytest
 import mtlfi
 from mtlfi.cli import _build_parser, main
 from mtlfi.formula import MAX_DEPTH
+from test_hilbert import UNKNOWN_NOPE
 
 
 def run(capsys, *argv):
@@ -407,9 +408,7 @@ class TestProve:
                      ("prove", str(path))):
             code, out, err = run(capsys, *argv)
             assert (code, out) == (3, "")
-            assert err.startswith("error: unknown profile 'nope'; a name is "
-                                  "a base (MTL, SMTL, ")
-            assert "-o-nn+" in err and "<= (or -leq)" in err
+            assert err == f"error: {UNKNOWN_NOPE}\n"
 
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "prove", "/nonexistent.proof")

@@ -169,6 +169,24 @@ def _branch(kids):
 formulas = st.recursive(_leaves, _branch, max_leaves=20)
 
 
+@pytest.mark.parametrize("f, ascii_text, unicode_text", [
+    (Not(p), "~p", "\u00acp"),
+    (Circ(p), "O p", "\u25cb p"),
+    (Bullet(p), "# p", "\u2022 p"),
+    (Delta(p), "D p", "\u0394 p"),
+    (Fuse(p, q), "p & q", "p & q"),
+    (And(p, q), "p /\\ q", "p \u2227 q"),
+    (Or(p, q), "p \\/ q", "p \u2228 q"),
+    (Imp(p, q), "p -> q", "p \u2192 q"),
+    (Iff(p, q), "p <-> q", "p \u2194 q"),
+    (ZERO, "0", "0\u0304"),
+    (ONE, "1", "1\u0304"),
+])
+def test_each_connective_and_constant_renders(f, ascii_text, unicode_text):
+    assert render(f) == ascii_text
+    assert render(f, unicode=True) == unicode_text
+
+
 @given(formulas)
 @settings(max_examples=300, deadline=None)
 def test_parse_render_roundtrip(f):
