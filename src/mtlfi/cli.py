@@ -53,23 +53,26 @@ class Workspace:
         self.scripts: dict = {}
 
     def load(self, path: str) -> None:
+        """Define the chain, operator or proof of a file, whose name must
+        not be defined already, built in or loaded."""
         text = _read(path)
         kind = spec_kind(text)
         if kind == "chain":
-            name, chain = parse_chain_file(text)
-            if name in self.chains:  # an operator may live on the first
-                raise UsageError(f"{path}: chain {name!r} is already defined")
-            self.chains[name] = chain
+            name, value = parse_chain_file(text)
+            defined, noun = self.chains, "chain"
         elif kind == "op":
             from .operators import parse_op_file
-            name, op = parse_op_file(text, self.chains)
-            self.ops[name] = op
+            name, value = parse_op_file(text, self.chains)
+            defined, noun = self.ops, "operator"
         elif kind == "proof":
             from .hilbert import parse_proof
-            script = parse_proof(text)
-            self.scripts[script.name] = script
+            value = parse_proof(text)
+            name, defined, noun = value.name, self.scripts, "proof"
         else:
             raise UsageError(f"{path}: unknown file kind {kind!r}")
+        if name in defined:
+            raise UsageError(f"{path}: {noun} {name!r} is already defined")
+        defined[name] = value
 
     def chain(self, name):
         """The chain of --chain, L3 when it is not given."""

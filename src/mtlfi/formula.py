@@ -7,8 +7,11 @@ and the binary connectives & (strong conjunction), /\ (lattice conjunction),
 
 ASCII grammar, tightest to loosest: unary {~, O, #, D}; & ; /\ ; \/ ;
 -> and <-> (right associative, same level, mixing requires parentheses).
-Variables are [a-z][a-z0-9_]*.  parse builds the tree in one loop, without
-recursion, and rejects a formula more than MAX_DEPTH levels deep.
+Variables are [a-z][a-z0-9_]*.  One table, _SYNTAX, declares each
+connective's ASCII and Unicode symbols and binding power, and each
+constant's symbols: parse's token tables are built from it, and render
+reads it.  parse builds the tree in one loop, without recursion, and
+rejects a formula more than MAX_DEPTH levels deep.
 """
 
 from __future__ import annotations
@@ -108,6 +111,16 @@ _LEAVES = (Var, Const)
 _UNARY = (Not, Circ, Bullet, Delta)
 _BINARY = (And, Fuse, Or, Imp, Iff)
 
+# Each connective, tightest first, and each constant: (ASCII symbol,
+# Unicode symbol, binding power).  The arrows share the loosest power; a
+# constant, an atom, has none.
+_SYNTAX = {
+    Not: ("~", "¬", 4), Circ: ("O", "○", 4), Bullet: ("#", "•", 4),
+    Delta: ("D", "Δ", 4), Fuse: ("&", "&", 3), And: ("/\\", "∧", 2),
+    Or: ("\\/", "∨", 1), Imp: ("->", "→", 0), Iff: ("<->", "↔", 0),
+    ZERO: ("0", "0̄", None), ONE: ("1", "1̄", None),
+}
+
 
 # ---------------------------------------------------------------------------
 # Parsing
@@ -133,15 +146,16 @@ class FormulaSyntaxError(InputError, ValueError):
 # Every token; \S catches any other non-space character for the error path.
 # \s is Unicode whitespace, the characters str.isspace accepts.
 _TOKEN = re.compile(r"[()]|[a-z][a-z0-9_]*|<?->|/\\|\\/|[~O#D&01]|\S")
-_CONST = {"0": ZERO, "1": ONE}
+_CONST = {_SYNTAX[c][0]: c for c in (ZERO, ONE)}
 # the stack entry each operand-opening token pushes: None for "(", and for
 # a prefix (binding power, constructor, no left operand, unused)
-_PREFIX = {"~": (4, Not, None, 0), "O": (4, Circ, None, 0),
-           "#": (4, Bullet, None, 0), "D": (4, Delta, None, 0), "(": None}
+_PREFIX = {sym: (power, t, None, 0)
+           for t, (sym, _, power) in _SYNTAX.items() if t in _UNARY}
+_PREFIX["("] = None
 # infix token -> (binding power, constructor); the arrows share the loosest
 # level, fold to the right, and are folded only where their group ends
-_INFIX = {"&": (3, Fuse), "/\\": (2, And), "\\/": (1, Or),
-          "->": (0, Imp), "<->": (0, Iff)}
+_INFIX = {sym: (power, t)
+          for t, (sym, _, power) in _SYNTAX.items() if t in _BINARY}
 _KNOWN = {*_CONST, *_PREFIX, *_INFIX, ")"}
 # every atom parse has read, by its token: the constants and one Var per
 # distinct name, shared by every text; and every connective node parse has
@@ -149,7 +163,7 @@ _KNOWN = {*_CONST, *_PREFIX, *_INFIX, ")"}
 # 5 a**2 + 4 a nodes for a atoms, and no atom's id is ever reused)
 _ATOMS = dict(_CONST)
 _ON_ATOMS = {}
-_ATOM_EXPECTED = ("variable", "0", "1", "~", "O", "#", "D", "(")
+_ATOM_EXPECTED = ("variable", *_CONST, *_PREFIX)
 
 # The most nodes on any root-to-leaf path of a parsed formula.  Rendering,
 # normalising, evaluating, compiling and comparing recurse once or twice per
@@ -259,71 +273,45 @@ def _syntax_error(text, toks, i, message, expected):
 
 def _check_depth(text, root):
     """Raise at the first atom, in text order, deeper than MAX_DEPTH."""
-    stack, atoms = [(root, 1)], 0
-    while stack:
-        node, depth = stack.pop()
-        if type(node) in _BINARY:
-            stack += ((node.right, depth + 1), (node.left, depth + 1))
-        elif type(node) in _UNARY:
-            stack.append((node.arg, depth + 1))
-        elif depth <= MAX_DEPTH:
+    atoms = 0
+    for node, level in _walk(root):
+        if type(node) in _LEAVES:
+            if level > MAX_DEPTH:
+                offsets = [m.start() for m in _TOKEN.finditer(text)
+                           if m[0] in _CONST or "a" <= m[0][0] <= "z"]
+                raise FormulaSyntaxError(
+                    f"formula deeper than {MAX_DEPTH} levels", offsets[atoms])
             atoms += 1
-        else:
-            offsets = [m.start() for m in _TOKEN.finditer(text)
-                       if m[0] in _CONST or "a" <= m[0][0] <= "z"]
-            raise FormulaSyntaxError(
-                f"formula deeper than {MAX_DEPTH} levels", offsets[atoms])
 
 
 # ---------------------------------------------------------------------------
 # Rendering
 
-_LEVEL_ARROW, _LEVEL_OR, _LEVEL_AND, _LEVEL_FUSE, _LEVEL_UNARY, _LEVEL_ATOM = range(6)
-
-_ASCII = {"not": "~", "circ": "O", "bullet": "#", "delta": "D",
-          "and": "/\\", "fuse": "&", "or": "\\/", "imp": "->", "iff": "<->",
-          "zero": "0", "one": "1"}
-_UNICODE = {"not": "¬", "circ": "○", "bullet": "•",
-            "delta": "Δ", "and": "∧", "fuse": "&", "or": "∨",
-            "imp": "→", "iff": "↔", "zero": "0̄", "one": "1̄"}
-
-
 def render(f: Formula, unicode: bool = False) -> str:
     """Render a formula with minimal parentheses; parse(render(f)) == f."""
-    sym = _UNICODE if unicode else _ASCII
+    alphabet = 1 if unicode else 0
 
-    def go(node: Formula, level: int) -> str:
-        if isinstance(node, Var):
+    def go(node: Formula, floor: int) -> str:
+        # floor: the least binding power node may have without parentheses
+        t = type(node)
+        if t is Var:
             return node.name
-        if isinstance(node, Const):
-            return sym["one"] if node.value else sym["zero"]
-        if isinstance(node, _UNARY):
-            name = {Not: "not", Circ: "circ", Bullet: "bullet", Delta: "delta"}[type(node)]
-            inner = go(node.arg, _LEVEL_UNARY)
-            if name == "not":
-                body = sym["not"] + inner
-            else:
-                body = sym[name] + " " + inner
-            return "(" + body + ")" if level > _LEVEL_UNARY else body
-        if isinstance(node, (Imp, Iff)):
-            name = "imp" if isinstance(node, Imp) else "iff"
-            left = go(node.left, _LEVEL_OR)
+        if t is Const:
+            return _SYNTAX[node][alphabet]
+        sym, power = _SYNTAX[t][alphabet], _SYNTAX[t][2]
+        if t in _UNARY:
+            body = sym + ("" if t is Not else " ") + go(node.arg, power)
+        elif power:
+            # left associative: a right operand of the same power is bracketed
+            body = f"{go(node.left, power)} {sym} {go(node.right, power + 1)}"
+        else:
             # Right associative chains of the same arrow stay unparenthesized;
             # a different arrow on the right must be bracketed.
-            if type(node.right) is type(node):
-                right = go(node.right, _LEVEL_ARROW)
-            else:
-                right = go(node.right, _LEVEL_OR)
-            body = f"{left} {sym[name]} {right}"
-            return "(" + body + ")" if level > _LEVEL_ARROW else body
-        name, lvl = {Or: ("or", _LEVEL_OR), And: ("and", _LEVEL_AND),
-                     Fuse: ("fuse", _LEVEL_FUSE)}[type(node)]
-        left = go(node.left, lvl)
-        right = go(node.right, lvl + 1)
-        body = f"{left} {sym[name]} {right}"
-        return "(" + body + ")" if level > lvl else body
+            right = go(node.right, 0 if type(node.right) is t else 1)
+            body = f"{go(node.left, 1)} {sym} {right}"
+        return "(" + body + ")" if floor > power else body
 
-    return go(f, _LEVEL_ARROW)
+    return go(f, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -346,27 +334,27 @@ def variables(*formulas: Formula) -> frozenset:
     return frozenset(out)
 
 
-def depth(f: Formula) -> int:
-    """The most nodes on any root-to-leaf path of f."""
-    deepest, stack = 0, [(f, 1)]
+def _walk(f: Formula) -> Iterator[tuple]:
+    """Every node occurrence of f with its level, the root's being 1, in
+    text order: each node before its subformulas, left before right."""
+    stack = [(f, 1)]
     while stack:
         node, level = stack.pop()
-        deepest = max(deepest, level)
+        yield node, level
         if type(node) in _BINARY:
-            stack += ((node.left, level + 1), (node.right, level + 1))
+            stack += ((node.right, level + 1), (node.left, level + 1))
         elif type(node) in _UNARY:
             stack.append((node.arg, level + 1))
-    return deepest
+
+
+def depth(f: Formula) -> int:
+    """The most nodes on any root-to-leaf path of f."""
+    return max(level for _, level in _walk(f))
 
 
 def subformulas(f: Formula) -> Iterator[Formula]:
-    """All subformula nodes, root first."""
-    yield f
-    if isinstance(f, _UNARY):
-        yield from subformulas(f.arg)
-    elif isinstance(f, _BINARY):
-        yield from subformulas(f.left)
-        yield from subformulas(f.right)
+    """All subformula nodes, root first, in text order."""
+    return (node for node, _ in _walk(f))
 
 
 def normalize(f: Formula, nodes: Optional[dict] = None) -> Formula:

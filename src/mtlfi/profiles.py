@@ -222,11 +222,41 @@ BASES = {
 
 BL_EXTENSIONS = frozenset({"BL", "SBL", "Luk", "Prod", "G"})
 
-_REGISTRY: dict = {}
+# Each operator variant, by suffix: the axioms it adds to its base's, and
+# its rules.  A -o variant is in the consistency language, a -b variant in
+# the inconsistency language.  Over an extension of BL the maximal variant
+# -o-max also has the axiom maxBL.
+_VARIANTS = {
+    "-o": ("OA1 OA2 OA3", "Cong Coh"),
+    "-o-nn": ("OA1 OA2 OA3", "Cong Coh DNE"),
+    "-o-nn+": ("B1 B2 B3 B4", "DNE ONec"),
+    "-o-c": ("OA1 OA2 OA3 c", "Cong Coh"),
+    "-o-min": ("OA1 OA2 OA3 OA4", "Cong Coh"),
+    "-o-max": ("OA1 OA2 OA3", "Cong Coh DNEO"),
+    "-o-dat": ("OA1 OA2 OA3 OEM", "Cong Coh"),
+    "-b": ("bA1 bA2 bA3", "CongB CohB"),
+    "-b-nn": ("bA1 bA2 bA3", "CongB CohB DNE"),
+    "-b-c": ("bA1 bA2 bA3 bc", "CongB CohB"),
+    "-b-min": ("bA1 bA2 bA3", "CongB CohB DNEB"),
+    "-b-max": ("bA1 bA2 bA3 bA4", "CongB CohB"),
+}
 
 
-def _add(profile: LogicProfile):
-    _REGISTRY[profile.name] = profile
+def _truth_profiles():
+    """Each base, each of its operator variants, and MTLD."""
+    for base, extras in BASES.items():
+        base_axioms = _ax(*_MTL_AXIOMS, *extras)
+        yield LogicProfile(base, base, base_axioms, {})
+        for suffix, (axioms, rules) in _VARIANTS.items():
+            axioms = axioms.split()
+            if suffix == "-o-max" and base in BL_EXTENSIONS:
+                axioms.append("maxBL")
+            yield LogicProfile(base + suffix, base, base_axioms | _ax(*axioms),
+                               {rid: _RULES[rid] for rid in rules.split()},
+                               uses_circ=suffix.startswith("-o"),
+                               uses_bullet=suffix.startswith("-b"))
+    yield LogicProfile("MTLD", "MTL", _ax(*_MTL_AXIOMS, *_DELTA_AXIOMS),
+                       {"DNec": _RULES["DNec"]})
 
 
 def _degree_twin(p: LogicProfile) -> LogicProfile:
@@ -239,57 +269,8 @@ def _degree_twin(p: LogicProfile) -> LogicProfile:
                         uses_circ=p.uses_circ, uses_bullet=p.uses_bullet)
 
 
-def _build_registry():
-    for base, extras in BASES.items():
-        base_axioms = dict(_ax(*_MTL_AXIOMS)) | _ax(*extras)
-        _add(LogicProfile(base, base, base_axioms, {}))
-
-        circ = base_axioms | _ax("OA1", "OA2", "OA3")
-        circ_rules = {"Cong": _RULES["Cong"], "Coh": _RULES["Coh"]}
-        _add(LogicProfile(f"{base}-o", base, circ, dict(circ_rules),
-                          uses_circ=True))
-        _add(LogicProfile(f"{base}-o-nn", base, dict(circ),
-                          circ_rules | {"DNE": _RULES["DNE"]}, uses_circ=True))
-        _add(LogicProfile(f"{base}-o-nn+", base,
-                          base_axioms | _ax("B1", "B2", "B3", "B4"),
-                          {"DNE": _RULES["DNE"], "ONec": _RULES["ONec"]},
-                          uses_circ=True))
-        _add(LogicProfile(f"{base}-o-c", base, circ | _ax("c"),
-                          dict(circ_rules), uses_circ=True))
-        _add(LogicProfile(f"{base}-o-min", base, circ | _ax("OA4"),
-                          dict(circ_rules), uses_circ=True))
-        max_axioms = dict(circ)
-        if base in BL_EXTENSIONS:
-            max_axioms |= _ax("maxBL")
-        _add(LogicProfile(f"{base}-o-max", base, max_axioms,
-                          circ_rules | {"DNEO": _RULES["DNEO"]},
-                          uses_circ=True))
-        _add(LogicProfile(f"{base}-o-dat", base, circ | _ax("OEM"),
-                          dict(circ_rules), uses_circ=True))
-
-        bullet = base_axioms | _ax("bA1", "bA2", "bA3")
-        bullet_rules = {"CongB": _RULES["CongB"], "CohB": _RULES["CohB"]}
-        _add(LogicProfile(f"{base}-b", base, bullet, dict(bullet_rules),
-                          uses_bullet=True))
-        _add(LogicProfile(f"{base}-b-nn", base, dict(bullet),
-                          bullet_rules | {"DNE": _RULES["DNE"]},
-                          uses_bullet=True))
-        _add(LogicProfile(f"{base}-b-c", base, bullet | _ax("bc"),
-                          dict(bullet_rules), uses_bullet=True))
-        _add(LogicProfile(f"{base}-b-max", base, bullet | _ax("bA4"),
-                          dict(bullet_rules), uses_bullet=True))
-        _add(LogicProfile(f"{base}-b-min", base, dict(bullet),
-                          bullet_rules | {"DNEB": _RULES["DNEB"]},
-                          uses_bullet=True))
-
-    _add(LogicProfile("MTLD", "MTL", _ax(*_MTL_AXIOMS) | _ax(*_DELTA_AXIOMS),
-                      {"DNec": _RULES["DNec"]}))
-
-    for profile in list(_REGISTRY.values()):
-        _add(_degree_twin(profile))
-
-
-_build_registry()
+_REGISTRY = {p.name: p for p in _truth_profiles()}
+_REGISTRY |= {t.name: t for t in map(_degree_twin, _REGISTRY.values())}
 
 
 def profile_names() -> list:
@@ -304,8 +285,9 @@ def load_profile(name: str) -> LogicProfile:
     try:
         return _REGISTRY[key]
     except KeyError:
+        *suffixes, last = _VARIANTS
         raise UnknownProfile(
             f"unknown profile {name!r}; a name is a base ({', '.join(BASES)})"
-            " with an optional suffix -o, -o-nn, -o-nn+, -o-c, -o-min, -o-max,"
-            " -o-dat, -b, -b-nn, -b-c, -b-min or -b-max, or MTLD; a final <="
-            " (or -leq) names its degree-preserving companion") from None
+            f" with an optional suffix {', '.join(suffixes)} or {last}, or"
+            " MTLD; a final <= (or -leq) names its degree-preserving"
+            " companion") from None

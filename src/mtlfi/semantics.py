@@ -45,7 +45,7 @@ from . import InputError
 from .chain import GODEL, FiniteChain, rat
 from .formula import (MAX_DEPTH, And, Bullet, Circ, Const, Delta, Formula,
                       Fuse, Iff, Imp, Not, Or, Var, ONE, ZERO, depth,
-                      power, variables)
+                      power, subformulas, variables)
 from .operators import (ConsistencyOp, HostMismatch, InconsistencyOp,
                         validate_c)
 
@@ -759,13 +759,8 @@ def check_dat_axiom(model: ChainModel, grid_denominator: int = 60) -> DatResult:
 
 
 def _classical_language(f: Formula) -> bool:
-    if isinstance(f, (Var, Const)):
-        return True
-    if isinstance(f, Not):
-        return _classical_language(f.arg)
-    if isinstance(f, (And, Or, Imp, Fuse, Iff)):
-        return _classical_language(f.left) and _classical_language(f.right)
-    return False
+    return not any(type(node) in (Circ, Bullet, Delta)
+                   for node in subformulas(f))
 
 
 @dataclass

@@ -458,6 +458,29 @@ class TestLoading:
             assert err == (f"error: {loads[-1]}: chain {name!r} is already "
                            "defined\n")
 
+    def test_an_operator_or_proof_name_is_defined_once(self, capsys,
+                                                         tmp_path):
+        # a second file of one name used to replace the first without a
+        # word: the second operator was validated (clause: c1, exit 1), and
+        # the second proof verified
+        files = {"t1.op": "op t on L3\nkind: table\nvalues: 1 0 1\n",
+                 "t2.op": "op t on L3\nkind: table\nvalues: 1 1 1\n",
+                 "s1.proof": "proof s in MTL\n1. p -> p | thm imp-id\n",
+                 "s2.proof": "proof s in MTL\n1. p -> q | axiom A2\n"}
+        for name, text in files.items():
+            (tmp_path / name).write_text(text)
+        for first, second, rest, noun, name in [
+                ("t1.op", "t2.op", ("validate-op", "--chain", "L3", "--op",
+                                    "t"), "operator", "t"),
+                ("s1.proof", "s2.proof", ("prove", "s"), "proof", "s")]:
+            command, *rest = rest
+            code, out, err = run(capsys, command, "--load",
+                                 str(tmp_path / first), "--load",
+                                 str(tmp_path / second), *rest)
+            assert (code, out) == (3, "")
+            assert err == (f"error: {tmp_path / second}: {noun} {name!r} is "
+                           "already defined\n")
+
     @pytest.mark.parametrize("text, argv, expected", [
         ("chain c4\nkind: finite\nfamily: godel\nsize: 4\n",
          ("taut", "--chain", "c4", "p -> p"), "verdict: holds\nchecked: 4\n"),

@@ -6,9 +6,10 @@ from hypothesis import given, settings, strategies as st
 
 from mtlfi.formula import (MAX_DEPTH, And, Bullet, Circ, Const, Delta,
                            FormulaSyntaxError, Fuse, Iff, Imp, Not, ONE, Or,
-                           Schema, Var, ZERO, match_schema, normalize, parse,
-                           power, render, schema, substitute, subformulas,
-                           to_bullet_language, to_circ_language, variables)
+                           Schema, Var, ZERO, depth, match_schema, normalize,
+                           parse, power, render, schema, substitute,
+                           subformulas, to_bullet_language, to_circ_language,
+                           variables)
 
 p, q, r = Var("p"), Var("q"), Var("r")
 
@@ -409,6 +410,16 @@ def test_variables_and_subformulas():
     f = parse("p & q -> O p")
     assert variables(f) == {"p", "q"}
     assert parse("p & q") in list(subformulas(f))
+    # root first, in text order
+    assert list(subformulas(f)) == [f, f.left, p, q, f.right, p]
+
+
+def test_subformulas_of_a_deep_formula():
+    # the recursive generator raised RecursionError here
+    f = power(Var("p"), 5000)
+    nodes = list(subformulas(f))
+    assert len(nodes) == 9999 and nodes[0] is f
+    assert depth(f) == 5000
 
 
 # --- slotted nodes -----------------------------------------------------------
