@@ -161,18 +161,6 @@ class NSet:
         if lower is not None:
             self._lower_nd = (lower.numerator, lower.denominator)
 
-    @classmethod
-    def finite(cls, elements: Iterable[Fraction]) -> "NSet":
-        return cls(elements=frozenset(elements))
-
-    @classmethod
-    def none(cls) -> "NSet":
-        return cls(empty=True)
-
-    @classmethod
-    def interval(cls, lower: Fraction, closed: bool) -> "NSet":
-        return cls(lower=lower, closed=closed)
-
     def __contains__(self, x) -> bool:
         if self.empty:
             return False
@@ -356,8 +344,8 @@ class FiniteChain(Chain):
         self._delta_i = (0,) * (n - 1) + (n - 1,)
         # whether the negation is 0 at each index: N below the top, and the top
         self._neg_zero = tuple(v == 0 for v in self._neg_i)
-        self._nset = NSet.finite(x for x, z in zip(self.elements[:-1],
-                                                   self._neg_zero) if z)
+        self._nset = NSet(frozenset(x for x, z in zip(self.elements[:-1],
+                                                      self._neg_zero) if z))
         # the tables of semantics' column scan, each built when first read
         self._kernel = {}
 
@@ -509,11 +497,11 @@ class StandardChain(Chain):
             for c in comps)
         first = comps[0]
         if first.family != LUKASIEWICZ:
-            self._nset = NSet.interval(_ZERO, closed=False)
+            self._nset = NSet(lower=_ZERO, closed=False)
         elif first.hi == _ONE:
-            self._nset = NSet.none()
+            self._nset = NSet(empty=True)
         else:
-            self._nset = NSet.interval(first.hi, closed=True)
+            self._nset = NSet(lower=first.hi)
 
     def _check(self, x) -> Fraction:
         v = x if type(x) is Fraction else rat(x)

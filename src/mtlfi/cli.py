@@ -54,23 +54,26 @@ class Workspace:
 
     def load(self, path: str) -> None:
         """Define the chain, operator or proof of a file, whose name must
-        not be defined already, built in or loaded."""
+        not be defined already, built in or loaded; the built-in operator
+        specs count as defined operators."""
         text = _read(path)
         kind = spec_kind(text)
+        builtin = False
         if kind == "chain":
             name, value = parse_chain_file(text)
             defined, noun = self.chains, "chain"
         elif kind == "op":
-            from .operators import parse_op_file
+            from .operators import BUILTIN_SPECS, CRISP_SPEC, parse_op_file
             name, value = parse_op_file(text, self.chains)
             defined, noun = self.ops, "operator"
+            builtin = name in BUILTIN_SPECS or name.startswith(CRISP_SPEC)
         elif kind == "proof":
             from .hilbert import parse_proof
             value = parse_proof(text)
             name, defined, noun = value.name, self.scripts, "proof"
         else:
             raise UsageError(f"{path}: unknown file kind {kind!r}")
-        if name in defined:
+        if builtin or name in defined:
             raise UsageError(f"{path}: {noun} {name!r} is already defined")
         defined[name] = value
 
@@ -84,17 +87,15 @@ class Workspace:
                              + ", ".join(sorted(self.chains)))
 
     def op(self, chain, spec: str):
-        """The operator of --op: a loaded operator's name, or else a name
-        that operators.op_from_spec resolves."""
+        """The operator of --op: a loaded operator's name or a built-in spec
+        (operators.op_from_spec), which no loaded operator takes."""
         from .operators import op_from_spec
         if spec is None:
             raise UsageError("no operator given: pass --op")
-        if spec in self.ops:
-            op = self.ops[spec]
-            if op.chain is not chain:
-                raise UsageError(f"operator {spec!r} lives on {op.chain.name}")
-            return op
-        return op_from_spec(chain, spec)
+        op = self.ops[spec] if spec in self.ops else op_from_spec(chain, spec)
+        if op.chain is not chain:
+            raise UsageError(f"operator {spec!r} lives on {op.chain.name}")
+        return op
 
 
 def _parse_formula(text: str):
@@ -151,6 +152,7 @@ def _cmd_parse(ws, args) -> int:
 
 
 def _cmd_eval(ws, args) -> int:
+    from .formula import _VARIABLE
     from .semantics import Evaluation, evaluate
     model = _model(ws, args)
     assignment = {}
@@ -158,7 +160,7 @@ def _cmd_eval(ws, args) -> int:
         if part.strip():
             name, _, value = part.partition("=")
             name = name.strip()
-            if not re.fullmatch(r"[a-z][a-z0-9_]*", name):
+            if not re.fullmatch(_VARIABLE, name):
                 raise UsageError(f"--assign names a variable before '=', "
                                  f"not {name!r}")
             if name in assignment:
@@ -393,58 +395,46 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("parse")
     p.add_argument("formula")
     p.add_argument("--unicode", action="store_true")
-    p.set_defaults(fn=_cmd_parse)
 
     p = sub.add_parser("eval", parents=model)
     p.add_argument("formula")
     p.add_argument("--assign", default="", help="comma list p=1/2,q=3/4")
-    p.set_defaults(fn=_cmd_eval)
 
     p = sub.add_parser("taut", parents=query + [fmt])
     p.add_argument("formula")
     p.add_argument("--classical", action="store_true",
                    help="two-valued check instead of the chain")
-    p.set_defaults(fn=_cmd_taut)
 
     p = sub.add_parser("conseq", parents=query + [fmt])
     p.add_argument("--mode", choices=("truth", "degree"), default="truth")
     p.add_argument("--premises", default="")
     p.add_argument("--goal", required=True)
-    p.set_defaults(fn=_cmd_conseq)
 
-    p = sub.add_parser("validate-op", parents=model)
-    p.set_defaults(fn=_cmd_validate_op)
+    sub.add_parser("validate-op", parents=model)
 
-    p = sub.add_parser("enum-ops", parents=[load, chain])
-    p.set_defaults(fn=_cmd_enum_ops)
+    sub.add_parser("enum-ops", parents=[load, chain])
 
     p = sub.add_parser("quotient", parents=[load, chain])
     p.add_argument("--filter", required=True,
                    help="lower bound of an up-set, or a comma list of elements")
-    p.set_defaults(fn=_cmd_quotient)
 
-    p = sub.add_parser("lfi-report", parents=query)
-    p.set_defaults(fn=_cmd_lfi_report)
+    sub.add_parser("lfi-report", parents=query)
 
     p = sub.add_parser("propagation", parents=query)
     p.add_argument("--connective", required=True,
                    choices=("/\\", "&", "->", "~", "0"),
                    help="write -> as --connective=->")
-    p.set_defaults(fn=_cmd_propagation)
 
-    p = sub.add_parser("dat", parents=query)
-    p.set_defaults(fn=_cmd_dat)
+    sub.add_parser("dat", parents=query)
 
     p = sub.add_parser("pdat", parents=query)
     p.add_argument("--goal", required=True)
     p.add_argument("--kmax", type=int, default=8)
-    p.set_defaults(fn=_cmd_pdat)
 
     p = sub.add_parser("prove", parents=[load])
     p.add_argument("path", nargs="?", default=None)
     p.add_argument("--fixture", default=None)
     p.add_argument("--profile", default=None, help="logic profile name")
-    p.set_defaults(fn=_cmd_prove)
 
     p = sub.add_parser("suite")
     p.add_argument("which")
@@ -453,7 +443,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--timings", action="store_true",
                    help="after the summary, print the seconds each criterion "
                         "took in the process that ran it")
-    p.set_defaults(fn=_cmd_suite)
 
     return parser
 
@@ -470,7 +459,8 @@ def main(argv=None) -> int:
         if not getattr(args, "classical", False):
             for path in getattr(args, "load", None) or ():
                 ws.load(path)
-        return args.fn(ws, args)
+        # each command runs its _cmd_ function, - in its name read as _
+        return globals()["_cmd_" + args.command.replace("-", "_")](ws, args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code

@@ -7,11 +7,11 @@ and the binary connectives & (strong conjunction), /\ (lattice conjunction),
 
 ASCII grammar, tightest to loosest: unary {~, O, #, D}; & ; /\ ; \/ ;
 -> and <-> (right associative, same level, mixing requires parentheses).
-Variables are [a-z][a-z0-9_]*.  One table, _SYNTAX, declares each
-connective's ASCII and Unicode symbols and binding power, and each
-constant's symbols: parse's token tables are built from it, and render
-reads it.  parse builds the tree in one loop, without recursion, and
-rejects a formula more than MAX_DEPTH levels deep.
+Variables are [a-z][a-z0-9_]* (_VARIABLE).  One table, _SYNTAX, declares
+each connective's ASCII and Unicode symbols and binding power, and each
+constant's symbols: parse's tokenizer and token tables are built from it,
+and render reads it.  parse builds the tree in one loop, without recursion,
+and rejects a formula more than MAX_DEPTH levels deep.
 """
 
 from __future__ import annotations
@@ -143,9 +143,19 @@ class FormulaSyntaxError(InputError, ValueError):
         return type(self), (self.message, self.offset, self.expected)
 
 
-# Every token; \S catches any other non-space character for the error path.
-# \s is Unicode whitespace, the characters str.isspace accepts.
-_TOKEN = re.compile(r"[()]|[a-z][a-z0-9_]*|<?->|/\\|\\/|[~O#D&01]|\S")
+# A variable's name: a lowercase ASCII letter, then lowercase ASCII letters,
+# digits and underscores.
+_VARIABLE = "[a-z][a-z0-9_]*"
+# Every token: a parenthesis, a variable, a symbol of _SYNTAX (the longer
+# symbols, longest first, then one class of the single characters), or \S,
+# any other non-space character, for the error path.  \s is Unicode
+# whitespace, the characters str.isspace accepts.
+_SYMBOLS = sorted((sym for sym, _, _ in _SYNTAX.values()), key=len,
+                  reverse=True)
+_TOKEN = re.compile("|".join(
+    ["[()]", _VARIABLE, *(re.escape(s) for s in _SYMBOLS if len(s) > 1),
+     "[" + "".join(re.escape(s) for s in _SYMBOLS if len(s) == 1) + "]",
+     r"\S"]))
 _CONST = {_SYNTAX[c][0]: c for c in (ZERO, ONE)}
 # the stack entry each operand-opening token pushes: None for "(", and for
 # a prefix (binding power, constructor, no left operand, unused)

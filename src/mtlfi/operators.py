@@ -485,27 +485,37 @@ def delta_from_op(chain, op: ConsistencyOp, x) -> Fraction:
 # ---------------------------------------------------------------------------
 # Operator names and spec files
 
+def _unique_op(chain) -> ConsistencyOp:
+    """The unique valid operator of a finite chain, the spec auto."""
+    if not chain.is_finite:
+        raise StandardChainUnsupported(
+            "operator spec 'auto' needs a finite chain")
+    ops = enumerate_ops(chain)
+    if len(ops) != 1:
+        raise OperatorSpecError(f"{chain.name} admits {len(ops)} operators; "
+                                "pick one explicitly")
+    return ops[0]
+
+
+# The built-in operator specs: each name with the operator it gives on a
+# chain, and the prefix of crisp:T[:open].  op_from_spec reads them, and a
+# loaded operator may take no name they give (cli.Workspace.load).
+BUILTIN_SPECS = {"min": min_op, "max": max_op, "delta": op_from_delta,
+                 "auto": _unique_op}
+CRISP_SPEC = "crisp:"
+
+
 def op_from_spec(chain, spec: str) -> ConsistencyOp:
-    """The operator a name gives: min, max, delta, crisp:T[:open], or auto,
-    the unique valid operator of a finite chain."""
-    named = {"min": min_op, "max": max_op, "delta": op_from_delta}
-    if spec in named:
-        return named[spec](chain)
-    if spec.startswith("crisp:"):
+    """The operator a built-in spec gives: min, max, delta, crisp:T[:open],
+    or auto, the unique valid operator of a finite chain."""
+    if spec in BUILTIN_SPECS:
+        return BUILTIN_SPECS[spec](chain)
+    if spec.startswith(CRISP_SPEC):
         parts = spec.split(":")
         if parts[2:] not in ([], ["open"]):
             raise OperatorSpecError(f"operator spec {spec!r}: a crisp operator "
                                     "is crisp:T or crisp:T:open")
         return crisp_op(chain, rat(parts[1]), len(parts) == 2)
-    if spec == "auto":
-        if not chain.is_finite:
-            raise StandardChainUnsupported(
-                "operator spec 'auto' needs a finite chain")
-        ops = enumerate_ops(chain)
-        if len(ops) != 1:
-            raise OperatorSpecError(f"{chain.name} admits {len(ops)} operators; "
-                                    "pick one explicitly")
-        return ops[0]
     raise OperatorSpecError(f"unknown operator spec {spec!r}")
 
 

@@ -44,14 +44,16 @@ from typing import Iterable, Optional, Sequence
 from . import InputError
 from .chain import GODEL, FiniteChain, rat
 from .formula import (MAX_DEPTH, And, Bullet, Circ, Const, Delta, Formula,
-                      Fuse, Iff, Imp, Not, Or, Var, ONE, ZERO, depth,
-                      power, subformulas, variables)
+                      Fuse, Iff, Imp, Not, Or, Var, ONE, ZERO, _CONST,
+                      _INFIX, _PREFIX, _SYNTAX, depth, power, subformulas,
+                      variables)
 from .operators import (ConsistencyOp, HostMismatch, InconsistencyOp,
                         validate_c)
 
 __all__ = [
     "SemanticsError", "UnboundVariable", "OperatorNotBound",
     "TooManyVariables", "DatAxiomFails", "NotClassical", "BadPowerBound",
+    "UnknownConnective",
     "ChainModel", "Evaluation", "evaluate", "finite_scan", "ConsequenceResult",
     "truth_consequence", "degree_consequence",
     "LfiReport", "check_lfi", "PropagationResult", "check_propagation",
@@ -100,6 +102,10 @@ class BadPowerBound(SemanticsError):
     """A power search asked to stop below k = 1."""
 
 
+class UnknownConnective(SemanticsError, ValueError):
+    """A propagation check asked of a token outside CONNECTIVE_TOKENS."""
+
+
 @dataclass
 class ChainModel:
     """A chain together with optional consistency/inconsistency bindings."""
@@ -131,8 +137,8 @@ def _operator(ev, t):
     node type t, Circ (O) or Bullet (#)."""
     op = ev.consistency if t is Circ else ev.inconsistency
     if op is None:
-        sym = "O" if t is Circ else "#"
-        raise OperatorNotBound(f"the formula uses {sym} but no operator is bound")
+        raise OperatorNotBound(f"the formula uses {_SYNTAX[t][0]} but no "
+                               "operator is bound")
     return op
 
 
@@ -657,7 +663,8 @@ def check_lfi(model: ChainModel, grid_denominator: int = 60) -> LfiReport:
 # ---------------------------------------------------------------------------
 # Propagation
 
-CONNECTIVE_TOKENS = ("/\\", "&", "->", "~", "0")
+# the tokens check_propagation reads, each as parse reads it
+CONNECTIVE_TOKENS = tuple(_SYNTAX[t][0] for t in (And, Fuse, Imp, Not, ZERO))
 
 
 @dataclass
@@ -679,19 +686,18 @@ def check_propagation(model: ChainModel, connective: str,
     the implication and negation for operators that validate_c passes on
     the same grid, the strong conjunction for the min and max kinds).
     """
+    if connective not in CONNECTIVE_TOKENS:
+        raise UnknownConnective(f"unknown connective {connective!r}; known: "
+                                + ", ".join(CONNECTIVE_TOKENS))
     op = _operator(model, Circ)
     chain = model.chain
-    if connective not in CONNECTIVE_TOKENS:
-        raise ValueError(f"connective must be one of {CONNECTIVE_TOKENS}")
-    if connective == "0":
+    if connective in _CONST:
         ok = op.value(_ZERO) == _ONE
         return PropagationResult(ok, None if ok else (_ZERO,), checked=1)
-    p, q = Var("p"), Var("q")
-    if connective == "~":
-        premises, law = [Circ(p)], Circ(Not(p))
-    else:
-        node = {"/\\": And, "&": Fuse, "->": Imp}[connective]
-        premises, law = [Circ(p), Circ(q)], Circ(node(p, q))
+    unary = connective in _PREFIX
+    node = (_PREFIX if unary else _INFIX)[connective][1]
+    args = (Var("p"),) if unary else (Var("p"), Var("q"))
+    premises, law = [Circ(a) for a in args], Circ(node(*args))
     res = _product_search(model, premises, law, "degree",
                           _points(chain, (op,), grid_denominator), None)
     if res.verdict == "fails":
@@ -699,9 +705,9 @@ def check_propagation(model: ChainModel, connective: str,
         rhs = evaluate(Evaluation(chain, at, op), law)
         return PropagationResult(False, tuple(at[v] for v in sorted(at)),
                                  chain.residuum(res.witness, rhs), res.checked)
-    if chain.is_finite or connective == "/\\":
+    if chain.is_finite or node is And:
         holds = True
-    elif connective in ("->", "~"):
+    elif node is Imp or node is Not:
         holds = validate_c(chain, op, grid_denominator).valid or None
     else:
         holds = (op.kind in ("min", "max")

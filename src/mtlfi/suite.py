@@ -13,7 +13,7 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .chain import (GODEL, LUKASIEWICZ, FiniteChain, builtin_chains,
+from .chain import (LUKASIEWICZ, FiniteChain, builtin_chains,
                     law_violations, quotient_by_filter, upward_filter,
                     validate_mtl_laws)
 from .formula import And, Const, Formula, Fuse, Imp, Not, Or, Var, parse
@@ -111,17 +111,12 @@ def random_formula(rng: random.Random, names, depth: int,
 
 
 def _small_chains() -> dict:
-    """Finite chains of size at most five, for the exhaustive criteria."""
-    return {
-        "B2": FiniteChain.from_family(GODEL, 2, name="B2"),
-        "L3": FiniteChain.from_family(LUKASIEWICZ, 3, name="L3"),
-        "G3": FiniteChain.from_family(GODEL, 3, name="G3"),
-        "L4": FiniteChain.from_family(LUKASIEWICZ, 4, name="L4"),
-        "L5": FiniteChain.from_family(LUKASIEWICZ, 5, name="L5"),
-        "G5": FiniteChain.from_family(GODEL, 5, name="G5"),
-        "L3G3": FiniteChain.ordinal_sum(
-            [(LUKASIEWICZ, 3), (GODEL, 3)], name="L3G3"),
-    }
+    """Finite chains of size at most five, for the exhaustive criteria: the
+    built-in and fixture chains of that size, and L4."""
+    chains = fixture_chains()
+    chains["L4"] = FiniteChain.from_family(LUKASIEWICZ, 4, name="L4")
+    return {name: chains[name]
+            for name in ("B2", "L3", "G3", "L4", "L5", "G5", "L3G3")}
 
 
 def _example_standard_ops(chains) -> list:
@@ -396,11 +391,8 @@ def criterion_12() -> CriterionResult:
                            f"{len(MUTANTS)} mutants rejected")
 
 
-CRITERIA = {
-    1: criterion_1, 2: criterion_2, 3: criterion_3, 4: criterion_4,
-    5: criterion_5, 6: criterion_6, 7: criterion_7, 8: criterion_8,
-    9: criterion_9, 10: criterion_10, 11: criterion_11, 12: criterion_12,
-}
+# each criterion by the number in its function's name
+CRITERIA = {n: globals()[f"criterion_{n}"] for n in range(1, 13)}
 
 
 # The order in which the worker pool is handed the criteria: longest first,

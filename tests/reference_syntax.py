@@ -1,15 +1,22 @@
-"""The renderer and the profile registry that formula._SYNTAX and
-profiles._VARIANTS replaced, kept as their differential oracles.
+"""The renderer, the tokenizer and the profile registry that
+formula._SYNTAX and profiles._VARIANTS replaced, kept as their
+differential oracles.
 
 render is formula.render as it was, with a symbol dict per alphabet and
-one level constant per binding power.  _build_registry is the registry
+one level constant per binding power.  _TOKEN is formula._TOKEN as it
+was, every connective symbol and the variable rule written out by hand,
+and parse is formula.parse reading it.  _build_registry is the registry
 as it was built, one _add call per operator variant, into this module's
 _REGISTRY (with _degree_twin as it was), and unknown_profile_message is the message load_profile gave
-for a name it does not know, each variant listed by hand.  Both must give
-the same text, and the same profiles with their axiom and rule dicts in
-the same order.
+for a name it does not know, each variant listed by hand.  Each must give
+the same text, the same tokens and formula or error, and the same
+profiles with their axiom and rule dicts in the same order.
 """
 
+import re
+from unittest import mock
+
+from mtlfi import formula
 from mtlfi.formula import (And, Bullet, Circ, Const, Delta, Formula, Fuse,
                            Iff, Imp, Not, Or, Var, _UNARY)
 from mtlfi.profiles import (BASES, BL_EXTENSIONS, LogicProfile, _DELTA_AXIOMS,
@@ -132,6 +139,18 @@ def _build_registry():
 
 
 _build_registry()
+
+
+# Every token; \S catches any other non-space character for the error path.
+# \s is Unicode whitespace, the characters str.isspace accepts.
+_TOKEN = re.compile(r"[()]|[a-z][a-z0-9_]*|<?->|/\\|\\/|[~O#D&01]|\S")
+
+
+def parse(text: str) -> Formula:
+    """formula.parse with the tokenizer above, which its error path and its
+    depth check read too."""
+    with mock.patch.object(formula, "_TOKEN", _TOKEN):
+        return formula.parse(text)
 
 
 def unknown_profile_message(name: str) -> str:

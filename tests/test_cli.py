@@ -6,8 +6,11 @@ import sys
 import pytest
 
 import mtlfi
+from mtlfi import cli
 from mtlfi.cli import _build_parser, main
 from mtlfi.formula import MAX_DEPTH
+from mtlfi.operators import BUILTIN_SPECS, CRISP_SPEC
+from mtlfi.semantics import CONNECTIVE_TOKENS
 from test_hilbert import UNKNOWN_NOPE
 
 
@@ -481,6 +484,38 @@ class TestLoading:
             assert err == (f"error: {tmp_path / second}: {noun} {name!r} is "
                            "already defined\n")
 
+    def test_a_built_in_operator_spec_is_not_an_operator_name(self,
+                                                              capsys,
+                                                              tmp_path):
+        # a loaded operator of a spec's name used to replace the built-in
+        # one: max.op made validate-op --op max invalid (clause c1, exit 1)
+        files = {"max.op": "op max on L3\nkind: table\nvalues: 1 1 1\n",
+                 "crisp.op": "op crisp:1/2 on LL\nkind: min\n"}
+        for name, text in files.items():
+            (tmp_path / name).write_text(text)
+        for file, chain, op in [("max.op", "L3", "max"),
+                                ("crisp.op", "LL", "crisp:1/2")]:
+            code, out, err = run(capsys, "validate-op", "--load",
+                                 str(tmp_path / file), "--chain", chain,
+                                 "--op", op)
+            assert (code, out) == (3, "")
+            assert err == (f"error: {tmp_path / file}: operator {op!r} is "
+                           "already defined\n")
+            code, out, err = run(capsys, "validate-op", "--chain", chain,
+                                 "--op", op)
+            assert (code, err) == (0, "")
+
+    @pytest.mark.parametrize("name", ["min", "max", "delta", "auto",
+                                      "crisp:1/2", "crisp:1/2:open",
+                                      "crisp:x"])
+    def test_every_built_in_spec_name_is_refused(self, capsys, tmp_path,
+                                                 name):
+        path = tmp_path / "o.op"
+        path.write_text(f"op {name} on L3\nkind: min\n")
+        code, out, err = run(capsys, "enum-ops", "--load", str(path))
+        assert (code, out) == (3, "")
+        assert err == f"error: {path}: operator {name!r} is already defined\n"
+
     @pytest.mark.parametrize("text, argv, expected", [
         ("chain c4\nkind: finite\nfamily: godel\nsize: 4\n",
          ("taut", "--chain", "c4", "p -> p"), "verdict: holds\nchecked: 4\n"),
@@ -732,6 +767,17 @@ UNREAD_FLAGS = [(command, flag) for command in COMMAND_OPTIONS
                 for flag in FLAG_VALUES if flag not in COMMAND_OPTIONS[command]]
 
 
+def _commands() -> dict:
+    """Each command's parser, by name."""
+    return next(action for action in _build_parser()._actions
+                if isinstance(action, argparse._SubParsersAction)).choices
+
+
+def _flag(command: str, flag: str):
+    return next(action for action in _commands()[command]._actions
+                if flag in action.option_strings)
+
+
 class TestOptionSurface:
     def test_each_command_declares_exactly_the_flags_it_reads(self):
         parser = _build_parser()
@@ -743,6 +789,25 @@ class TestOptionSurface:
                    for name, command in sub.choices.items()}
         assert options == COMMAND_OPTIONS
         assert sum(map(len, options.values())) == 56
+
+    def test_each_command_runs_its_function(self):
+        # main runs _cmd_<name>, with - read as _
+        for name in _commands():
+            assert callable(getattr(cli, "_cmd_" + name.replace("-", "_")))
+
+    def test_the_connective_choices_are_the_propagation_tokens(self):
+        # written out, since the parser is built without semantics
+        choices = _flag("propagation", "--connective").choices
+        assert tuple(choices) == CONNECTIVE_TOKENS
+
+    def test_the_op_help_names_every_built_in_spec(self):
+        # written out, since the parser is built without operators
+        for command, parser in _commands().items():
+            if any("--op" in a.option_strings for a in parser._actions):
+                forms = _flag(command, "--op").help.split("|")
+                assert set(BUILTIN_SPECS) < set(forms)
+                assert "crisp:T[:open]" in forms
+                assert "crisp:T[:open]".startswith(CRISP_SPEC)
 
     def test_the_unread_flags_are_the_ones_removed(self):
         assert len(UNREAD_FLAGS) == 52

@@ -1,4 +1,5 @@
 import pickle
+import re
 from dataclasses import FrozenInstanceError, fields
 
 import pytest
@@ -6,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from mtlfi.formula import (MAX_DEPTH, And, Bullet, Circ, Const, Delta,
                            FormulaSyntaxError, Fuse, Iff, Imp, Not, ONE, Or,
-                           Schema, Var, ZERO, depth, match_schema, normalize,
+                           Schema, Var, ZERO, _VARIABLE, depth,
+                           match_schema, normalize,
                            parse, power, render, schema, substitute,
                            subformulas, to_bullet_language, to_circ_language,
                            variables)
@@ -186,6 +188,17 @@ formulas = st.recursive(_leaves, _branch, max_leaves=20)
 def test_each_connective_and_constant_renders(f, ascii_text, unicode_text):
     assert render(f) == ascii_text
     assert render(f, unicode=True) == unicode_text
+
+
+@given(st.text(alphabet="abz09_AOD²é#", max_size=6))
+@settings(max_examples=300, deadline=None)
+def test_a_name_is_a_variable_exactly_where_the_rule_matches(name):
+    # the rule cli's --assign check reads too
+    try:
+        f = parse(name)
+    except FormulaSyntaxError:
+        f = None
+    assert (re.fullmatch(_VARIABLE, name) is not None) == (f == Var(name))
 
 
 @given(formulas)

@@ -6,7 +6,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mtlfi import semantics
+from mtlfi import InputError, semantics
 from mtlfi.chain import FiniteChain, GODEL, LUKASIEWICZ
 from mtlfi.formula import (MAX_DEPTH, ONE, ZERO, And, Bullet, Circ, Delta,
                            Fuse, Iff, Imp, Not, Or, Var, depth, parse,
@@ -17,7 +17,8 @@ from mtlfi.operators import (ConsistencyOp, crisp_op, dual, enumerate_ops,
 from mtlfi.semantics import (BadPowerBound, ChainModel, DatAxiomFails,
                              Evaluation,
                              OperatorNotBound, SemanticsError,
-                             TooManyVariables, UnboundVariable, bridge_check,
+                             TooManyVariables, UnboundVariable,
+                             UnknownConnective, bridge_check,
                              check_dat_axiom, check_lfi, check_propagation,
                              classical_taut, deduction_power_bound,
                              compile_finite, degree_consequence, evaluate,
@@ -209,6 +210,23 @@ class TestLfi:
 
 
 class TestPropagation:
+    def test_the_tokens_in_their_order(self):
+        # derived from formula._SYNTAX; the CLI's --connective lists them
+        assert semantics.CONNECTIVE_TOKENS == ("/\\", "&", "->", "~", "0")
+
+    @pytest.mark.parametrize("token", ["<->", "\\/", "1", "O", "and", ""])
+    def test_an_unknown_connective_is_an_input_error(self, chains, token):
+        # it used to raise a bare ValueError, an internal error (exit 4)
+        # for every caller but argparse
+        l3 = chains["L3"]
+        with pytest.raises(UnknownConnective) as exc:
+            check_propagation(ChainModel("L3", l3, min_op(l3)), token)
+        assert isinstance(exc.value, InputError)
+        assert isinstance(exc.value, ValueError)
+        assert exc.value.exit_code == 3
+        assert str(exc.value) == (f"unknown connective {token!r}; known: "
+                                  "/\\, &, ->, ~, 0")
+
     def test_lattice_conjunction_and_implication_always_propagate(self, chains):
         for name in ("L3", "G3", "L3G3"):
             chain = chains[name]
